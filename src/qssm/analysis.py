@@ -23,8 +23,9 @@ as the independent oracle for the closed forms.
 from __future__ import annotations
 
 import enum
+import itertools
 from dataclasses import dataclass
-from math import log2
+from math import log2, prod
 
 import numpy as np
 from scipy.integrate import quad
@@ -143,24 +144,23 @@ def pep_quadrature(
 ) -> float:
     """Numerical fading average of Q(sqrt(rho*eta_bar*g/2)); oracle for the closed form.
 
-    The semi-infinite integral is mapped onto (0, 1) through t = g/(1+g)
-    and evaluated by adaptive quadrature to ``rel_tol`` relative accuracy.
+    The integral runs over u = max(rho*eta_bar, 1)*g, where the faster-decaying
+    factor has unit scale, mapped onto (0, 1) through t = u/(1+u) and evaluated
+    by adaptive quadrature to ``rel_tol`` relative accuracy.
     """
     if rho < 0 or eta_bar_value < 0:
         raise ValueError("rho and eta_bar must be >= 0")
     product = rho * eta_bar_value
     if product == 0.0:
         return 0.5
-    if convention is PepConvention.PAPER_EQ21:
-        def density(g):
-            return 0.5 * np.exp(-0.5 * g)
-    else:
-        def density(g):
-            return np.exp(-g)
+    # fading density of g: rate*exp(-rate*g), i.e. mean 2 (paper_eq21) or 1
+    rate = 0.5 if convention is PepConvention.PAPER_EQ21 else 1.0
+    scale = max(product, 1.0)
 
     def integrand(t):
-        g = t / (1.0 - t)
-        return density(g) * q_function(np.sqrt(product * g / 2.0)) / (1.0 - t) ** 2
+        u = t / (1.0 - t)
+        density = rate * np.exp(-rate * u / scale) / scale
+        return density * q_function(np.sqrt(product / scale * u / 2.0)) / (1.0 - t) ** 2
 
     value, abserr, info, *message = quad(
         integrand, 0.0, 1.0, epsabs=0.0, epsrel=rel_tol, limit=200, full_output=True
@@ -199,7 +199,7 @@ def _popcount_matrix(size: int) -> np.ndarray:
 
 
 def qssm_pair_tables(book: SymbolBook) -> tuple[np.ndarray, np.ndarray]:
-    """(eta_bar, hamming-distance) matrices over all ordered symbol pairs."""
+    """Dense (eta_bar, hamming-distance) S x S reference tables over all ordered pairs."""
     same1 = book.k1_idx[:, None] == book.k1_idx[None, :]
     same2 = book.k2_idx[:, None] == book.k2_idx[None, :]
     re_part = np.where(
@@ -215,44 +215,44 @@ def qssm_pair_tables(book: SymbolBook) -> tuple[np.ndarray, np.ndarray]:
     return re_part + im_part, _popcount_matrix(len(book))
 
 
-def ssm_pair_tables(
-    n_scatterers: int, constellation: Constellation
-) -> tuple[np.ndarray, np.ndarray]:
-    """Pair tables of the single-beam baseline over its L * M symbols."""
-    size = n_scatterers * constellation.order
-    values = np.arange(size)
-    k = values >> constellation.bits
-    x = constellation.points[values & (constellation.order - 1)]
-    same = k[:, None] == k[None, :]
-    eta = np.where(
-        same,
-        np.abs(x[:, None] - x[None, :]) ** 2,
-        np.abs(x[:, None]) ** 2 + np.abs(x[None, :]) ** 2,
-    )
-    return eta, _popcount_matrix(size)
-
-
 def _union_bound(
-    eta: np.ndarray,
-    hamming: np.ndarray,
-    bits: int,
-    rho: float,
-    kernel: str,
-    convention: PepConvention,
+    L: int, beams: tuple, rho: float, kernel: str, convention: PepConvention
 ) -> float:
-    size = eta.shape[0]
-    off = ~np.eye(size, dtype=bool)
-    if kernel == "closed_form":
-        pep = pep_closed_form(rho, np.where(off, eta, 1.0), convention)
-    elif kernel == "asymptotic":
-        if rho <= 0:
-            raise ValueError(f"asymptotic kernel needs rho > 0, got {rho}")
-        with np.errstate(divide="ignore"):
-            pep = np.minimum(0.5, 13.0 / (24.0 * rho * np.where(off, eta, np.inf)))
-    else:
+    """Union bound over the L^B * M symbols (k_1, ..., k_B, s), B = len(beams).
+
+    Beam b carries ``beams[b][s]`` from scatterer k_b.  eta_bar adds one term
+    per beam that depends only on whether its indices coincide and on (s, t),
+    and the Hamming distance splits into index bits plus signal bits, so each
+    index-coincidence class is one M x M sum weighted n*ham_M + mass: equal
+    indices give n = L pairs and mass 0, distinct ones n = L(L-1) and mass
+    L^2*log2(L)/2.  The true symbol gets weight 0 on the all-equal diagonal.
+    """
+    if kernel == "asymptotic" and rho <= 0:
+        raise ValueError(f"asymptotic kernel needs rho > 0, got {rho}")
+    if kernel not in ("closed_form", "asymptotic"):
         raise ValueError(f"kernel must be 'closed_form' or 'asymptotic', got {kernel!r}")
-    total = float(np.sum(np.where(off, hamming * pep, 0.0)))
-    return total / (size * bits)
+    order = len(beams[0])
+    ham = _popcount_matrix(order)
+    same, diff = (L, 0.0), (L * (L - 1), L * L * log2(L) / 2.0)
+    total = 0.0
+    for classes in itertools.product((same, diff), repeat=len(beams)):
+        n = prod(count for count, _ in classes)
+        if n == 0:
+            continue
+        eta = sum(
+            np.abs(c[:, None] - c[None, :]) ** 2 if cls is same
+            else np.abs(c[:, None]) ** 2 + np.abs(c[None, :]) ** 2
+            for c, cls in zip(beams, classes)
+        )
+        if kernel == "closed_form":
+            pep = pep_closed_form(rho, eta, convention)
+        else:
+            with np.errstate(divide="ignore"):
+                pep = np.minimum(0.5, 13.0 / (24.0 * rho * eta))
+        mass = sum(index_mass * (n // count) for count, index_mass in classes)
+        total += float(np.sum((n * ham + mass) * pep))
+    bits = len(beams) * log2(L) + log2(order)
+    return total / (L ** len(beams) * order * bits)
 
 
 def abep_union_bound(
@@ -261,9 +261,9 @@ def abep_union_bound(
     kernel: str = "closed_form",
     convention: PepConvention = DEFAULT_CONVENTION,
 ) -> float:
-    """Hamming-weighted PEP sum over ordered pairs, / (L^2*M * log2(L^2*M))."""
-    eta, hamming = qssm_pair_tables(book)
-    return _union_bound(eta, hamming, book.bits_per_symbol, rho, kernel, convention)
+    """Hamming-weighted PEP sum over ordered pairs, / (L^2*M * log2(L^2*M)), in O(M^2)."""
+    x = book.constellation.points
+    return _union_bound(book.L, (x.real, x.imag), rho, kernel, convention)
 
 
 def abep_union_bound_ssm(
@@ -274,9 +274,7 @@ def abep_union_bound_ssm(
     convention: PepConvention = DEFAULT_CONVENTION,
 ) -> float:
     """Union bound of the single-beam baseline over its L * M symbols."""
-    eta, hamming = ssm_pair_tables(n_scatterers, constellation)
-    bits = int(log2(n_scatterers * constellation.order))
-    return _union_bound(eta, hamming, bits, rho, kernel, convention)
+    return _union_bound(n_scatterers, (constellation.points,), rho, kernel, convention)
 
 
 def snr_db_to_rho(snr_db: float) -> float:

@@ -14,6 +14,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
+from functools import lru_cache
 from math import ceil, isinf
 
 import numpy as np
@@ -101,6 +102,16 @@ class SimConfig:
             raise ValueError(
                 f"L={self.L} scatterers do not fit the {min(self.n_t, self.n_r)}-point "
                 "sine grid of the smaller array"
+            )
+        if (
+            self.channel_mode == PHYSICAL
+            and self.angle_mode == MIN_SEP
+            and 2 <= self.L == min(self.n_t, self.n_r)
+        ):
+            # L gaps of at least period/N each would have to fill the period exactly
+            raise ValueError(
+                f"min_sep angle sampling needs more than L={self.L} elements on "
+                f"each array; use angle_mode='{DFT_GRID}' or larger arrays"
             )
         if self.n_t < 1 or self.n_r < 1:
             raise ValueError("n_t and n_r must be >= 1")
@@ -284,8 +295,24 @@ def _draw_sines(
 # per-block simulation
 # ---------------------------------------------------------------------------
 
-def _popcount_table(size: int) -> np.ndarray:
-    return np.bitwise_count(np.arange(size, dtype=np.uint64)).astype(np.int64)
+@lru_cache(maxsize=8)
+def _scheme_tables(scheme: str, kind: str, M: int, L: int):
+    """(constellation, hypotheses, label popcounts), built once per process.
+
+    The hypotheses are the symbol book for QSSM and the (k index, point)
+    arrays for SSM.  Every block shares them, so their arrays are read-only.
+    """
+    constellation = build_constellation(kind, M)
+    if scheme == QSSM:
+        hypotheses = build_symbol_book(L, constellation)
+        arrays = (hypotheses.k1_idx, hypotheses.k2_idx, hypotheses.x_re, hypotheses.x_im)
+    else:
+        hypotheses = arrays = ssm_hypotheses(L, constellation)
+    size = len(arrays[0])
+    popcounts = np.bitwise_count(np.arange(size, dtype=np.uint64)).astype(np.int64)
+    for array in (constellation.points, popcounts, *arrays):
+        array.flags.writeable = False
+    return constellation, hypotheses, popcounts
 
 
 def _steering_batch(sines: np.ndarray, n_elements: int, spacing: float) -> np.ndarray:
@@ -349,14 +376,12 @@ def _block_bit_errors(
 ) -> int:
     """Bit errors over one block of trials; pure function of (config, snr, block)."""
     rho = snr_db_to_rho(snr_db)
-    constellation = build_constellation(config.kind, config.M)
+    _, hypotheses, popcounts = _scheme_tables(config.scheme, config.kind, config.M, config.L)
+    size = len(popcounts)
     if config.scheme == QSSM:
-        book = build_symbol_book(config.L, constellation)
-        size = len(book)
+        book = hypotheses
     else:
-        k_idx, x_points = ssm_hypotheses(config.L, constellation)
-        size = config.L * config.M
-    popcounts = _popcount_table(size)
+        k_idx, x_points = hypotheses
 
     labels = _substream(config.seed, snr_db, _PURPOSE_LABELS, block_index).integers(
         0, size, n_trials
@@ -489,14 +514,14 @@ def sweep(
     config: SimConfig, workers: int = 1, max_errors: int | None = None
 ) -> AbepCurve:
     """Run every grid point and attach the analytical and asymptotic bounds."""
-    constellation = build_constellation(config.kind, config.M)
-    if config.scheme == QSSM:
-        book = build_symbol_book(config.L, constellation)
+    constellation, hypotheses, _ = _scheme_tables(
+        config.scheme, config.kind, config.M, config.L
+    )
     points = []
     for snr_db in config.snr_db:
         estimate = run_point(config, snr_db, workers=workers, max_errors=max_errors)
         if config.scheme == QSSM:
-            bound = analysis.abep_point(book, snr_db, config.convention)
+            bound = analysis.abep_point(hypotheses, snr_db, config.convention)
         else:
             bound = analysis.abep_point_ssm(
                 config.L, constellation, snr_db, config.convention

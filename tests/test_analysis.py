@@ -1,5 +1,8 @@
 """PEP formulas, quadrature oracle, and union-bound tests."""
 
+import tracemalloc
+from math import log2
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -16,6 +19,7 @@ from qssm.analysis import (
     pep_closed_form,
     pep_conditional,
     pep_quadrature,
+    _popcount_matrix,
     q_function,
     qssm_pair_tables,
     snr_db_to_rho,
@@ -120,6 +124,15 @@ def test_pep_quadrature_is_the_oracle():
             closed = pep_closed_form(product, 1.0, convention)
             numeric = pep_quadrature(product, 1.0, convention)
             assert abs(numeric - closed) / closed < 1e-8
+
+
+def test_pep_quadrature_scans_large_products():
+    # the Q-function scale shrinks as 1/(rho*eta_bar); the quadrature must follow it
+    for convention in BOTH:
+        for product in np.logspace(-2, 7, 500):
+            closed = pep_closed_form(product, 1.0, convention)
+            numeric = pep_quadrature(product, 1.0, convention)
+            assert abs(numeric - closed) <= 1e-8 * closed
 
 
 def test_pep_quadrature_edges():
@@ -234,3 +247,76 @@ def test_abep_point_fields():
     assert point.abep_asymptotic > 0
     rho = snr_db_to_rho(30.0)
     assert point.abep_analytical == pytest.approx(abep_union_bound(book, rho))
+
+
+def _dense_union_bound(eta, hamming, bits, rho, kernel, convention):
+    """Explicit S x S sum over ordered pairs of distinct symbols."""
+    off = ~np.eye(len(eta), dtype=bool)
+    if kernel == "closed_form":
+        pep = pep_closed_form(rho, np.where(off, eta, 1.0), convention)
+    else:
+        with np.errstate(divide="ignore"):
+            pep = np.minimum(0.5, 13.0 / (24.0 * rho * eta))
+    return float(np.sum(np.where(off, hamming * pep, 0.0))) / (len(eta) * bits)
+
+
+def _ssm_pair_tables(L, constellation):
+    values = np.arange(L * constellation.order)
+    k = values >> constellation.bits
+    x = constellation.points[values & (constellation.order - 1)]
+    eta = np.where(
+        k[:, None] == k[None, :],
+        np.abs(x[:, None] - x[None, :]) ** 2,
+        np.abs(x[:, None]) ** 2 + np.abs(x[None, :]) ** 2,
+    )
+    return eta, _popcount_matrix(len(values))
+
+
+@pytest.mark.parametrize(
+    "kind, order, L",
+    [(PSK, 2, 1), (QAM, 4, 4), (PSK, 8, 2), (PSK, 16, 4), (QAM, 16, 8)],
+)
+def test_union_bounds_equal_dense_pair_sums(kind, order, L):
+    constellation = build_constellation(kind, order)
+    book = build_symbol_book(L, constellation)
+    qssm_tables = qssm_pair_tables(book)
+    ssm_tables = _ssm_pair_tables(L, constellation)
+    ssm_bits = int(log2(L * order))
+    for rho in (1e-2, 1.0, 1e2, 1e4):
+        for kernel in ("closed_form", "asymptotic"):
+            for convention in BOTH:
+                expected = _dense_union_bound(
+                    *qssm_tables, book.bits_per_symbol, rho, kernel, convention
+                )
+                got = abep_union_bound(book, rho, kernel, convention)
+                assert got == pytest.approx(expected, rel=1e-12, abs=0)
+                expected = _dense_union_bound(
+                    *ssm_tables, ssm_bits, rho, kernel, convention
+                )
+                got = abep_union_bound_ssm(L, constellation, rho, kernel, convention)
+                assert got == pytest.approx(expected, rel=1e-12, abs=0)
+
+
+def test_union_bound_memory_independent_of_book_size():
+    # S = 16384: one dense S x S float64 table alone would take 2.1 GB
+    book = build_symbol_book(16, build_constellation(QAM, 64))
+    tracemalloc.start()
+    try:
+        point = abep_point(book, 20.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.isfinite(point.abep_analytical) and np.isfinite(point.abep_asymptotic)
+    assert peak < 50e6
+
+
+def test_union_bound_psk_floor():
+    # PSK points on an axis leave one beam's scatterer undetectable (eta_bar = 0):
+    # each such symbol has L-1 partners at PEP 0.5, one index bit away
+    rho = 1e8
+    for kernel in ("closed_form", "asymptotic"):
+        for order, floor in ((8, 0.05), (4, 0.125)):
+            book = build_symbol_book(2, build_constellation(PSK, order))
+            assert abep_union_bound(book, rho, kernel) == pytest.approx(floor, abs=1e-6)
+        book = build_symbol_book(4, build_constellation(QAM, 16))
+        assert abep_union_bound(book, rho, kernel) < 1e-5

@@ -274,7 +274,15 @@ def test_main_exit_codes(tmp_path, capsys):
     invalid = tmp_path / "invalid.json"
     invalid.write_text(json.dumps({"configs": [{"scheme": "qssm", "L": 3, "M": 4}]}))
     assert main(["run", str(invalid)]) == 2
-    capsys.readouterr()
+
+    # min_sep on an array with exactly L elements can never be sampled
+    full = tmp_path / "full.json"
+    full.write_text(json.dumps({"configs": [{
+        "scheme": "qssm", "L": 4, "M": 4, "channel_mode": "physical",
+        "n_t": 4, "n_r": 4, "angle_mode": "min_sep", "trials": 1,
+    }]}))
+    assert main(["run", str(full)]) == 2
+    assert "Traceback" not in capsys.readouterr().err
 
 
 def test_main_sweep_and_compare(tmp_path, capsys):

@@ -6,6 +6,7 @@ import pytest
 from qssm.analysis import abep_union_bound, snr_db_to_rho
 from qssm.channel import steering_bank, ArrayGeometry, ChannelRealization
 from qssm.modem import QAM, build_constellation, build_symbol_book
+from qssm import montecarlo
 from qssm.montecarlo import (
     TRIALS_PER_BLOCK,
     AbepCurve,
@@ -14,6 +15,7 @@ from qssm.montecarlo import (
     SimConfig,
     _block_bit_errors,
     _complex_normals,
+    _scheme_tables,
     _draw_sines,
     _substream,
     _PURPOSE_CHANNEL,
@@ -63,6 +65,14 @@ def test_config_validation():
         SimConfig(scheme="ssm", L=4, M=4, channel_mode="physical")
     with pytest.raises(ValueError):
         SimConfig(scheme="qssm", L=64, M=4, channel_mode="physical", n_t=32, n_r=32)
+    # L min_sep gaps of at least period/N cannot fill the period when L == N
+    physical = dict(scheme="qssm", M=4, channel_mode="physical")
+    with pytest.raises(ValueError):
+        SimConfig(**physical, L=4, n_t=4, n_r=4, angle_mode="min_sep")
+    with pytest.raises(ValueError):
+        SimConfig(**physical, L=4, n_t=32, n_r=4, angle_mode="min_sep")
+    SimConfig(**physical, L=4, n_t=4, n_r=4, angle_mode="dft_grid")
+    SimConfig(**physical, L=1, n_t=1, n_r=1, angle_mode="min_sep")
     cfg = SimConfig(scheme="qssm", L=4, M=4, convention="paper_eq21")
     assert cfg.convention.value == "paper_eq21"
     assert cfg.spectral_efficiency() == 6
@@ -133,6 +143,26 @@ def test_per_block_redraw_statistically_consistent():
     b = run_point(per_block, snr)
     assert b.abep == pytest.approx(a.abep, rel=0.05)
     assert run_point(per_block, snr) == b
+
+
+def test_block_tables_built_once_and_read_only(monkeypatch):
+    builds = []
+
+    def counting_build(*args):
+        builds.append(args)
+        return build_symbol_book(*args)
+
+    monkeypatch.setattr(montecarlo, "build_symbol_book", counting_build)
+    _scheme_tables.cache_clear()
+    cfg = SimConfig(scheme="qssm", L=2, M=4, trials=300, seed=3)
+    for block in range(3):
+        _block_bit_errors(cfg, 10.0, block, 100)
+    assert len(builds) == 1
+    _, book, popcounts = _scheme_tables("qssm", QAM, 4, 2)
+    for array in (book.k1_idx, book.x_re, book.constellation.points, popcounts):
+        with pytest.raises(ValueError):
+            array[0] = 0
+    _scheme_tables.cache_clear()
 
 
 def test_ideal_block_matches_one_shot_chain():
