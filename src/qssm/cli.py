@@ -392,15 +392,12 @@ def symbol_table_csv(L: int, M: int, kind: str) -> str:
 # ---------------------------------------------------------------------------
 
 def _parse_snr_arg(text: str) -> tuple[float, ...]:
-    if ":" in text:
-        parts = text.split(":")
-        if len(parts) != 3:
-            raise ConfigError(f"--snr: expected start:stop:step, got {text!r}")
-        start, stop, step = (float(p) for p in parts)
-        if step <= 0:
-            raise ConfigError("--snr: step must be > 0")
-        return tuple(float(s) for s in np.arange(start, stop + step * 1e-9, step))
-    return tuple(float(p) for p in text.split(","))
+    if ":" not in text:
+        return _snr_grid_from_spec([float(p) for p in text.split(",")], "--snr")
+    parts = [float(p) for p in text.split(":")]
+    if len(parts) != 3:
+        raise ConfigError(f"--snr: expected start:stop:step, got {text!r}")
+    return _snr_grid_from_spec(dict(zip(("start", "stop", "step"), parts)), "--snr")
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -13,9 +13,11 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from collections import deque
+from contextlib import nullcontext
+from dataclasses import dataclass, field, fields
 from functools import lru_cache
-from math import ceil, isinf
+from math import isinf
 
 import numpy as np
 
@@ -25,12 +27,13 @@ from .channel import DFT_GRID, MIN_SEP, dft_grid_sines
 from .modem import (
     PSK,
     QAM,
+    _is_pow2,
     build_constellation,
     build_symbol_book,
     spectral_efficiency,
     ssm_spectral_efficiency,
 )
-from .transceiver import qssm_beam_profile, ssm_hypotheses
+from .transceiver import ssm_hypotheses
 
 QSSM = "qssm"
 SSM = "ssm"
@@ -47,14 +50,11 @@ _PURPOSE_CHANNEL_BLOCK = 3  # per-block channel redraw, keyed by channel block
 
 _WILSON_Z = 1.959963984540054  # two-sided 95%
 
-_COMPLEX_BUDGET = 1 << 22  # complex temporaries per detection chunk
+_COMPLEX_BUDGET = 1 << 22  # complex temporaries per steering chunk
+_METRIC_TILE = 1 << 18     # float64 metrics per detection tile
 
 #: Default SNR grid (dB) of the standard error-rate sweeps.
 DEFAULT_SNR_GRID_DB = tuple(float(s) for s in range(0, 41, 2))
-
-
-def _is_pow2(n: int) -> bool:
-    return n >= 1 and (n & (n - 1)) == 0
 
 
 @dataclass(frozen=True)
@@ -98,25 +98,26 @@ class SimConfig:
             raise ValueError(
                 f"angle_mode must be '{DFT_GRID}' or '{MIN_SEP}', got {self.angle_mode!r}"
             )
-        if self.channel_mode == PHYSICAL and self.L > min(self.n_t, self.n_r):
-            raise ValueError(
-                f"L={self.L} scatterers do not fit the {min(self.n_t, self.n_r)}-point "
-                "sine grid of the smaller array"
-            )
-        if (
-            self.channel_mode == PHYSICAL
-            and self.angle_mode == MIN_SEP
-            and 2 <= self.L == min(self.n_t, self.n_r)
-        ):
-            # L gaps of at least period/N each would have to fill the period exactly
-            raise ValueError(
-                f"min_sep angle sampling needs more than L={self.L} elements on "
-                f"each array; use angle_mode='{DFT_GRID}' or larger arrays"
-            )
         if self.n_t < 1 or self.n_r < 1:
             raise ValueError("n_t and n_r must be >= 1")
         if not self.spacing > 0:
             raise ValueError(f"spacing must be > 0, got {self.spacing}")
+        n_min = min(self.n_t, self.n_r)
+        if self.channel_mode == PHYSICAL and self.L > n_min:
+            raise ValueError(
+                f"L={self.L} scatterers do not fit the {n_min}-point "
+                "sine grid of the smaller array"
+            )
+        if self.channel_mode == PHYSICAL and self.angle_mode == MIN_SEP and self.L >= 2:
+            # L gaps of at least period/N must fit the period; below half-wavelength
+            # spacing the L - 1 inner gaps must also fit the arc of 2 sines cover
+            gap = 1.0 / (self.spacing * n_min)
+            if self.L == n_min or (self.spacing < 0.5 and (self.L - 1) * gap >= 2.0):
+                raise ValueError(
+                    f"min_sep angle sampling cannot place L={self.L} sines at gaps of "
+                    f"{gap:g} on an array of {n_min} elements with spacing "
+                    f"{self.spacing:g}; use angle_mode='{DFT_GRID}' or larger arrays"
+                )
         object.__setattr__(self, "snr_db", tuple(float(s) for s in self.snr_db))
         if len(self.snr_db) == 0:
             raise ValueError("snr_db grid must not be empty")
@@ -147,23 +148,9 @@ class SimConfig:
         return self.spectral_efficiency()
 
     def to_dict(self) -> dict:
-        return {
-            "scheme": self.scheme,
-            "L": self.L,
-            "M": self.M,
-            "kind": self.kind,
-            "channel_mode": self.channel_mode,
-            "n_t": self.n_t,
-            "n_r": self.n_r,
-            "spacing": self.spacing,
-            "angle_mode": self.angle_mode,
-            "snr_db": list(self.snr_db),
-            "trials": self.trials,
-            "seed": self.seed,
-            "redraw": self.redraw,
-            "redraw_block": self.redraw_block,
-            "convention": self.convention.value,
-        }
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        out.update(snr_db=list(self.snr_db), convention=self.convention.value)
+        return out
 
     def config_hash(self) -> str:
         blob = json.dumps(self.to_dict(), sort_keys=True).encode()
@@ -295,24 +282,55 @@ def _draw_sines(
 # per-block simulation
 # ---------------------------------------------------------------------------
 
+def _metric_coefficients(L: int, k1, k2, u, v, cross: bool):
+    """(W, column labels): features @ W is the ML metric less |y|^2 (README).
+
+    Rows |a_l|^2, Re(conj(y) a_l), Im(conj(y) a_l), then with ``cross`` one
+    row Im(a_l conj(a_m)) per pair l < m.  Equal columns merge into one that
+    keeps the lowest label, and columns follow those labels, so the first
+    argmin breaks ties toward the lowest label.
+    """
+    cols = np.arange(len(u))
+    pairs = L * (L - 1) // 2 if cross else 0
+    W = np.zeros((3 * L + pairs, len(u)))
+    W[k1, cols] = u * u
+    W[k2, cols] += v * v
+    W[L + k1, cols] = -2.0 * u
+    W[2 * L + k2, cols] = 2.0 * v
+    if cross:  # pair lo < hi has the row of its place in np.triu_indices(L, 1)
+        lo, hi, split = np.minimum(k1, k2), np.maximum(k1, k2), k1 != k2
+        row = 3 * L + lo * (2 * L - lo - 1) // 2 + hi - lo - 1
+        W[row[split], cols[split]] = (np.where(k1 < k2, 2.0, -2.0) * u * v)[split]
+    W += 0.0  # -0.0 -> 0.0, so equal columns have equal bytes
+    first: dict[bytes, int] = {}
+    for label, column in enumerate(W.T):
+        first.setdefault(column.tobytes(), label)
+    column_labels = np.fromiter(first.values(), dtype=np.int64)
+    return W[:, column_labels], column_labels
+
+
 @lru_cache(maxsize=8)
 def _scheme_tables(scheme: str, kind: str, M: int, L: int):
-    """(constellation, hypotheses, label popcounts), built once per process.
+    """(constellation, hypotheses, label popcounts, W, column labels), built once.
 
     The hypotheses are the symbol book for QSSM and the (k index, point)
-    arrays for SSM.  Every block shares them, so their arrays are read-only.
+    arrays for SSM; W and its column labels come from _metric_coefficients.
+    Every block shares them, so their arrays are read-only.
     """
     constellation = build_constellation(kind, M)
     if scheme == QSSM:
         hypotheses = build_symbol_book(L, constellation)
         arrays = (hypotheses.k1_idx, hypotheses.k2_idx, hypotheses.x_re, hypotheses.x_im)
+        coefficients, column_labels = _metric_coefficients(L, *arrays, True)
     else:
         hypotheses = arrays = ssm_hypotheses(L, constellation)
+        k_idx, x = arrays
+        coefficients, column_labels = _metric_coefficients(L, k_idx, k_idx, x.real, x.imag, False)
     size = len(arrays[0])
     popcounts = np.bitwise_count(np.arange(size, dtype=np.uint64)).astype(np.int64)
-    for array in (constellation.points, popcounts, *arrays):
+    for array in (constellation.points, popcounts, coefficients, column_labels, *arrays):
         array.flags.writeable = False
-    return constellation, hypotheses, popcounts
+    return constellation, hypotheses, popcounts, coefficients, column_labels
 
 
 def _steering_batch(sines: np.ndarray, n_elements: int, spacing: float) -> np.ndarray:
@@ -325,18 +343,17 @@ def _steering_batch(sines: np.ndarray, n_elements: int, spacing: float) -> np.nd
 def _block_channel(config: SimConfig, snr_db: float, block_index: int, n_trials: int):
     """Gains (and sines in physical mode) for each trial of one block."""
     need_angles = config.channel_mode == PHYSICAL
+
+    def sines(rng, n_rows):  # departure then arrival sines, in stream order
+        return tuple(
+            _draw_sines(rng, n_rows, config.L, n, config.angle_mode, config.spacing)
+            for n in (config.n_t, config.n_r)
+        )
+
     if config.redraw == "per_trial":
         rng = _substream(config.seed, snr_db, _PURPOSE_CHANNEL, block_index)
         gains = _complex_normals(rng, (n_trials, config.L))
-        if not need_angles:
-            return gains, None, None
-        sin_aod = _draw_sines(
-            rng, n_trials, config.L, config.n_t, config.angle_mode, config.spacing
-        )
-        sin_aoa = _draw_sines(
-            rng, n_trials, config.L, config.n_r, config.angle_mode, config.spacing
-        )
-        return gains, sin_aod, sin_aoa
+        return (gains, *sines(rng, n_trials)) if need_angles else (gains, None, None)
 
     t0 = block_index * TRIALS_PER_BLOCK
     channel_ids = (t0 + np.arange(n_trials)) // config.redraw_block
@@ -348,25 +365,28 @@ def _block_channel(config: SimConfig, snr_db: float, block_index: int, n_trials:
         rows = channel_ids == cb
         gains[rows] = _complex_normals(rng, (1, config.L))
         if need_angles:
-            sin_aod[rows] = _draw_sines(
-                rng, 1, config.L, config.n_t, config.angle_mode, config.spacing
-            )
-            sin_aoa[rows] = _draw_sines(
-                rng, 1, config.L, config.n_r, config.angle_mode, config.spacing
-            )
+            sin_aod[rows], sin_aoa[rows] = sines(rng, 1)
     return gains, sin_aod, sin_aoa
 
 
-def _detect_errors_scalar(
-    y: np.ndarray, hyp_of, labels: np.ndarray, popcounts: np.ndarray, n_hyp: int
-) -> int:
-    """argmin_v |y - hyp(v)|^2 per trial; returns summed label-bit errors."""
+def _beam_features(y: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """(B, 3L) features |a_l|^2, Re(conj(y_l) a_l), Im(conj(y_l) a_l)."""
+    ya = y.conj() * a
+    return np.concatenate([a.real**2 + a.imag**2, ya.real, ya.imag], axis=1)
+
+
+def _detect_errors(features, W, column_labels, labels, popcounts) -> int:
+    """argmin over the columns of features @ W per trial; summed label-bit errors.
+
+    ``features`` pairs with the leading rows of W.  The first minimum wins,
+    which is the lowest label among tied hypotheses.
+    """
+    W = W[: features.shape[1]]
     errors = 0
-    chunk = max(256, _COMPLEX_BUDGET // n_hyp)
-    for a in range(0, len(y), chunk):
-        sl = slice(a, min(a + chunk, len(y)))
-        metrics = np.abs(y[sl, None] - hyp_of(sl)) ** 2
-        label_hat = np.argmin(metrics, axis=1)  # first minimum = lowest label
+    chunk = max(256, _METRIC_TILE // W.shape[1])
+    for a in range(0, len(features), chunk):
+        sl = slice(a, a + chunk)
+        label_hat = column_labels[np.argmin(features[sl] @ W, axis=1)]
         errors += int(popcounts[labels[sl] ^ label_hat].sum())
     return errors
 
@@ -376,30 +396,26 @@ def _block_bit_errors(
 ) -> int:
     """Bit errors over one block of trials; pure function of (config, snr, block)."""
     rho = snr_db_to_rho(snr_db)
-    _, hypotheses, popcounts = _scheme_tables(config.scheme, config.kind, config.M, config.L)
-    size = len(popcounts)
-    if config.scheme == QSSM:
-        book = hypotheses
-    else:
-        k_idx, x_points = hypotheses
-
+    _, hypotheses, popcounts, W, column_labels = _scheme_tables(
+        config.scheme, config.kind, config.M, config.L
+    )
     labels = _substream(config.seed, snr_db, _PURPOSE_LABELS, block_index).integers(
-        0, size, n_trials
+        0, len(popcounts), n_trials
     )
     noise_rng = _substream(config.seed, snr_db, _PURPOSE_NOISE, block_index)
     gains, sin_aod, sin_aoa = _block_channel(config, snr_db, block_index, n_trials)
     rows = np.arange(n_trials)
     root_rho = np.sqrt(rho)
+    a = root_rho * gains
+    detector = (W, column_labels, labels, popcounts)
 
     if config.scheme == SSM:
+        k_idx, x_points = hypotheses
         noise = _complex_normals(noise_rng, n_trials)
         y = root_rho * gains[rows, k_idx[labels]] * x_points[labels] + noise
+        return _detect_errors(_beam_features(y[:, None], a), *detector)
 
-        def hyp(sl):
-            return root_rho * gains[sl][:, k_idx] * x_points[None, :]
-
-        return _detect_errors_scalar(y, hyp, labels, popcounts, size)
-
+    book = hypotheses
     if config.channel_mode == IDEAL:
         noise = _complex_normals(noise_rng, n_trials)
         y = (
@@ -410,52 +426,44 @@ def _block_bit_errors(
             )
             + noise
         )
+        lo, hi = np.triu_indices(config.L, 1)
+        cross = (a[:, lo] * a[:, hi].conj()).imag
+        features = np.concatenate([_beam_features(y[:, None], a), cross], axis=1)
+        return _detect_errors(features, *detector)
 
-        def hyp(sl):
-            return root_rho * (
-                gains[sl][:, book.k1_idx] * book.x_re[None, :]
-                + 1j * gains[sl][:, book.k2_idx] * book.x_im[None, :]
-            )
-
-        return _detect_errors_scalar(y, hyp, labels, popcounts, size)
-
-    # physical mode: full array pipeline, joint detection on L beam outputs
+    # physical mode: full array pipeline, joint detection on the L beam outputs z
     noise = _complex_normals(noise_rng, (n_trials, config.n_r))
-    profile = qssm_beam_profile(book, config.L)
-    errors = 0
-    chunk = max(64, _COMPLEX_BUDGET // (size * config.L))
-    for a in range(0, n_trials, chunk):
-        sl = slice(a, min(a + chunk, n_trials))
+    z = np.empty((n_trials, config.L), dtype=complex)
+    chunk = max(64, _COMPLEX_BUDGET // (2 * config.L * max(config.n_t, config.n_r)))
+    for a0 in range(0, n_trials, chunk):
+        sl = slice(a0, min(a0 + chunk, n_trials))
         lab = labels[sl]
         a_t = _steering_batch(sin_aod[sl], config.n_t, config.spacing)
         a_r = _steering_batch(sin_aoa[sl], config.n_r, config.spacing)
         g_t = np.einsum("bln,bmn->blm", a_t.conj(), a_t)
         g_r = np.einsum("bln,bmn->blm", a_r.conj(), a_r)
-        k1 = book.k1_idx[lab]
-        k2 = book.k2_idx[lab]
-        tx = (
-            book.x_re[lab][:, None]
-            * np.take_along_axis(g_t, k1[:, None, None], axis=2)[..., 0]
-            + 1j
-            * book.x_im[lab][:, None]
-            * np.take_along_axis(g_t, k2[:, None, None], axis=2)[..., 0]
-        )
-        z = root_rho * np.einsum("blm,bm->bl", g_r, gains[sl] * tx) + np.einsum(
+        r = rows[: len(lab)]
+        g1 = g_t[r, :, book.k1_idx[lab]]
+        g2 = g_t[r, :, book.k2_idx[lab]]
+        tx = book.x_re[lab][:, None] * g1 + 1j * book.x_im[lab][:, None] * g2
+        z[sl] = root_rho * np.einsum("blm,bm->bl", g_r, gains[sl] * tx) + np.einsum(
             "bln,bn->bl", a_r.conj(), noise[sl]
         )
-        model = root_rho * gains[sl][:, None, :] * profile[None, :, :]
-        metrics = np.sum(np.abs(z[:, None, :] - model) ** 2, axis=2)
-        label_hat = np.argmin(metrics, axis=1)
-        errors += int(popcounts[lab ^ label_hat].sum())
-    return errors
+    return _detect_errors(_beam_features(z, a), *detector)
 
 
 def _block_layout(trials: int) -> list[tuple[int, int]]:
-    blocks = []
-    for b in range(ceil(trials / TRIALS_PER_BLOCK)):
-        count = min(TRIALS_PER_BLOCK, trials - b * TRIALS_PER_BLOCK)
-        blocks.append((b, count))
-    return blocks
+    starts = range(0, trials, TRIALS_PER_BLOCK)
+    return [(b, min(TRIALS_PER_BLOCK, trials - t0)) for b, t0 in enumerate(starts)]
+
+
+def _process_pool(workers: int):
+    """A process pool for workers > 1, else a context that yields None."""
+    if workers <= 1:
+        return nullcontext()
+    from concurrent.futures import ProcessPoolExecutor
+
+    return ProcessPoolExecutor(max_workers=workers)
 
 
 def run_point(
@@ -463,40 +471,40 @@ def run_point(
     snr_db: float,
     workers: int = 1,
     max_errors: int | None = None,
+    *,
+    pool=None,
 ) -> BerEstimate:
     """Estimate the ABEP at one SNR point.
 
     Results are identical for any ``workers`` value.  ``max_errors``
     optionally stops after the block in which the cumulative bit-error
     count crosses the threshold (no bias correction; not used by the
-    acceptance runs).
+    acceptance runs).  With ``workers > 1`` at most ``workers`` blocks are
+    in flight, on ``pool`` when given (``sweep`` shares one across its
+    points) or else on a pool of this call's own.
     """
     blocks = _block_layout(config.trials)
     bits = config.bits_per_trial
-    errors = 0
-    trials_done = 0
-    if workers <= 1:
+    errors = trials_done = 0
+    in_flight: deque = deque()
+    with _process_pool(workers if pool is None else 1) as own_pool:
+        pool = own_pool if pool is None else pool
+        queued = iter(blocks)
         for b, count in blocks:
-            errors += _block_bit_errors(config, snr_db, b, count)
+            if pool is None:
+                block_errors = _block_bit_errors(config, snr_db, b, count)
+            else:
+                for nb, ncount in queued:
+                    in_flight.append(pool.submit(_block_bit_errors, config, snr_db, nb, ncount))
+                    if len(in_flight) >= workers:
+                        break
+                block_errors = in_flight.popleft().result()
+            errors += block_errors
             trials_done += count
             if max_errors is not None and errors >= max_errors:
                 break
-    else:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = pool.map(
-                _block_bit_errors,
-                (config for _, _ in blocks),
-                (snr_db for _, _ in blocks),
-                (b for b, _ in blocks),
-                (count for _, count in blocks),
-            )
-            for (_, count), block_errors in zip(blocks, results):
-                errors += block_errors
-                trials_done += count
-                if max_errors is not None and errors >= max_errors:
-                    break
+        for future in in_flight:
+            future.cancel()
     abep = errors / (trials_done * bits)
     ci_low, ci_high = binomial_ci(errors, trials_done * bits)
     return BerEstimate(
@@ -513,26 +521,33 @@ def run_point(
 def sweep(
     config: SimConfig, workers: int = 1, max_errors: int | None = None
 ) -> AbepCurve:
-    """Run every grid point and attach the analytical and asymptotic bounds."""
-    constellation, hypotheses, _ = _scheme_tables(
+    """Run every grid point and attach the analytical and asymptotic bounds.
+
+    With ``workers > 1`` one process pool serves every point and is closed
+    before the curve is returned.
+    """
+    constellation, hypotheses, *_ = _scheme_tables(
         config.scheme, config.kind, config.M, config.L
     )
     points = []
-    for snr_db in config.snr_db:
-        estimate = run_point(config, snr_db, workers=workers, max_errors=max_errors)
-        if config.scheme == QSSM:
-            bound = analysis.abep_point(hypotheses, snr_db, config.convention)
-        else:
-            bound = analysis.abep_point_ssm(
-                config.L, constellation, snr_db, config.convention
+    with _process_pool(workers) as pool:
+        for snr_db in config.snr_db:
+            estimate = run_point(
+                config, snr_db, workers=workers, max_errors=max_errors, pool=pool
             )
-        points.append(
-            CurvePoint(
-                estimate=estimate,
-                abep_analytic=bound.abep_analytical,
-                abep_asymptotic=bound.abep_asymptotic,
+            if config.scheme == QSSM:
+                bound = analysis.abep_point(hypotheses, snr_db, config.convention)
+            else:
+                bound = analysis.abep_point_ssm(
+                    config.L, constellation, snr_db, config.convention
+                )
+            points.append(
+                CurvePoint(
+                    estimate=estimate,
+                    abep_analytic=bound.abep_analytical,
+                    abep_asymptotic=bound.abep_asymptotic,
+                )
             )
-        )
     return AbepCurve(
         config=config, config_hash=config.config_hash(), points=tuple(points)
     )
@@ -609,8 +624,7 @@ def arbitrate_convention(
     and (b) stays within a factor of two at the two highest SNRs.  The
     verdict is the unique convention satisfying both, or None.
     """
-    constellation = build_constellation(QAM, 4)
-    book = build_symbol_book(4, constellation)
+    book = _scheme_tables(QSSM, QAM, 4, 4)[1]
     candidates = []
     for snr_db in snr_grid_db:
         rho = snr_db_to_rho(snr_db)
@@ -636,17 +650,11 @@ def arbitrate_convention(
         trials=trials,
         seed=seed,
     )
-    points = []
-    for snr_db, paper, exact in candidates:
-        estimate = run_point(config, snr_db, workers=workers)
-        points.append(
-            ArbiterPoint(
-                snr_db=snr_db,
-                simulated=estimate.abep,
-                bound_paper=paper,
-                bound_exact=exact,
-            )
-        )
+    with _process_pool(workers) as pool:
+        points = [
+            ArbiterPoint(snr_db, run_point(config, snr_db, workers, pool=pool).abep, paper, exact)
+            for snr_db, paper, exact in candidates
+        ]
 
     def _within_factor_two(bound: float, simulated: float) -> bool:
         return simulated / 2.0 <= bound <= simulated * 2.0

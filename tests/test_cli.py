@@ -1,6 +1,7 @@
 """Config parsing, artifact emission, and the command-line surface."""
 
 import json
+import time
 
 import numpy as np
 import pytest
@@ -283,6 +284,20 @@ def test_main_exit_codes(tmp_path, capsys):
     }]}))
     assert main(["run", str(full)]) == 2
     assert "Traceback" not in capsys.readouterr().err
+
+    # below half-wavelength spacing 8 sines at gaps of 1/3 overrun the arc of 2
+    # that sines cover; a 4-path config at the same spacing still runs
+    arc = {"scheme": "qssm", "M": 4, "channel_mode": "physical", "spacing": 0.25,
+           "angle_mode": "min_sep", "trials": 1}
+    crowded = tmp_path / "crowded.json"
+    crowded.write_text(json.dumps({"configs": [{**arc, "L": 8, "n_t": 12, "n_r": 12}]}))
+    start = time.perf_counter()
+    assert main(["run", str(crowded)]) == 2
+    assert time.perf_counter() - start < 2.0
+    assert "Traceback" not in capsys.readouterr().err
+    roomy = tmp_path / "roomy.json"
+    roomy.write_text(json.dumps({"configs": [{**arc, "L": 4, "snr_db": [10.0]}]}))
+    assert main(["run", str(roomy), "--out-dir", str(tmp_path / "roomy")]) == 0
 
 
 def test_main_sweep_and_compare(tmp_path, capsys):

@@ -1,5 +1,8 @@
 """Monte Carlo engine: determinism, statistics, curves."""
 
+import multiprocessing
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -21,13 +24,20 @@ from qssm.montecarlo import (
     _PURPOSE_CHANNEL,
     _PURPOSE_LABELS,
     _PURPOSE_NOISE,
+    _COMPLEX_BUDGET,
     binomial_ci,
     crossing_snr_db,
     gain_at_level,
     run_point,
     sweep,
 )
-from qssm.transceiver import ml_detect_ideal, ml_detect_physical, IdealObservation, PhysicalObservation
+from qssm.transceiver import (
+    IdealObservation,
+    PhysicalObservation,
+    ml_detect_ideal,
+    ml_detect_physical,
+    ssm_hypotheses,
+)
 
 
 def test_binomial_ci_examples():
@@ -73,6 +83,19 @@ def test_config_validation():
         SimConfig(**physical, L=4, n_t=32, n_r=4, angle_mode="min_sep")
     SimConfig(**physical, L=4, n_t=4, n_r=4, angle_mode="dft_grid")
     SimConfig(**physical, L=1, n_t=1, n_r=1, angle_mode="min_sep")
+    # below half-wavelength spacing the sines cover an arc of 2 of the 1/spacing
+    # period, so the L - 1 inner gaps of at least period/N must sum to less than 2
+    with pytest.raises(ValueError):
+        SimConfig(**physical, L=8, n_t=12, n_r=12, spacing=0.25, angle_mode="min_sep")
+    with pytest.raises(ValueError):  # 3 gaps of exactly 2/3 fill the arc
+        SimConfig(**physical, L=4, n_t=6, n_r=6, spacing=0.25, angle_mode="min_sep")
+    SimConfig(**physical, L=4, n_t=7, n_r=7, spacing=0.25, angle_mode="min_sep")
+    with pytest.raises(ValueError):
+        SimConfig(**physical, L=4, n_t=12, n_r=12, spacing=0.0)
+    feasible = SimConfig(
+        **physical, L=4, n_t=32, n_r=32, spacing=0.25, angle_mode="min_sep", trials=64
+    )
+    assert run_point(feasible, 10.0).trials == 64
     cfg = SimConfig(scheme="qssm", L=4, M=4, convention="paper_eq21")
     assert cfg.convention.value == "paper_eq21"
     assert cfg.spectral_efficiency() == 6
@@ -93,6 +116,17 @@ def test_run_point_worker_count_invariance():
     serial = run_point(cfg, 10.0, workers=1)
     parallel = run_point(cfg, 10.0, workers=2)
     assert serial == parallel
+    # one pool for both points; the 0 dB point stops early, the 20 dB one runs all blocks
+    cfg = SimConfig(
+        scheme="qssm", L=2, M=4, snr_db=(0.0, 20.0), trials=3 * TRIALS_PER_BLOCK, seed=5
+    )
+    serial = sweep(cfg, workers=1, max_errors=40_000)
+    parallel = sweep(cfg, workers=2, max_errors=40_000)
+    assert serial == parallel
+    first, second = (p.estimate for p in serial.points)
+    assert first.trials == 2 * TRIALS_PER_BLOCK and first.bit_errors >= 40_000
+    assert second.trials == cfg.trials and second.bit_errors < 40_000
+    assert multiprocessing.active_children() == []  # the pool is closed on return
 
 
 def test_run_point_high_snr_error_free():
@@ -158,11 +192,113 @@ def test_block_tables_built_once_and_read_only(monkeypatch):
     for block in range(3):
         _block_bit_errors(cfg, 10.0, block, 100)
     assert len(builds) == 1
-    _, book, popcounts = _scheme_tables("qssm", QAM, 4, 2)
-    for array in (book.k1_idx, book.x_re, book.constellation.points, popcounts):
+    _, book, popcounts, coefficients, column_labels = _scheme_tables("qssm", QAM, 4, 2)
+    for array in (
+        book.k1_idx, book.x_re, book.constellation.points, popcounts, coefficients, column_labels
+    ):
         with pytest.raises(ValueError):
             array[0] = 0
     _scheme_tables.cache_clear()
+
+
+def _brute_force_block_errors(cfg: SimConfig, snr_db: float, block: int, n: int) -> int:
+    """Bit errors of one block from |y - h|^2 over every hypothesis, first argmin."""
+    rho = snr_db_to_rho(snr_db)
+    constellation = build_constellation(cfg.kind, cfg.M)
+    if cfg.scheme == "ssm":
+        k_idx, x = ssm_hypotheses(cfg.L, constellation)
+        profile = np.zeros((len(x), cfg.L), dtype=complex)
+        profile[np.arange(len(x)), k_idx] = x
+    else:
+        book = build_symbol_book(cfg.L, constellation)
+        profile = np.zeros((len(book), cfg.L), dtype=complex)
+        profile[np.arange(len(book)), book.k1_idx] += book.x_re
+        profile[np.arange(len(book)), book.k2_idx] += 1j * book.x_im
+    size = len(profile)
+    labels = _substream(cfg.seed, snr_db, _PURPOSE_LABELS, block).integers(0, size, n)
+    noise_rng = _substream(cfg.seed, snr_db, _PURPOSE_NOISE, block)
+    crng = _substream(cfg.seed, snr_db, _PURPOSE_CHANNEL, block)
+    gains = _complex_normals(crng, (n, cfg.L))
+    if cfg.channel_mode == "ideal":
+        y = np.sqrt(rho) * np.sum(gains * profile[labels], axis=1)
+        y = y + _complex_normals(noise_rng, n)
+        hyp = np.sqrt(rho) * gains @ profile.T  # (n, S)
+        metrics = np.abs(y[:, None] - hyp) ** 2
+    else:
+        def steer(sines, size):  # (n, size, L) columns a(sin) / sqrt(N)
+            phase = 2j * np.pi * cfg.spacing * np.arange(size)[None, :, None] * sines[:, None, :]
+            return np.exp(phase) / np.sqrt(size)
+
+        a_t = steer(_draw_sines(crng, n, cfg.L, cfg.n_t, cfg.angle_mode, cfg.spacing), cfg.n_t)
+        a_r = steer(_draw_sines(crng, n, cfg.L, cfg.n_r, cfg.angle_mode, cfg.spacing), cfg.n_r)
+        channel = np.einsum("nil,nl,njl->nij", a_r, gains, a_t.conj())  # sum_l g a_r a_t^H
+        tx = np.einsum("njl,nl->nj", a_t, profile[labels])
+        y = np.sqrt(rho) * np.einsum("nij,nj->ni", channel, tx)
+        y = y + _complex_normals(noise_rng, (n, cfg.n_r))
+        z = np.einsum("nil,ni->nl", a_r.conj(), y)
+        model = np.sqrt(rho) * gains[:, None, :] * profile[None, :, :]
+        metrics = np.sum(np.abs(z[:, None, :] - model) ** 2, axis=2)
+    label_hat = np.argmin(metrics, axis=1)
+    return sum(bin(int(t) ^ int(h)).count("1") for t, h in zip(labels, label_hat))
+
+
+@pytest.mark.parametrize(
+    "scheme,L,M,kind,mode",
+    [
+        ("qssm", 4, 4, "qam", None),
+        ("qssm", 8, 16, "qam", None),
+        ("qssm", 4, 8, "psk", None),
+        ("qssm", 4, 16, "psk", None),
+        ("ssm", 4, 16, "qam", None),
+        ("ssm", 16, 4, "psk", None),
+        ("qssm", 4, 4, "qam", "dft_grid"),
+        ("qssm", 4, 4, "qam", "min_sep"),
+    ],
+)
+def test_block_kernel_equals_brute_force_ml(scheme, L, M, kind, mode):
+    """The real-GEMM detector decides as the exhaustive complex search does."""
+    physical = {} if mode is None else dict(channel_mode="physical", angle_mode=mode)
+    cfg = SimConfig(scheme=scheme, L=L, M=M, kind=kind, trials=1, seed=17, **physical)
+    n = 512 if mode else 2048
+    for snr_db in (0.0, 20.0, 40.0):
+        for block in range(3):
+            expected = _brute_force_block_errors(cfg, snr_db, block, n)
+            assert _block_bit_errors(cfg, snr_db, block, n) == expected, (snr_db, block)
+
+
+def test_psk_duplicate_hypotheses_merge_to_lowest_label():
+    # a zero signal component leaves one scatterer index unused; such hypotheses
+    # share one column, which carries the lowest label of its class
+    _, book, _, coefficients, column_labels = _scheme_tables("qssm", "psk", 4, 2)
+    assert coefficients.shape[1] == len(column_labels) < len(book)
+    assert np.all(np.diff(column_labels) > 0)
+    columns = {}
+    for v in range(len(book)):
+        u, w = book.x_re[v], book.x_im[v]
+        key = (
+            book.k1_idx[v] if u else None, book.k2_idx[v] if w else None, u, w
+        )
+        columns.setdefault(key, v)
+    assert sorted(columns.values()) == list(column_labels)
+    # at zero power every metric ties, so every trial decides label 0
+    cfg = SimConfig(scheme="qssm", L=2, M=4, kind="psk", trials=1, seed=1)
+    labels = _substream(1, float("-inf"), _PURPOSE_LABELS, 0).integers(0, 16, 1000)
+    expected = sum(bin(int(t)).count("1") for t in labels)
+    assert _block_bit_errors(cfg, float("-inf"), 0, 1000) == expected
+
+
+def test_detector_block_memory_within_budget():
+    # one full L=8 16QAM block: the metric tiles stay below a single complex
+    # temporary of the chunk budget (the B x S complex search needed several)
+    cfg = SimConfig(scheme="qssm", L=8, M=16, trials=TRIALS_PER_BLOCK, seed=2)
+    _scheme_tables(cfg.scheme, cfg.kind, cfg.M, cfg.L)
+    tracemalloc.start()
+    try:
+        _block_bit_errors(cfg, 20.0, 0, TRIALS_PER_BLOCK)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * _COMPLEX_BUDGET
 
 
 def test_ideal_block_matches_one_shot_chain():
