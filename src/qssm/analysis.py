@@ -198,23 +198,6 @@ def _popcount_matrix(size: int) -> np.ndarray:
     return np.bitwise_count(values[:, None] ^ values[None, :]).astype(float)
 
 
-def qssm_pair_tables(book: SymbolBook) -> tuple[np.ndarray, np.ndarray]:
-    """Dense (eta_bar, hamming-distance) S x S reference tables over all ordered pairs."""
-    same1 = book.k1_idx[:, None] == book.k1_idx[None, :]
-    same2 = book.k2_idx[:, None] == book.k2_idx[None, :]
-    re_part = np.where(
-        same1,
-        (book.x_re[:, None] - book.x_re[None, :]) ** 2,
-        book.x_re[:, None] ** 2 + book.x_re[None, :] ** 2,
-    )
-    im_part = np.where(
-        same2,
-        (book.x_im[:, None] - book.x_im[None, :]) ** 2,
-        book.x_im[:, None] ** 2 + book.x_im[None, :] ** 2,
-    )
-    return re_part + im_part, _popcount_matrix(len(book))
-
-
 def _union_bound(
     L: int, beams: tuple, rho: float, kernel: str, convention: PepConvention
 ) -> float:

@@ -10,6 +10,7 @@ which only approximates that orthogonality.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -55,13 +56,18 @@ class ChannelRealization:
         return len(self.gains)
 
 
+def _steering(sines: np.ndarray, n_elements: int, spacing: float) -> np.ndarray:
+    """(...) sines -> (..., N) unit-norm steering vectors exp(j*2*pi*d*s*n)/sqrt(N)."""
+    n = np.arange(n_elements)
+    phase = 2j * np.pi * spacing * sines[..., None] * n
+    return np.exp(phase) / np.sqrt(n_elements)
+
+
 def array_response(geometry: ArrayGeometry, theta: float) -> np.ndarray:
     """Unit-norm steering vector: entry n is exp(j*2*pi*(d/lambda)*sin(theta)*n)/sqrt(N)."""
     if not np.isfinite(theta):
         raise ValueError(f"theta must be finite, got {theta}")
-    n = np.arange(geometry.n_elements)
-    phase = 2j * np.pi * geometry.spacing_over_lambda * np.sin(theta) * n
-    return np.exp(phase) / np.sqrt(geometry.n_elements)
+    return _steering(np.sin(theta), geometry.n_elements, geometry.spacing_over_lambda)
 
 
 def dft_grid_sines(n_elements: int) -> np.ndarray:
@@ -69,8 +75,24 @@ def dft_grid_sines(n_elements: int) -> np.ndarray:
     return (2.0 * np.arange(n_elements) - n_elements) / n_elements
 
 
+_grid_sines = lru_cache(maxsize=8)(dft_grid_sines)  # shared: only ever indexed
+
+
 def _angles_from_sines(sines: np.ndarray) -> np.ndarray:
     return np.mod(np.arcsin(sines), 2.0 * np.pi)
+
+
+def _complex_normals(rng: np.random.Generator, shape) -> np.ndarray:
+    """Unit-variance circularly symmetric complex Gaussian draws."""
+    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
+
+
+def _sines_separated(sines: np.ndarray, n_elements: int, spacing: float) -> np.ndarray:
+    """Per row of (..., L) sines: every gap on the alias circle is >= period/N."""
+    period = 1.0 / spacing
+    folded = np.sort(np.mod(sines, period), axis=-1)
+    gaps = np.diff(folded, axis=-1, append=folded[..., :1] + period)
+    return gaps.min(axis=-1) >= period / n_elements
 
 
 def sine_separation_ok(sines: np.ndarray, geometry: ArrayGeometry) -> bool:
@@ -78,40 +100,41 @@ def sine_separation_ok(sines: np.ndarray, geometry: ArrayGeometry) -> bool:
 
     Gaps are measured on the circle of period 1/(d/lambda), the array's
     alias period: at half-wavelength spacing sin(theta) = -1 and +1 steer
-    the same beam, so plain |sin差| alone would admit duplicate beams.
+    the same beam, so plain sine differences alone would admit duplicate beams.
     """
     if len(sines) < 2:
         return True
-    period = 1.0 / geometry.spacing_over_lambda
-    min_gap = period / geometry.n_elements
-    s = np.sort(np.mod(sines, period))
-    gaps = np.diff(s, append=s[0] + period)
-    return bool(np.min(gaps) >= min_gap)
+    one_row = np.asarray(sines)[None]
+    return bool(_sines_separated(one_row, geometry.n_elements, geometry.spacing_over_lambda)[0])
 
 
-def _sample_side_angles(
-    L: int, geometry: ArrayGeometry, rng: np.random.Generator, angle_mode: str
+def _draw_sines(
+    rng: np.random.Generator,
+    n_rows: int,
+    L: int,
+    n_elements: int,
+    angle_mode: str,
+    spacing: float = 0.5,
 ) -> np.ndarray:
-    n = geometry.n_elements
+    """(n_rows, L) sine-domain angles for one array side.
+
+    DFT-grid rows pick L distinct grid points; min-separation rows are
+    redrawn until sine_separation_ok holds, for at most
+    _MAX_REJECTION_ROUNDS rounds.
+    """
     if angle_mode == DFT_GRID:
-        if L > n:
-            raise ValueError(
-                f"cannot place {L} scatterers on a {n}-point DFT grid"
-            )
-        picks = rng.choice(n, size=L, replace=False)
-        return _angles_from_sines(dft_grid_sines(n)[picks])
-    # uniform angles, whole-set rejection until the sine gaps are large enough
-    if L > n:
-        raise ValueError(
-            f"min-separation sampling infeasible: {L} scatterers exceed the "
-            f"{n}-point sine grid capacity"
-        )
+        picks = np.argsort(rng.random((n_rows, n_elements)), axis=1)[:, :L]
+        return _grid_sines(n_elements)[picks]
+    sines = np.sin(rng.uniform(0.0, 2.0 * np.pi, (n_rows, L)))
     for _ in range(_MAX_REJECTION_ROUNDS):
-        theta = rng.uniform(0.0, 2.0 * np.pi, size=L)
-        if sine_separation_ok(np.sin(theta), geometry):
-            return theta
-    raise RuntimeError(
-        f"min-separation sampling did not converge for L={L}, N={n}"
+        bad = ~_sines_separated(sines, n_elements, spacing)
+        if not bad.any():
+            return sines
+        sines[bad] = np.sin(rng.uniform(0.0, 2.0 * np.pi, (int(bad.sum()), L)))
+    raise ValueError(
+        f"min_sep angle sampling placed no L={L} sines at gaps of "
+        f"{1.0 / (spacing * n_elements):g} on N={n_elements} elements in "
+        f"{_MAX_REJECTION_ROUNDS} rounds; use angle_mode='{DFT_GRID}' or larger arrays"
     )
 
 
@@ -122,14 +145,21 @@ def sample_channel(
     rng: np.random.Generator,
     angle_mode: str = DFT_GRID,
 ) -> ChannelRealization:
-    """Draw L i.i.d. CN(0,1) gains and per-side angles under the given mode."""
+    """Draw per-side angles under the given mode, then L i.i.d. CN(0,1) gains."""
     if L < 1:
         raise ValueError(f"L must be >= 1, got {L}")
     if angle_mode not in _ANGLE_MODES:
         raise ValueError(f"angle_mode must be one of {_ANGLE_MODES}, got {angle_mode!r}")
-    aod = _sample_side_angles(L, tx_geometry, rng, angle_mode)
-    aoa = _sample_side_angles(L, rx_geometry, rng, angle_mode)
-    gains = (rng.standard_normal(L) + 1j * rng.standard_normal(L)) / np.sqrt(2.0)
+    for g in (tx_geometry, rx_geometry):
+        if L > g.n_elements:
+            raise ValueError(f"cannot place {L} scatterers on a {g.n_elements}-point sine grid")
+    aod, aoa = (
+        _angles_from_sines(
+            _draw_sines(rng, 1, L, g.n_elements, angle_mode, g.spacing_over_lambda)[0]
+        )
+        for g in (tx_geometry, rx_geometry)
+    )
+    gains = _complex_normals(rng, L)
     return ChannelRealization(
         gains=gains, aod=aod, aoa=aoa, tx_geometry=tx_geometry, rx_geometry=rx_geometry
     )
@@ -137,9 +167,7 @@ def sample_channel(
 
 def steering_bank(geometry: ArrayGeometry, angles: np.ndarray) -> np.ndarray:
     """Stack of steering vectors, one column per angle (N x L)."""
-    n = np.arange(geometry.n_elements)[:, None]
-    phase = 2j * np.pi * geometry.spacing_over_lambda * np.sin(angles)[None, :] * n
-    return np.exp(phase) / np.sqrt(geometry.n_elements)
+    return _steering(np.sin(angles), geometry.n_elements, geometry.spacing_over_lambda).T
 
 
 def orthogonality_defect(realization: ChannelRealization) -> float:

@@ -201,6 +201,15 @@ def build_symbol_book(n_scatterers: int, constellation: Constellation) -> Symbol
     )
 
 
+def ssm_hypotheses(n_scatterers: int, constellation: Constellation):
+    """Label-ordered (k index, point) arrays for the L * M single-beam hypotheses."""
+    size = n_scatterers * constellation.order
+    values = np.arange(size)
+    k_idx = values >> constellation.bits
+    x = constellation.points[values & (constellation.order - 1)]
+    return k_idx, x
+
+
 def map_bits(bits, book: SymbolBook) -> QssmSymbol:
     """Map one bit block to its QSSM symbol.
 

@@ -23,17 +23,18 @@ import numpy as np
 
 from . import analysis
 from .analysis import PepConvention, snr_db_to_rho
-from .channel import DFT_GRID, MIN_SEP, dft_grid_sines
+from .channel import DFT_GRID, MIN_SEP, ArrayGeometry, _complex_normals, _draw_sines, _steering
 from .modem import (
     PSK,
     QAM,
+    SymbolBook,
     _is_pow2,
     build_constellation,
     build_symbol_book,
     spectral_efficiency,
+    ssm_hypotheses,
     ssm_spectral_efficiency,
 )
-from .transceiver import ssm_hypotheses
 
 QSSM = "qssm"
 SSM = "ssm"
@@ -240,56 +241,28 @@ def _substream(seed: int, snr_db: float, purpose: int, index: int) -> np.random.
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy)))
 
 
-def _complex_normals(rng: np.random.Generator, shape) -> np.ndarray:
-    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
-
-
-def _draw_sines(
-    rng: np.random.Generator,
-    n_rows: int,
-    L: int,
-    n_elements: int,
-    angle_mode: str,
-    spacing: float = 0.5,
-) -> np.ndarray:
-    """(n_rows, L) sine-domain angles for one array side.
-
-    Min-separation gaps are measured on the sine circle of period
-    1/spacing (the alias period), matching channel.sine_separation_ok.
-    """
-    if angle_mode == DFT_GRID:
-        grid = dft_grid_sines(n_elements)
-        picks = np.argsort(rng.random((n_rows, n_elements)), axis=1)[:, :L]
-        return grid[picks]
-    sines = np.sin(rng.uniform(0.0, 2.0 * np.pi, (n_rows, L)))
-    if L == 1:
-        return sines
-    period = 1.0 / spacing
-    min_gap = period / n_elements
-    for _ in range(100_000):
-        folded = np.sort(np.mod(sines, period), axis=1)
-        gaps = np.diff(
-            folded, axis=1, append=folded[:, :1] + period
-        ).min(axis=1)
-        bad = gaps < min_gap
-        if not bad.any():
-            return sines
-        sines[bad] = np.sin(rng.uniform(0.0, 2.0 * np.pi, (int(bad.sum()), L)))
-    raise RuntimeError("min-separation angle sampling did not converge")
-
-
 # ---------------------------------------------------------------------------
 # per-block simulation
 # ---------------------------------------------------------------------------
 
-def _metric_coefficients(L: int, k1, k2, u, v, cross: bool):
+def _symbol_arrays(hypotheses) -> tuple:
+    """Label-indexed (k1, k2, x_re, x_im) of a QSSM book; SSM (k, x) as they are."""
+    if isinstance(hypotheses, SymbolBook):
+        return hypotheses.k1_idx, hypotheses.k2_idx, hypotheses.x_re, hypotheses.x_im
+    return hypotheses
+
+
+def _metric_coefficients(L: int, symbols):
     """(W, column labels): features @ W is the ML metric less |y|^2 (README).
 
-    Rows |a_l|^2, Re(conj(y) a_l), Im(conj(y) a_l), then with ``cross`` one
-    row Im(a_l conj(a_m)) per pair l < m.  Equal columns merge into one that
-    keeps the lowest label, and columns follow those labels, so the first
-    argmin breaks ties toward the lowest label.
+    Rows |a_l|^2, Re(conj(y) a_l), Im(conj(y) a_l), then for QSSM
+    ``symbols`` one row Im(a_l conj(a_m)) per pair l < m; SSM (k, x) is the
+    one-beam case.  Equal columns merge into one that keeps the lowest
+    label, and columns follow those labels, so the first argmin breaks ties
+    toward the lowest label.
     """
+    cross = len(symbols) == 4
+    k1, k2, u, v = symbols if cross else (symbols[0], symbols[0], symbols[1].real, symbols[1].imag)
     cols = np.arange(len(u))
     pairs = L * (L - 1) // 2 if cross else 0
     W = np.zeros((3 * L + pairs, len(u)))
@@ -318,26 +291,13 @@ def _scheme_tables(scheme: str, kind: str, M: int, L: int):
     Every block shares them, so their arrays are read-only.
     """
     constellation = build_constellation(kind, M)
-    if scheme == QSSM:
-        hypotheses = build_symbol_book(L, constellation)
-        arrays = (hypotheses.k1_idx, hypotheses.k2_idx, hypotheses.x_re, hypotheses.x_im)
-        coefficients, column_labels = _metric_coefficients(L, *arrays, True)
-    else:
-        hypotheses = arrays = ssm_hypotheses(L, constellation)
-        k_idx, x = arrays
-        coefficients, column_labels = _metric_coefficients(L, k_idx, k_idx, x.real, x.imag, False)
-    size = len(arrays[0])
-    popcounts = np.bitwise_count(np.arange(size, dtype=np.uint64)).astype(np.int64)
+    hypotheses = (build_symbol_book if scheme == QSSM else ssm_hypotheses)(L, constellation)
+    arrays = _symbol_arrays(hypotheses)
+    coefficients, column_labels = _metric_coefficients(L, arrays)
+    popcounts = np.bitwise_count(np.arange(len(arrays[0]), dtype=np.uint64)).astype(np.int64)
     for array in (constellation.points, popcounts, coefficients, column_labels, *arrays):
         array.flags.writeable = False
     return constellation, hypotheses, popcounts, coefficients, column_labels
-
-
-def _steering_batch(sines: np.ndarray, n_elements: int, spacing: float) -> np.ndarray:
-    """(..., L) sines -> (..., L, N) unit-norm steering vectors."""
-    n = np.arange(n_elements)
-    phase = 2j * np.pi * spacing * sines[..., None] * n
-    return np.exp(phase) / np.sqrt(n_elements)
 
 
 def _block_channel(config: SimConfig, snr_db: float, block_index: int, n_trials: int):
@@ -369,26 +329,68 @@ def _block_channel(config: SimConfig, snr_db: float, block_index: int, n_trials:
     return gains, sin_aod, sin_aoa
 
 
-def _beam_features(y: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """(B, 3L) features |a_l|^2, Re(conj(y_l) a_l), Im(conj(y_l) a_l)."""
+def _observe_scalar(betas, points, root_rho, noise):
+    """sqrt(rho) * (beta_k1 * x_re + j * beta_k2 * x_im) + n for QSSM betas
+    (beta_k1, beta_k2) and points (x_re, x_im), sqrt(rho) * beta_k * x + n for
+    SSM (beta_k,) and (x,); per trial for arrays, one trial for scalars."""
+    if len(betas) == 1:
+        return root_rho * betas[0] * points[0] + noise
+    return root_rho * (betas[0] * points[0] + 1j * betas[1] * points[1]) + noise
+
+
+def _observe_physical(tx, rx, sin_aod, sin_aoa, gains, symbols, root_rho, noise):
+    """(B, L) beam outputs z of the array chain for QSSM ``symbols`` (k1, k2, x_re, x_im),
+    with (B, N_r) element ``noise``; steering tensors are built in chunks."""
+    k1, k2, x_re, x_im = symbols
+    n_trials, L = gains.shape
+    z = np.empty((n_trials, L), dtype=complex)
+    chunk = max(64, _COMPLEX_BUDGET // (2 * L * max(tx.n_elements, rx.n_elements)))
+    for a0 in range(0, n_trials, chunk):
+        sl = slice(a0, min(a0 + chunk, n_trials))
+        a_t = _steering(sin_aod[sl], tx.n_elements, tx.spacing_over_lambda)
+        a_r = _steering(sin_aoa[sl], rx.n_elements, rx.spacing_over_lambda)
+        g_t = np.einsum("bln,bmn->blm", a_t.conj(), a_t)
+        g_r = np.einsum("bln,bmn->blm", a_r.conj(), a_r)
+        r = np.arange(len(g_t))
+        beams = x_re[sl][:, None] * g_t[r, :, k1[sl]] + 1j * x_im[sl][:, None] * g_t[r, :, k2[sl]]
+        z[sl] = root_rho * np.einsum("blm,bm->bl", g_r, gains[sl] * beams) + np.einsum(
+            "bln,bn->bl", a_r.conj(), noise[sl]
+        )
+    return z
+
+
+#: (lo, hi) arrays of the pairs l < m, per L; the cross rows of W follow this order
+_pairs = lru_cache(maxsize=16)(np.triu_indices)
+
+
+def _features(y: np.ndarray, a: np.ndarray, cross: bool = False) -> np.ndarray:
+    """Features |a_l|^2, Re(conj(y_l) a_l), Im(conj(y_l) a_l) of (B, 1) or (B, L) y,
+    a = sqrt(rho)*beta, then with ``cross`` (ideal QSSM) Im(a_l conj(a_m)), l < m."""
     ya = y.conj() * a
-    return np.concatenate([a.real**2 + a.imag**2, ya.real, ya.imag], axis=1)
+    parts = [a.real**2 + a.imag**2, ya.real, ya.imag]
+    if cross:
+        lo, hi = _pairs(a.shape[1], 1)
+        parts.append((a[:, lo] * a[:, hi].conj()).imag)
+    return np.concatenate(parts, axis=1)
 
 
-def _detect_errors(features, W, column_labels, labels, popcounts) -> int:
-    """argmin over the columns of features @ W per trial; summed label-bit errors.
+def _decide(features, W, column_labels) -> np.ndarray:
+    """Per-trial label of the first argmin over the columns of features @ W.
 
     ``features`` pairs with the leading rows of W.  The first minimum wins,
     which is the lowest label among tied hypotheses.
     """
     W = W[: features.shape[1]]
-    errors = 0
     chunk = max(256, _METRIC_TILE // W.shape[1])
+    decided = np.empty(len(features), dtype=column_labels.dtype)
     for a in range(0, len(features), chunk):
-        sl = slice(a, a + chunk)
-        label_hat = column_labels[np.argmin(features[sl] @ W, axis=1)]
-        errors += int(popcounts[labels[sl] ^ label_hat].sum())
-    return errors
+        decided[a : a + chunk] = column_labels[np.argmin(features[a : a + chunk] @ W, axis=1)]
+    return decided
+
+
+def _detect_errors(features, W, column_labels, labels, popcounts) -> int:
+    """Summed label-bit errors of the decisions of _decide."""
+    return int(popcounts[labels ^ _decide(features, W, column_labels)].sum())
 
 
 def _block_bit_errors(
@@ -404,52 +406,20 @@ def _block_bit_errors(
     )
     noise_rng = _substream(config.seed, snr_db, _PURPOSE_NOISE, block_index)
     gains, sin_aod, sin_aoa = _block_channel(config, snr_db, block_index, n_trials)
-    rows = np.arange(n_trials)
     root_rho = np.sqrt(rho)
     a = root_rho * gains
-    detector = (W, column_labels, labels, popcounts)
-
-    if config.scheme == SSM:
-        k_idx, x_points = hypotheses
+    symbols = tuple(array[labels] for array in _symbol_arrays(hypotheses))
+    if config.channel_mode == IDEAL:  # symbols: scatterer indices, then points
         noise = _complex_normals(noise_rng, n_trials)
-        y = root_rho * gains[rows, k_idx[labels]] * x_points[labels] + noise
-        return _detect_errors(_beam_features(y[:, None], a), *detector)
-
-    book = hypotheses
-    if config.channel_mode == IDEAL:
-        noise = _complex_normals(noise_rng, n_trials)
-        y = (
-            root_rho
-            * (
-                gains[rows, book.k1_idx[labels]] * book.x_re[labels]
-                + 1j * gains[rows, book.k2_idx[labels]] * book.x_im[labels]
-            )
-            + noise
-        )
-        lo, hi = np.triu_indices(config.L, 1)
-        cross = (a[:, lo] * a[:, hi].conj()).imag
-        features = np.concatenate([_beam_features(y[:, None], a), cross], axis=1)
-        return _detect_errors(features, *detector)
-
-    # physical mode: full array pipeline, joint detection on the L beam outputs z
-    noise = _complex_normals(noise_rng, (n_trials, config.n_r))
-    z = np.empty((n_trials, config.L), dtype=complex)
-    chunk = max(64, _COMPLEX_BUDGET // (2 * config.L * max(config.n_t, config.n_r)))
-    for a0 in range(0, n_trials, chunk):
-        sl = slice(a0, min(a0 + chunk, n_trials))
-        lab = labels[sl]
-        a_t = _steering_batch(sin_aod[sl], config.n_t, config.spacing)
-        a_r = _steering_batch(sin_aoa[sl], config.n_r, config.spacing)
-        g_t = np.einsum("bln,bmn->blm", a_t.conj(), a_t)
-        g_r = np.einsum("bln,bmn->blm", a_r.conj(), a_r)
-        r = rows[: len(lab)]
-        g1 = g_t[r, :, book.k1_idx[lab]]
-        g2 = g_t[r, :, book.k2_idx[lab]]
-        tx = book.x_re[lab][:, None] * g1 + 1j * book.x_im[lab][:, None] * g2
-        z[sl] = root_rho * np.einsum("blm,bm->bl", g_r, gains[sl] * tx) + np.einsum(
-            "bln,bn->bl", a_r.conj(), noise[sl]
-        )
-    return _detect_errors(_beam_features(z, a), *detector)
+        betas = tuple(gains[np.arange(n_trials), k] for k in symbols[: len(symbols) // 2])
+        y = _observe_scalar(betas, symbols[len(betas) :], root_rho, noise)
+        features = _features(y[:, None], a, cross=config.scheme == QSSM)
+    else:  # joint detection on the L beam outputs of the array chain
+        noise = _complex_normals(noise_rng, (n_trials, config.n_r))
+        tx, rx = (ArrayGeometry(n, config.spacing) for n in (config.n_t, config.n_r))
+        z = _observe_physical(tx, rx, sin_aod, sin_aoa, gains, symbols, root_rho, noise)
+        features = _features(z, a)
+    return _detect_errors(features, W, column_labels, labels, popcounts)
 
 
 def _block_layout(trials: int) -> list[tuple[int, int]]:

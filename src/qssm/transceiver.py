@@ -1,4 +1,4 @@
-"""Transmit/receive chains and exhaustive ML detection.
+"""Transmit/receive chains and exhaustive ML detection, one symbol at a time.
 
 Two observation models are provided.  The ideal model works on the scalar
 that remains after perfectly orthogonal beams collapse the array
@@ -11,6 +11,10 @@ directions) and detects jointly on the L beam outputs.
 A single-beam baseline chain (SSM) with the same scalar idealisation ships
 for rate-matched comparisons.  All detectors break metric ties toward the
 lowest label so that runs are reproducible.
+
+Each function is a batch of one over the Monte Carlo kernels of
+:mod:`qssm.montecarlo`, so the per-symbol chains and the simulated error
+rates share one statement of every model.
 """
 
 from __future__ import annotations
@@ -20,7 +24,8 @@ from math import log2
 
 import numpy as np
 
-from .channel import ChannelRealization, steering_bank
+from . import montecarlo as mc
+from .channel import ChannelRealization, _complex_normals
 from .modem import Constellation, QssmSymbol, SymbolBook
 
 
@@ -60,13 +65,51 @@ class SsmDetectionResult:
     label_hat: str
 
 
-def _complex_noise(rng: np.random.Generator | None, shape=()) -> np.ndarray | complex:
-    """Unit-variance circularly symmetric complex Gaussian; zero when rng is None."""
-    if rng is None:
-        return np.zeros(shape, dtype=complex) if shape else 0.0 + 0.0j
-    re = rng.standard_normal(shape)
-    im = rng.standard_normal(shape)
-    return (re + 1j * im) / np.sqrt(2.0)
+def _symbol_row(rho: float, L: int, indices: tuple, points: tuple) -> tuple:
+    """Validated 0-based scatterer indices, then signal points, of one symbol."""
+    if rho < 0:
+        raise ValueError(f"rho must be >= 0, got {rho}")
+    if not all(1 <= k <= L for k in indices):
+        raise ValueError(f"scatterer indices out of range 1..{L}")
+    return (*(k - 1 for k in indices), *points)
+
+
+def _scalar_trial(gains: np.ndarray, symbol: tuple, rho: float, rng) -> complex:
+    """One trial of the scalar observation kernel; ``symbol`` holds indices, then points."""
+    noise = 0.0 if rng is None else _complex_normals(rng, None)
+    betas = [gains[k] for k in symbol[: len(symbol) // 2]]
+    return mc._observe_scalar(betas, symbol[len(betas) :], np.sqrt(rho), noise)
+
+
+def _detect_one(scheme: str, constellation: Constellation, L: int, y, gains, rho: float):
+    """(label, metric |y - h|^2) of the first-argmin decision on one row y: a scalar y
+    (1, 1) takes h from the observation kernel, so a noiseless winner scores 0.0
+    exactly, and beam outputs (1, L) the orthogonal-beam model."""
+    if len(gains) != L:
+        raise ValueError(f"{len(gains)} gains for L={L} scatterers")
+    _, hypotheses, _, W, column_labels = mc._scheme_tables(
+        scheme, constellation.kind, constellation.order, L
+    )
+    gains = np.asarray(gains)
+    a = np.sqrt(rho) * gains
+    scalar = y.shape[1] == 1
+    features = mc._features(y, a[None], cross=scalar and scheme == mc.QSSM)
+    v = int(mc._decide(features, W, column_labels)[0])
+    winner = [array[v] for array in mc._symbol_arrays(hypotheses)]
+    if scalar:
+        return v, float(abs(y[0, 0] - _scalar_trial(gains, winner, rho, None)) ** 2)
+    k1, k2, x_re, x_im = winner
+    h = np.zeros(L, dtype=complex)
+    h[k1] += a[k1] * x_re
+    h[k2] += 1j * a[k2] * x_im
+    return v, float(np.sum(np.abs(y[0] - h) ** 2))
+
+
+def _detection(book: SymbolBook, v: int, metric: float) -> DetectionResult:
+    if len(book) == 0:
+        raise ValueError("symbol book is empty")
+    s = book.symbols[v]
+    return DetectionResult(k1_hat=s.k1, k2_hat=s.k2, x_hat=s.x, metric=metric, label_hat=s.label)
 
 
 def qssm_observe_ideal(
@@ -76,13 +119,8 @@ def qssm_observe_ideal(
     rng: np.random.Generator | None,
 ) -> IdealObservation:
     """Scalar observation y = sqrt(rho)*(beta_k1*x_re + j*beta_k2*x_im) + n."""
-    if rho < 0:
-        raise ValueError(f"rho must be >= 0, got {rho}")
-    L = len(gains)
-    if not (1 <= symbol.k1 <= L and 1 <= symbol.k2 <= L):
-        raise ValueError(f"scatterer indices out of range 1..{L}")
-    signal = gains[symbol.k1 - 1] * symbol.x_re + 1j * gains[symbol.k2 - 1] * symbol.x_im
-    y = np.sqrt(rho) * signal + _complex_noise(rng)
+    row = _symbol_row(rho, len(gains), (symbol.k1, symbol.k2), (symbol.x_re, symbol.x_im))
+    y = _scalar_trial(gains, row, rho, rng)
     return IdealObservation(y_r=complex(y), snr=float(rho))
 
 
@@ -93,24 +131,14 @@ def qssm_observe_physical(
     rng: np.random.Generator | None,
 ) -> PhysicalObservation:
     """Full array chain: superposed beams through H, per-element noise, combining."""
-    if rho < 0:
-        raise ValueError(f"rho must be >= 0, got {rho}")
-    L = realization.n_paths
-    if not (1 <= symbol.k1 <= L and 1 <= symbol.k2 <= L):
-        raise ValueError(f"scatterer indices out of range 1..{L}")
-    a_t = steering_bank(realization.tx_geometry, realization.aod)
-    a_r = steering_bank(realization.rx_geometry, realization.aoa)
-    s = a_t[:, symbol.k1 - 1] * symbol.x_re + 1j * a_t[:, symbol.k2 - 1] * symbol.x_im
-    h_s = (a_r * realization.gains[None, :]) @ (a_t.conj().T @ s)
-    noise = _complex_noise(rng, (realization.rx_geometry.n_elements,))
-    y = np.sqrt(rho) * h_s + noise
-    return PhysicalObservation(z=a_r.conj().T @ y)
-
-
-def _qssm_hypotheses(gains: np.ndarray, book: SymbolBook, rho: float) -> np.ndarray:
-    return np.sqrt(rho) * (
-        gains[book.k1_idx] * book.x_re + 1j * gains[book.k2_idx] * book.x_im
-    )
+    row = _symbol_row(rho, realization.n_paths, (symbol.k1, symbol.k2), (symbol.x_re, symbol.x_im))
+    row = tuple(np.array([f]) for f in row)
+    shape = (1, realization.rx_geometry.n_elements)
+    noise = np.zeros(shape) if rng is None else _complex_normals(rng, shape)
+    sides = (realization.tx_geometry, realization.rx_geometry)
+    sines = (np.sin(realization.aod)[None], np.sin(realization.aoa)[None])
+    z = mc._observe_physical(*sides, *sines, realization.gains[None], row, np.sqrt(rho), noise)
+    return PhysicalObservation(z=z[0])
 
 
 def ml_detect_ideal(
@@ -120,24 +148,8 @@ def ml_detect_ideal(
     rho: float,
 ) -> DetectionResult:
     """Exhaustive minimum-distance search over all L^2 * M scalar hypotheses."""
-    if len(book) == 0:
-        raise ValueError("symbol book is empty")
-    metrics = np.abs(observation.y_r - _qssm_hypotheses(gains, book, rho)) ** 2
-    v = int(np.argmin(metrics))  # first minimum = lowest label on ties
-    s = book.symbols[v]
-    return DetectionResult(
-        k1_hat=s.k1, k2_hat=s.k2, x_hat=s.x, metric=float(metrics[v]), label_hat=s.label
-    )
-
-
-def qssm_beam_profile(book: SymbolBook, L: int) -> np.ndarray:
-    """Per-beam hypothesis pattern E[v, l] = 1[l=k1]*x_re + j*1[l=k2]*x_im (S x L)."""
-    size = len(book)
-    profile = np.zeros((size, L), dtype=complex)
-    rows = np.arange(size)
-    profile[rows, book.k1_idx] += book.x_re
-    profile[rows, book.k2_idx] += 1j * book.x_im
-    return profile
+    y = np.array([[observation.y_r]])
+    return _detection(book, *_detect_one(mc.QSSM, book.constellation, book.L, y, gains, rho))
 
 
 def ml_detect_physical(
@@ -147,35 +159,18 @@ def ml_detect_physical(
     rho: float,
 ) -> DetectionResult:
     """Joint search on the L beam outputs under the orthogonal-beam signal model."""
-    if len(book) == 0:
-        raise ValueError("symbol book is empty")
     z = np.asarray(observation.z)
     if len(z) != realization.n_paths:
         raise ValueError(
             f"observation has {len(z)} beams, realization has {realization.n_paths}"
         )
-    profile = qssm_beam_profile(book, realization.n_paths)
-    model = np.sqrt(rho) * realization.gains[None, :] * profile
-    metrics = np.sum(np.abs(z[None, :] - model) ** 2, axis=1)
-    v = int(np.argmin(metrics))
-    s = book.symbols[v]
-    return DetectionResult(
-        k1_hat=s.k1, k2_hat=s.k2, x_hat=s.x, metric=float(metrics[v]), label_hat=s.label
-    )
+    decision = _detect_one(mc.QSSM, book.constellation, book.L, z[None], realization.gains, rho)
+    return _detection(book, *decision)
 
 
 # ---------------------------------------------------------------------------
 # single-beam baseline (SSM)
 # ---------------------------------------------------------------------------
-
-def ssm_hypotheses(n_scatterers: int, constellation: Constellation):
-    """Label-ordered (k index, point) arrays for the L * M single-beam hypotheses."""
-    size = n_scatterers * constellation.order
-    values = np.arange(size)
-    k_idx = values >> constellation.bits
-    x = constellation.points[values & (constellation.order - 1)]
-    return k_idx, x
-
 
 def ssm_observe_ideal(
     k: int,
@@ -185,11 +180,7 @@ def ssm_observe_ideal(
     rng: np.random.Generator | None,
 ) -> IdealObservation:
     """Single-beam scalar observation y = sqrt(rho) * beta_k * x + n."""
-    if rho < 0:
-        raise ValueError(f"rho must be >= 0, got {rho}")
-    if not 1 <= k <= len(gains):
-        raise ValueError(f"scatterer index out of range 1..{len(gains)}")
-    y = np.sqrt(rho) * gains[k - 1] * x + _complex_noise(rng)
+    y = _scalar_trial(gains, _symbol_row(rho, len(gains), (k,), (x,)), rho, rng)
     return IdealObservation(y_r=complex(y), snr=float(rho))
 
 
@@ -201,13 +192,12 @@ def ssm_detect_ideal(
     rho: float,
 ) -> SsmDetectionResult:
     """Exhaustive search over the L * M single-beam hypotheses."""
-    k_idx, x = ssm_hypotheses(n_scatterers, constellation)
-    metrics = np.abs(observation.y_r - np.sqrt(rho) * gains[k_idx] * x) ** 2
-    v = int(np.argmin(metrics))
+    y = np.array([[observation.y_r]])
+    v, metric = _detect_one(mc.SSM, constellation, n_scatterers, y, gains, rho)
     bits = int(log2(n_scatterers)) + constellation.bits
     return SsmDetectionResult(
-        k_hat=int(k_idx[v]) + 1,
-        x_hat=complex(x[v]),
-        metric=float(metrics[v]),
+        k_hat=(v >> constellation.bits) + 1,
+        x_hat=complex(constellation.points[v & (constellation.order - 1)]),
+        metric=metric,
         label_hat=format(v, f"0{bits}b"),
     )

@@ -21,13 +21,29 @@ from qssm.analysis import (
     pep_quadrature,
     _popcount_matrix,
     q_function,
-    qssm_pair_tables,
     snr_db_to_rho,
 )
-from qssm.modem import PSK, QAM, build_constellation, build_symbol_book
+from qssm.modem import PSK, QAM, SymbolBook, build_constellation, build_symbol_book
 
 INV_SQRT2 = 1.0 / np.sqrt(2.0)
 BOTH = (PepConvention.PAPER_EQ21, PepConvention.EXACT_MODEL)
+
+
+def qssm_pair_tables(book: SymbolBook) -> tuple[np.ndarray, np.ndarray]:
+    """Dense (eta_bar, hamming-distance) S x S reference tables over all ordered pairs."""
+    same1 = book.k1_idx[:, None] == book.k1_idx[None, :]
+    same2 = book.k2_idx[:, None] == book.k2_idx[None, :]
+    re_part = np.where(
+        same1,
+        (book.x_re[:, None] - book.x_re[None, :]) ** 2,
+        book.x_re[:, None] ** 2 + book.x_re[None, :] ** 2,
+    )
+    im_part = np.where(
+        same2,
+        (book.x_im[:, None] - book.x_im[None, :]) ** 2,
+        book.x_im[:, None] ** 2 + book.x_im[None, :] ** 2,
+    )
+    return re_part + im_part, _popcount_matrix(len(book))
 
 
 def test_q_function_basics():

@@ -17,6 +17,7 @@ from qssm.channel import (
     sample_channel,
     sine_separation_ok,
     steering_bank,
+    _draw_sines,
 )
 
 GEOM32 = ArrayGeometry(32)
@@ -105,6 +106,22 @@ def test_min_separation_invariant():
                 for j in range(i + 1, 4):
                     assert abs(s[i] - s[j]) >= 1.0 / 16.0 - 1e-12
             assert sine_separation_ok(s, GEOM32)
+
+
+@pytest.mark.parametrize("mode", [DFT_GRID, MIN_SEP])
+@pytest.mark.parametrize(
+    "tx, rx", [(GEOM32, GEOM32), (ArrayGeometry(16, 0.25), ArrayGeometry(12, 0.25))]
+)
+def test_sample_channel_is_one_row_of_the_block_sampler(mode, tx, rx):
+    # the per-symbol sampler draws departure sines, arrival sines, then gains,
+    # each side as a one-row batch of the Monte Carlo sampler
+    for seed in range(20):
+        real = sample_channel(4, tx, rx, np.random.default_rng(seed), mode)
+        rng = np.random.default_rng(seed)
+        sin_aod = _draw_sines(rng, 1, 4, tx.n_elements, mode, tx.spacing_over_lambda)[0]
+        sin_aoa = _draw_sines(rng, 1, 4, rx.n_elements, mode, rx.spacing_over_lambda)[0]
+        assert np.max(np.abs(np.sin(real.aod) - sin_aod)) <= 1e-15
+        assert np.max(np.abs(np.sin(real.aoa) - sin_aoa)) <= 1e-15
 
 
 def test_min_separation_infeasible():

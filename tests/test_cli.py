@@ -299,6 +299,18 @@ def test_main_exit_codes(tmp_path, capsys):
     roomy.write_text(json.dumps({"configs": [{**arc, "L": 4, "snr_db": [10.0]}]}))
     assert main(["run", str(roomy), "--out-dir", str(tmp_path / "roomy")]) == 0
 
+    # 8 gaps of at least 2/9 fit a period of 2 but are almost never drawn: the
+    # sampler gives up at its round cap with a configuration error
+    sparse = tmp_path / "sparse.json"
+    sparse.write_text(json.dumps({"configs": [{
+        "scheme": "qssm", "L": 8, "M": 4, "channel_mode": "physical",
+        "n_t": 9, "n_r": 9, "angle_mode": "min_sep", "trials": 1,
+    }]}))
+    assert main(["run", str(sparse)]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert "L=8" in err and "N=9" in err and "dft_grid" in err
+
 
 def test_main_sweep_and_compare(tmp_path, capsys):
     out_dir = tmp_path / "res"

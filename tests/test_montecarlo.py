@@ -8,7 +8,7 @@ import pytest
 
 from qssm.analysis import abep_union_bound, snr_db_to_rho
 from qssm.channel import steering_bank, ArrayGeometry, ChannelRealization
-from qssm.modem import QAM, build_constellation, build_symbol_book
+from qssm.modem import QAM, build_constellation, build_symbol_book, ssm_hypotheses
 from qssm import montecarlo
 from qssm.montecarlo import (
     TRIALS_PER_BLOCK,
@@ -36,7 +36,6 @@ from qssm.transceiver import (
     PhysicalObservation,
     ml_detect_ideal,
     ml_detect_physical,
-    ssm_hypotheses,
 )
 
 

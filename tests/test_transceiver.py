@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from qssm.channel import ArrayGeometry, ChannelRealization, sample_channel
-from qssm.modem import PSK, QAM, build_constellation, build_symbol_book
+from qssm.modem import PSK, QAM, build_constellation, build_symbol_book, ssm_hypotheses
 from qssm.transceiver import (
     IdealObservation,
     PhysicalObservation,
@@ -13,7 +13,6 @@ from qssm.transceiver import (
     qssm_observe_ideal,
     qssm_observe_physical,
     ssm_detect_ideal,
-    ssm_hypotheses,
     ssm_observe_ideal,
 )
 
@@ -79,6 +78,12 @@ def test_ml_ideal_tiebreak_at_zero_snr():
     obs = qssm_observe_ideal(BOOK44.symbols[50], GAINS4, 0.0, np.random.default_rng(2))
     det = ml_detect_ideal(obs, GAINS4, BOOK44, 0.0)
     assert det.label_hat == "000000"
+    real = _grid_realization(seed=3)
+    obs = qssm_observe_physical(BOOK44.symbols[50], real, 0.0, np.random.default_rng(2))
+    assert ml_detect_physical(obs, real, BOOK44, 0.0).label_hat == "000000"
+    constellation = build_constellation(QAM, 4)
+    obs = ssm_observe_ideal(3, constellation.points[2], GAINS4, 0.0, np.random.default_rng(2))
+    assert ssm_detect_ideal(obs, GAINS4, constellation, 4, 0.0).label_hat == "0000"
 
 
 def test_ml_ideal_against_brute_force_oracle():
@@ -99,6 +104,49 @@ def test_ml_ideal_against_brute_force_oracle():
     assert det.x_hat == pytest.approx(1.0 + 0j)
     assert det.k2_hat == 1  # tie broken toward the lowest label
     assert det.label_hat == "100"
+
+
+@pytest.mark.parametrize(
+    "chain, kind, M, L",
+    [
+        ("ideal", PSK, 8, 4),
+        ("ideal", QAM, 16, 4),
+        ("ssm", PSK, 4, 16),
+        ("physical", QAM, 4, 4),
+    ],
+)
+@pytest.mark.parametrize("snr_db", [0.0, 20.0, 40.0])
+def test_detectors_pick_first_brute_force_argmin(chain, kind, M, L, snr_db):
+    """Each per-symbol detector decides as an exhaustive |y - h|^2 search does."""
+    constellation = build_constellation(kind, M)
+    rho = 10.0 ** (snr_db / 10.0)
+    rng = np.random.default_rng(int(snr_db) + 7 * L + M)
+    if chain == "ssm":
+        k_idx, x = ssm_hypotheses(L, constellation)
+        profile = np.zeros((len(x), L), dtype=complex)
+        profile[np.arange(len(x)), k_idx] = x
+    else:
+        book = build_symbol_book(L, constellation)
+        profile = np.zeros((len(book), L), dtype=complex)
+        profile[np.arange(len(book)), book.k1_idx] += book.x_re
+        profile[np.arange(len(book)), book.k2_idx] += 1j * book.x_im
+    for _ in range(200):
+        real = sample_channel(L, GEOM32, GEOM32, rng)
+        v = int(rng.integers(0, len(profile)))
+        if chain == "ssm":
+            obs = ssm_observe_ideal(int(k_idx[v]) + 1, x[v], real.gains, rho, rng)
+            det = ssm_detect_ideal(obs, real.gains, constellation, L, rho)
+            metrics = np.abs(obs.y_r - np.sqrt(rho) * profile @ real.gains) ** 2
+        elif chain == "ideal":
+            obs = qssm_observe_ideal(book.symbols[v], real.gains, rho, rng)
+            det = ml_detect_ideal(obs, real.gains, book, rho)
+            metrics = np.abs(obs.y_r - np.sqrt(rho) * profile @ real.gains) ** 2
+        else:
+            obs = qssm_observe_physical(book.symbols[v], real, rho, rng)
+            det = ml_detect_physical(obs, real, book, rho)
+            model = np.sqrt(rho) * real.gains[None, :] * profile
+            metrics = np.sum(np.abs(obs.z[None, :] - model) ** 2, axis=1)
+        assert int(det.label_hat, 2) == int(np.argmin(metrics))
 
 
 def test_ml_ideal_global_phase_invariance():
