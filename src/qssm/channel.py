@@ -63,6 +63,23 @@ def _steering(sines: np.ndarray, n_elements: int, spacing: float) -> np.ndarray:
     return np.exp(phase) / np.sqrt(n_elements)
 
 
+def _dirichlet_gram(
+    sines_l: np.ndarray, sines_m: np.ndarray, n_elements: int, spacing: float
+) -> np.ndarray:
+    """a^H(s_l) a(s_m) of unit-norm steering vectors, broadcast over the two sine arrays.
+
+    With x = d*(s_m - s_l) reduced to f = x - rint(x), the entry is the
+    Dirichlet kernel exp(j*pi*(N-1)*f) * sin(pi*N*f) / (N*sin(pi*f)), taken
+    as exactly 1 where f = 0: a beam with itself, or an alias of it.
+    """
+    angle = spacing * (sines_m - sines_l)
+    angle -= np.rint(angle)
+    angle *= np.pi
+    den = n_elements * np.sin(angle)
+    ratio = np.divide(np.sin(n_elements * angle), den, out=np.ones(angle.shape), where=den != 0)
+    return ratio * np.exp((1j * (n_elements - 1)) * angle)
+
+
 def array_response(geometry: ArrayGeometry, theta: float) -> np.ndarray:
     """Unit-norm steering vector: entry n is exp(j*2*pi*(d/lambda)*sin(theta)*n)/sqrt(N)."""
     if not np.isfinite(theta):
@@ -120,17 +137,19 @@ def _draw_sines(
 
     DFT-grid rows pick L distinct grid points; min-separation rows are
     redrawn until sine_separation_ok holds, for at most
-    _MAX_REJECTION_ROUNDS rounds.
+    _MAX_REJECTION_ROUNDS rounds.  Each round re-checks only the rows it
+    redrew, in row order, so the draws are those of a full re-check.
     """
     if angle_mode == DFT_GRID:
         picks = np.argsort(rng.random((n_rows, n_elements)), axis=1)[:, :L]
         return _grid_sines(n_elements)[picks]
     sines = np.sin(rng.uniform(0.0, 2.0 * np.pi, (n_rows, L)))
+    bad = np.flatnonzero(~_sines_separated(sines, n_elements, spacing))
     for _ in range(_MAX_REJECTION_ROUNDS):
-        bad = ~_sines_separated(sines, n_elements, spacing)
-        if not bad.any():
+        if bad.size == 0:
             return sines
-        sines[bad] = np.sin(rng.uniform(0.0, 2.0 * np.pi, (int(bad.sum()), L)))
+        sines[bad] = np.sin(rng.uniform(0.0, 2.0 * np.pi, (bad.size, L)))
+        bad = bad[~_sines_separated(sines[bad], n_elements, spacing)]
     raise ValueError(
         f"min_sep angle sampling placed no L={L} sines at gaps of "
         f"{1.0 / (spacing * n_elements):g} on N={n_elements} elements in "
@@ -183,8 +202,12 @@ def orthogonality_defect(realization: ChannelRealization) -> float:
         (realization.tx_geometry, realization.aod),
         (realization.rx_geometry, realization.aoa),
     ):
-        bank = steering_bank(geometry, angles)
-        gram = np.abs(bank.conj().T @ bank)
+        sines = np.sin(angles)
+        gram = np.abs(
+            _dirichlet_gram(
+                sines[:, None], sines[None, :], geometry.n_elements, geometry.spacing_over_lambda
+            )
+        )
         np.fill_diagonal(gram, 0.0)
         worst = max(worst, float(gram.max()))
     return worst

@@ -23,7 +23,14 @@ import numpy as np
 
 from . import analysis
 from .analysis import PepConvention, snr_db_to_rho
-from .channel import DFT_GRID, MIN_SEP, ArrayGeometry, _complex_normals, _draw_sines, _steering
+from .channel import (
+    DFT_GRID,
+    MIN_SEP,
+    ArrayGeometry,
+    _complex_normals,
+    _dirichlet_gram,
+    _draw_sines,
+)
 from .modem import (
     PSK,
     QAM,
@@ -51,7 +58,11 @@ _PURPOSE_CHANNEL_BLOCK = 3  # per-block channel redraw, keyed by channel block
 
 _WILSON_Z = 1.959963984540054  # two-sided 95%
 
-_COMPLEX_BUDGET = 1 << 22  # complex temporaries per steering chunk
+#: Complex values that bound the physical kernel's tiles: each (tile, L, L)
+#: Gram and (tile, L, N_r) phase-power array holds at most 1/32 of them.  With
+#: N = 32, a whole block then peaks below 16 * _COMPLEX_BUDGET bytes, the size
+#: of one complex array of the budget (the tests pin it).
+_COMPLEX_BUDGET = 1 << 22
 _METRIC_TILE = 1 << 18     # float64 metrics per detection tile
 
 #: Default SNR grid (dB) of the standard error-rate sweeps.
@@ -340,22 +351,36 @@ def _observe_scalar(betas, points, root_rho, noise):
 
 def _observe_physical(tx, rx, sin_aod, sin_aoa, gains, symbols, root_rho, noise):
     """(B, L) beam outputs z of the array chain for QSSM ``symbols`` (k1, k2, x_re, x_im),
-    with (B, N_r) element ``noise``; steering tensors are built in chunks."""
+    with (B, N_r) element ``noise``.
+
+    z = sqrt(rho) * G_r (gains * beams) + A_r^H n.  The beams are x_re and
+    j*x_im times columns k1 and k2 of the transmit Gram; both Grams are
+    closed-form Dirichlet kernels, and A_r^H n sums the noise against the
+    phase powers w^n / sqrt(N_r), w = exp(-j*2*pi*d*s).  Trials run in tiles
+    that bound the temporaries.
+    """
     k1, k2, x_re, x_im = symbols
     n_trials, L = gains.shape
+    n_r, d_r = rx.n_elements, rx.spacing_over_lambda
+    rows = np.arange(n_trials)[:, None]
+    aimed = sin_aod[rows, np.array((k1, k2)).T, None]  # (B, 2, 1) sines of beams k1, k2
+    weights = np.zeros((n_trials, 1, 2), dtype=complex)  # x_re and j*x_im on beams k1, k2
+    weights.real[:, 0, 0] = x_re
+    weights.imag[:, 0, 1] = x_im
     z = np.empty((n_trials, L), dtype=complex)
-    chunk = max(64, _COMPLEX_BUDGET // (2 * L * max(tx.n_elements, rx.n_elements)))
-    for a0 in range(0, n_trials, chunk):
-        sl = slice(a0, min(a0 + chunk, n_trials))
-        a_t = _steering(sin_aod[sl], tx.n_elements, tx.spacing_over_lambda)
-        a_r = _steering(sin_aoa[sl], rx.n_elements, rx.spacing_over_lambda)
-        g_t = np.einsum("bln,bmn->blm", a_t.conj(), a_t)
-        g_r = np.einsum("bln,bmn->blm", a_r.conj(), a_r)
-        r = np.arange(len(g_t))
-        beams = x_re[sl][:, None] * g_t[r, :, k1[sl]] + 1j * x_im[sl][:, None] * g_t[r, :, k2[sl]]
-        z[sl] = root_rho * np.einsum("blm,bm->bl", g_r, gains[sl] * beams) + np.einsum(
-            "bln,bn->bl", a_r.conj(), noise[sl]
-        )
+    tile = max(1, _COMPLEX_BUDGET // (32 * L * max(L, n_r)))
+    for a0 in range(0, n_trials, tile):
+        sl = slice(a0, a0 + tile)
+        s_r = sin_aoa[sl]
+        g_t = _dirichlet_gram(sin_aod[sl, None, :], aimed[sl], tx.n_elements, tx.spacing_over_lambda)
+        g_r = _dirichlet_gram(s_r[:, :, None], s_r[:, None, :], n_r, d_r)
+        powers = np.empty((len(s_r), L, n_r), dtype=complex)
+        powers[..., 0] = n_r**-0.5
+        powers[..., 1:] = np.exp((-2j * np.pi * d_r) * s_r)[..., None]
+        np.multiply.accumulate(powers, axis=2, out=powers)
+        beams = (weights[sl] @ g_t)[:, 0]
+        signal = g_r @ (gains[sl] * beams)[..., None]
+        z[sl] = (root_rho * signal + powers @ noise[sl, :, None])[..., 0]
     return z
 
 
@@ -407,18 +432,18 @@ def _block_bit_errors(
     noise_rng = _substream(config.seed, snr_db, _PURPOSE_NOISE, block_index)
     gains, sin_aod, sin_aoa = _block_channel(config, snr_db, block_index, n_trials)
     root_rho = np.sqrt(rho)
-    a = root_rho * gains
     symbols = tuple(array[labels] for array in _symbol_arrays(hypotheses))
     if config.channel_mode == IDEAL:  # symbols: scatterer indices, then points
         noise = _complex_normals(noise_rng, n_trials)
         betas = tuple(gains[np.arange(n_trials), k] for k in symbols[: len(symbols) // 2])
         y = _observe_scalar(betas, symbols[len(betas) :], root_rho, noise)
-        features = _features(y[:, None], a, cross=config.scheme == QSSM)
+        features = _features(y[:, None], root_rho * gains, cross=config.scheme == QSSM)
     else:  # joint detection on the L beam outputs of the array chain
         noise = _complex_normals(noise_rng, (n_trials, config.n_r))
         tx, rx = (ArrayGeometry(n, config.spacing) for n in (config.n_t, config.n_r))
         z = _observe_physical(tx, rx, sin_aod, sin_aoa, gains, symbols, root_rho, noise)
-        features = _features(z, a)
+        del noise, sin_aod, sin_aoa  # detection needs only z and the gains
+        features = _features(z, root_rho * gains)
     return _detect_errors(features, W, column_labels, labels, popcounts)
 
 

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from qssm import channel
 from qssm.channel import (
     DFT_GRID,
     MIN_SEP,
@@ -18,6 +19,7 @@ from qssm.channel import (
     sine_separation_ok,
     steering_bank,
     _draw_sines,
+    _sines_separated,
 )
 
 GEOM32 = ArrayGeometry(32)
@@ -122,6 +124,42 @@ def test_sample_channel_is_one_row_of_the_block_sampler(mode, tx, rx):
         sin_aoa = _draw_sines(rng, 1, 4, rx.n_elements, mode, rx.spacing_over_lambda)[0]
         assert np.max(np.abs(np.sin(real.aod) - sin_aod)) <= 1e-15
         assert np.max(np.abs(np.sin(real.aoa) - sin_aoa)) <= 1e-15
+
+
+def _full_recheck_sines(rng, n_rows, L, n_elements, spacing):
+    """min_sep sampling that re-sorts and re-checks every row in every round."""
+    sines = np.sin(rng.uniform(0.0, 2.0 * np.pi, (n_rows, L)))
+    for _ in range(channel._MAX_REJECTION_ROUNDS):
+        bad = ~_sines_separated(sines, n_elements, spacing)
+        if not bad.any():
+            return sines
+        sines[bad] = np.sin(rng.uniform(0.0, 2.0 * np.pi, (int(bad.sum()), L)))
+    raise ValueError(
+        f"min_sep angle sampling placed no L={L} sines at gaps of "
+        f"{1.0 / (spacing * n_elements):g} on N={n_elements} elements in "
+        f"{channel._MAX_REJECTION_ROUNDS} rounds; use angle_mode='{DFT_GRID}' or larger arrays"
+    )
+
+
+def test_min_sep_sampler_matches_full_recheck(monkeypatch):
+    # re-checking only the redrawn rows consumes the same draws: same sines, and
+    # the generator is left in the same state for the gains drawn after them
+    for seed in range(20):
+        for n_rows in (1, 16384):
+            for spacing in (0.5, 0.25):
+                rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+                sines = _draw_sines(rng, n_rows, 4, 32, MIN_SEP, spacing)
+                expected = _full_recheck_sines(ref_rng, n_rows, 4, 32, spacing)
+                assert sines.tobytes() == expected.tobytes(), (seed, n_rows, spacing)
+                assert rng.bit_generator.state == ref_rng.bit_generator.state
+    # L=8 on 9 elements is feasible but almost never sampled; a lower cap reaches
+    # the same raise in fewer rounds
+    monkeypatch.setattr(channel, "_MAX_REJECTION_ROUNDS", 2000)
+    with pytest.raises(ValueError) as raised:
+        _draw_sines(np.random.default_rng(0), 1, 8, 9, MIN_SEP, 0.5)
+    with pytest.raises(ValueError) as expected:
+        _full_recheck_sines(np.random.default_rng(0), 1, 8, 9, 0.5)
+    assert str(raised.value) == str(expected.value)
 
 
 def test_min_separation_infeasible():

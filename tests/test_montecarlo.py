@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from qssm.analysis import abep_union_bound, snr_db_to_rho
-from qssm.channel import steering_bank, ArrayGeometry, ChannelRealization
+from qssm.channel import steering_bank, ArrayGeometry, ChannelRealization, _dirichlet_gram
 from qssm.modem import QAM, build_constellation, build_symbol_book, ssm_hypotheses
 from qssm import montecarlo
 from qssm.montecarlo import (
@@ -25,6 +25,7 @@ from qssm.montecarlo import (
     _PURPOSE_LABELS,
     _PURPOSE_NOISE,
     _COMPLEX_BUDGET,
+    _observe_physical,
     binomial_ci,
     crossing_snr_db,
     gain_at_level,
@@ -298,6 +299,79 @@ def test_detector_block_memory_within_budget():
     finally:
         tracemalloc.stop()
     assert peak < 16 * _COMPLEX_BUDGET
+
+
+@pytest.mark.parametrize("L,mode", [(4, "dft_grid"), (4, "min_sep"), (32, "dft_grid")])
+def test_physical_block_memory_within_budget(L, mode):
+    # one full physical block at N=32: the Gram, phase-power and detector tiles,
+    # plus the block's own arrays, stay below a single complex temporary of the budget
+    cfg = SimConfig(
+        scheme="qssm", L=L, M=4, channel_mode="physical", angle_mode=mode,
+        trials=TRIALS_PER_BLOCK, seed=2,
+    )
+    _scheme_tables(cfg.scheme, cfg.kind, cfg.M, cfg.L)
+    tracemalloc.start()
+    try:
+        _block_bit_errors(cfg, 20.0, 0, TRIALS_PER_BLOCK)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * _COMPLEX_BUDGET
+
+
+def _dense_observe_physical(tx, rx, sin_aod, sin_aoa, gains, symbols, root_rho, noise):
+    """Beam outputs from (B, L, N) steering tensors and einsum Grams, in row chunks."""
+    k1, k2, x_re, x_im = symbols
+    z = np.empty(gains.shape, dtype=complex)
+    for a in range(0, len(gains), 1024):
+        sl = slice(a, a + 1024)
+        a_t, a_r = (
+            np.exp(2j * np.pi * g.spacing_over_lambda * s[sl, :, None] * np.arange(g.n_elements))
+            / np.sqrt(g.n_elements)
+            for g, s in ((tx, sin_aod), (rx, sin_aoa))
+        )
+        g_t = np.einsum("bln,bmn->blm", a_t.conj(), a_t)
+        g_r = np.einsum("bln,bmn->blm", a_r.conj(), a_r)
+        r = np.arange(len(g_t))
+        beams = x_re[sl][:, None] * g_t[r, :, k1[sl]] + 1j * x_im[sl][:, None] * g_t[r, :, k2[sl]]
+        z[sl] = root_rho * np.einsum("blm,bm->bl", g_r, gains[sl] * beams) + np.einsum(
+            "bln,bn->bl", a_r.conj(), noise[sl]
+        )
+    return z
+
+
+@pytest.mark.parametrize(
+    "L,mode,spacing,n_t,n_r",
+    [
+        (4, "dft_grid", 0.5, 32, 32),
+        (4, "dft_grid", 0.25, 16, 12),
+        (4, "dft_grid", 1.0, 32, 32),  # grid sines one apart steer the same beam
+        (4, "min_sep", 0.5, 32, 32),
+        (1, "dft_grid", 0.5, 32, 32),
+        (8, "dft_grid", 0.5, 8, 8),  # L = N: every grid beam is used
+    ],
+)
+def test_observe_physical_matches_dense_steering(L, mode, spacing, n_t, n_r):
+    """The closed-form chain equals the dense steering chain to 1e-12 of the signal scale."""
+    tx, rx = ArrayGeometry(n_t, spacing), ArrayGeometry(n_r, spacing)
+    root_rho = 10.0
+    for n in (1, TRIALS_PER_BLOCK):
+        rng = np.random.default_rng(n + L)
+        sin_aod = _draw_sines(rng, n, L, n_t, mode, spacing)
+        sin_aoa = _draw_sines(rng, n, L, n_r, mode, spacing)
+        gains = _complex_normals(rng, (n, L))
+        symbols = (
+            rng.integers(0, L, n), rng.integers(0, L, n),
+            rng.choice([-3.0, -1.0, 1.0, 3.0], n), rng.choice([-3.0, -1.0, 1.0, 3.0], n),
+        )
+        scale = root_rho * 3.0 * np.abs(gains).max()
+        for noise in (_complex_normals(rng, (n, n_r)), np.zeros((n, n_r))):
+            args = (tx, rx, sin_aod, sin_aoa, gains, symbols, root_rho, noise)
+            z = _observe_physical(*args)
+            assert np.abs(z - _dense_observe_physical(*args)).max() <= 1e-12 * scale
+    if spacing == 1.0:  # an aliased pair: its closed-form Gram entry is 1 exactly
+        assert _dirichlet_gram(np.array(-0.5), np.array(0.5), n_r, spacing) == 1.0
+        assert (np.abs(sin_aoa[:, :, None] - sin_aoa[:, None, :]) == 1.0).any()
 
 
 def test_ideal_block_matches_one_shot_chain():
