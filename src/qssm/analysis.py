@@ -17,7 +17,9 @@ normalisations of that average are supported:
   0.5*(1 - sqrt(1/(1 + 2/(rho*eta_bar)))) - the same curve shifted 3 dB.
 
 :func:`pep_quadrature` integrates the fading average numerically and acts
-as the independent oracle for the closed forms.
+as the independent oracle for the closed forms.  It and :func:`q_function`
+(behind :func:`pep_conditional`) import SciPy on their first call; nothing
+else here needs it, so importing the package loads NumPy only.
 """
 
 from __future__ import annotations
@@ -28,8 +30,6 @@ from dataclasses import dataclass
 from math import log2, prod
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.special import erfc
 
 from .modem import Constellation, SymbolBook
 
@@ -81,6 +81,8 @@ class AbepPoint:
 
 def q_function(x):
     """Gaussian tail probability via the complementary error function."""
+    from scipy.special import erfc
+
     return 0.5 * erfc(np.asarray(x, dtype=float) / np.sqrt(2.0))
 
 
@@ -150,6 +152,9 @@ def pep_quadrature(
     """
     if rho < 0 or eta_bar_value < 0:
         raise ValueError("rho and eta_bar must be >= 0")
+    from scipy.integrate import quad
+    from scipy.special import erfc
+
     product = rho * eta_bar_value
     if product == 0.0:
         return 0.5
@@ -160,7 +165,8 @@ def pep_quadrature(
     def integrand(t):
         u = t / (1.0 - t)
         density = rate * np.exp(-rate * u / scale) / scale
-        return density * q_function(np.sqrt(product / scale * u / 2.0)) / (1.0 - t) ** 2
+        q = 0.5 * erfc(np.sqrt(product / scale * u / 2.0) / np.sqrt(2.0))  # q_function
+        return density * q / (1.0 - t) ** 2
 
     value, abserr, info, *message = quad(
         integrand, 0.0, 1.0, epsabs=0.0, epsrel=rel_tol, limit=200, full_output=True

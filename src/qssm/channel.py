@@ -21,6 +21,11 @@ _ANGLE_MODES = (DFT_GRID, MIN_SEP)
 _MAX_REJECTION_ROUNDS = 100_000
 
 
+class SamplingError(ValueError):
+    """min_sep sampling found no separated sines within its round cap: the
+    config is feasible but (almost) never sampled."""
+
+
 @dataclass(frozen=True)
 class ArrayGeometry:
     """Uniform linear array: element count and spacing in wavelengths."""
@@ -150,7 +155,7 @@ def _draw_sines(
             return sines
         sines[bad] = np.sin(rng.uniform(0.0, 2.0 * np.pi, (bad.size, L)))
         bad = bad[~_sines_separated(sines[bad], n_elements, spacing)]
-    raise ValueError(
+    raise SamplingError(
         f"min_sep angle sampling placed no L={L} sines at gaps of "
         f"{1.0 / (spacing * n_elements):g} on N={n_elements} elements in "
         f"{_MAX_REJECTION_ROUNDS} rounds; use angle_mode='{DFT_GRID}' or larger arrays"

@@ -4,7 +4,7 @@ Subcommands: ``run`` (JSON experiment file), ``sweep`` (single config from
 flags), ``table`` (symbol-book dump), ``validate`` (analysis self-checks
 and the convention arbiter), ``compare`` (gain report between two result
 CSVs).  Exit codes: 0 success, 2 configuration error, 3 numerical error,
-4 I/O error.
+4 I/O error, 5 internal error (a fault in the program, not in its input).
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ import numpy as np
 
 from . import __version__, analysis, montecarlo
 from .analysis import NumericalError, PepConvention
+from .channel import SamplingError
 from .modem import build_constellation, build_symbol_book
 from .montecarlo import AbepCurve, BerEstimate, CurvePoint, SimConfig
 
@@ -54,6 +55,15 @@ class ConfigError(ValueError):
     """Invalid experiment configuration."""
 
 
+def _from_input(build, *args, **kwargs):
+    """``build(*args, **kwargs)`` on values the user gave: a ValueError it raises,
+    SimConfig validation among them, is a configuration error."""
+    try:
+        return build(*args, **kwargs)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+
+
 @dataclass(frozen=True)
 class ExperimentSpec:
     """Named simulation configs plus comparison and report options."""
@@ -68,18 +78,25 @@ def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
+def _floats(values, path: str) -> list[float]:
+    try:
+        return [float(v) for v in values]
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
+
+
 def _snr_grid_from_spec(entry, path: str) -> tuple[float, ...]:
     if isinstance(entry, dict):
         missing = {"start", "stop", "step"} - set(entry)
         if missing:
             raise ConfigError(f"{path}: missing {sorted(missing)}")
-        start, stop, step = entry["start"], entry["stop"], entry["step"]
+        start, stop, step = _floats((entry["start"], entry["stop"], entry["step"]), path)
         if step <= 0:
             raise ConfigError(f"{path}.step: must be > 0")
         grid = np.arange(start, stop + step * 1e-9, step)
         return tuple(float(s) for s in grid)
     if isinstance(entry, list) and entry:
-        return tuple(float(s) for s in entry)
+        return tuple(_floats(entry, path))
     raise ConfigError(f"{path}: expected a non-empty list or a start/stop/step object")
 
 
@@ -229,33 +246,44 @@ def load_curve(csv_path: Path) -> AbepCurve:
     manifest_path = csv_path.with_name(csv_path.name.removesuffix(".csv") + ".manifest.json")
     if not manifest_path.exists():
         raise ConfigError(f"manifest not found next to {csv_path} ({manifest_path.name})")
-    record = json.loads(manifest_path.read_text())
-    config = SimConfig(**record["config"])
+    try:
+        record = json.loads(manifest_path.read_text())
+        config = SimConfig(**record["config"])
+        config_hash = record["config_hash"]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"{manifest_path}: {exc}") from exc
     lines = csv_path.read_text().strip().splitlines()
     if not lines or lines[0] != CSV_HEADER:
         raise ConfigError(f"{csv_path}: unexpected CSV header")
-    points = []
-    for line in lines[1:]:
-        cols = line.split(",")
-        estimate = BerEstimate(
-            snr_db=float(cols[0]),
-            trials=int(cols[6]),
-            bit_errors=int(cols[7]),
-            bits_per_trial=config.bits_per_trial,
-            abep=float(cols[1]),
-            ci_low=float(cols[2]),
-            ci_high=float(cols[3]),
-        )
-        points.append(
-            CurvePoint(
-                estimate=estimate,
-                abep_analytic=float(cols[4]),
-                abep_asymptotic=float(cols[5]),
-            )
-        )
-    return AbepCurve(
-        config=config, config_hash=record["config_hash"], points=tuple(points)
+    try:
+        points = tuple(_curve_point(line.split(","), config) for line in lines[1:])
+    except (IndexError, ValueError) as exc:
+        raise ConfigError(f"{csv_path}: {exc}") from exc
+    return AbepCurve(config=config, config_hash=config_hash, points=points)
+
+
+def _curve_point(cols: list[str], config: SimConfig) -> CurvePoint:
+    estimate = BerEstimate(
+        snr_db=float(cols[0]),
+        trials=int(cols[6]),
+        bit_errors=int(cols[7]),
+        bits_per_trial=config.bits_per_trial,
+        abep=float(cols[1]),
+        ci_low=float(cols[2]),
+        ci_high=float(cols[3]),
     )
+    return CurvePoint(
+        estimate=estimate, abep_analytic=float(cols[4]), abep_asymptotic=float(cols[5])
+    )
+
+
+def _crossing(curve: AbepCurve, level: float, label: str) -> float:
+    """Where the simulated curve crosses ``level``; a level it never reaches is
+    a configuration error of the comparison."""
+    try:
+        return montecarlo.crossing_snr_db(curve.snr_db, curve.values("sim"), level)
+    except ValueError as exc:
+        raise ConfigError(f"{label}: {exc}") from exc
 
 
 def _try_crossing(curve: AbepCurve, level: float, which: str) -> float | None:
@@ -278,8 +306,8 @@ def compare_report(
         f"{'abep level':>12s} {'snr_a':>9s} {'snr_b':>9s} {'gain_db':>9s} {'gain_range_db':>18s}",
     ]
     for level in levels:
-        cross_a = montecarlo.crossing_snr_db(curve_a.snr_db, curve_a.values("sim"), level)
-        cross_b = montecarlo.crossing_snr_db(curve_b.snr_db, curve_b.values("sim"), level)
+        cross_a = _crossing(curve_a, level, label_a)
+        cross_b = _crossing(curve_b, level, label_b)
         gain = cross_b - cross_a
         a_lo = _try_crossing(curve_a, level, "ci_low")
         a_hi = _try_crossing(curve_a, level, "ci_high")
@@ -393,8 +421,8 @@ def symbol_table_csv(L: int, M: int, kind: str) -> str:
 
 def _parse_snr_arg(text: str) -> tuple[float, ...]:
     if ":" not in text:
-        return _snr_grid_from_spec([float(p) for p in text.split(",")], "--snr")
-    parts = [float(p) for p in text.split(":")]
+        return _snr_grid_from_spec(text.split(","), "--snr")
+    parts = text.split(":")
     if len(parts) != 3:
         raise ConfigError(f"--snr: expected start:stop:step, got {text!r}")
     return _snr_grid_from_spec(dict(zip(("start", "stop", "step"), parts)), "--snr")
@@ -482,7 +510,7 @@ def _cmd_run(args) -> int:
         spec = dataclasses.replace(
             spec,
             configs=tuple(
-                (name, dataclasses.replace(cfg, **overrides))
+                (name, _from_input(dataclasses.replace, cfg, **overrides))
                 for name, cfg in spec.configs
             ),
         )
@@ -493,7 +521,8 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    config = SimConfig(
+    config = _from_input(
+        SimConfig,
         scheme=args.scheme,
         L=args.L,
         M=args.M,
@@ -515,11 +544,13 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_table(args) -> int:
-    _emit(symbol_table_csv(args.L, args.M, args.kind), args.out)
+    _emit(_from_input(symbol_table_csv, args.L, args.M, args.kind), args.out)
     return 0
 
 
 def _cmd_validate(args) -> int:
+    if args.trials < 1:
+        raise ConfigError(f"--trials: must be >= 1, got {args.trials}")
     _emit(
         validate_analysis(trials=args.trials, seed=args.seed, workers=args.workers),
         args.out,
@@ -537,7 +568,7 @@ def _cmd_compare(args) -> int:
             f"spectral efficiencies differ ({args.csv_a.name}: {rate_a} b/s/Hz, "
             f"{args.csv_b.name}: {rate_b} b/s/Hz)"
         )
-    levels = [float(v) for v in args.levels.split(",")]
+    levels = _floats(args.levels.split(","), "--levels")
     report = compare_report(
         curve_a, curve_b, levels, args.csv_a.stem, args.csv_b.stem
     )
@@ -561,12 +592,15 @@ def main(argv=None) -> int:
     except NumericalError as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return 3
-    except (ConfigError, ValueError) as exc:
+    except (ConfigError, SamplingError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 4
+    except Exception as exc:  # a fault in the program, not in its input
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 5
 
 
 if __name__ == "__main__":

@@ -373,7 +373,7 @@ def _observe_physical(tx, rx, sin_aod, sin_aoa, gains, symbols, root_rho, noise)
         sl = slice(a0, a0 + tile)
         s_r = sin_aoa[sl]
         g_t = _dirichlet_gram(sin_aod[sl, None, :], aimed[sl], tx.n_elements, tx.spacing_over_lambda)
-        g_r = _dirichlet_gram(s_r[:, :, None], s_r[:, None, :], n_r, d_r)
+        g_r = _receive_gram(s_r, n_r, d_r)
         powers = np.empty((len(s_r), L, n_r), dtype=complex)
         powers[..., 0] = n_r**-0.5
         powers[..., 1:] = np.exp((-2j * np.pi * d_r) * s_r)[..., None]
@@ -386,6 +386,23 @@ def _observe_physical(tx, rx, sin_aod, sin_aoa, gains, symbols, root_rho, noise)
 
 #: (lo, hi) arrays of the pairs l < m, per L; the cross rows of W follow this order
 _pairs = lru_cache(maxsize=16)(np.triu_indices)
+
+
+def _receive_gram(sines: np.ndarray, n_elements: int, spacing: float) -> np.ndarray:
+    """(B, L, L) Gram a^H(s_l) a(s_m) of (B, L) ``sines``, Hermitian with a unit diagonal.
+
+    Only the pairs l < m go through the Dirichlet kernel; the mirror is their
+    conjugate and the diagonal is exactly 1, as the kernel gives at f = 0.
+    """
+    n_trials, L = sines.shape
+    lo, hi = _pairs(L, 1)
+    upper = _dirichlet_gram(sines[:, lo], sines[:, hi], n_elements, spacing)
+    gram = np.empty((n_trials, L, L), dtype=complex)
+    gram[:, lo, hi] = upper
+    gram[:, hi, lo] = upper.conj()
+    diagonal = np.arange(L)
+    gram[:, diagonal, diagonal] = 1.0
+    return gram
 
 
 def _features(y: np.ndarray, a: np.ndarray, cross: bool = False) -> np.ndarray:

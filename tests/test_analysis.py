@@ -1,11 +1,18 @@
 """PEP formulas, quadrature oracle, and union-bound tests."""
 
+import json
+import os
+import subprocess
+import sys
 import tracemalloc
 from math import log2
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
+
+import qssm
 
 from qssm.analysis import (
     DEFAULT_CONVENTION,
@@ -336,3 +343,38 @@ def test_union_bound_psk_floor():
             assert abep_union_bound(book, rho, kernel) == pytest.approx(floor, abs=1e-6)
         book = build_symbol_book(4, build_constellation(QAM, 16))
         assert abep_union_bound(book, rho, kernel) < 1e-5
+
+
+_IMPORT_CONTRACT = """
+import json, sys
+import qssm, qssm.cli
+from qssm import analysis, cli, montecarlo
+from qssm.modem import build_constellation, build_symbol_book
+
+config = montecarlo.SimConfig(scheme="qssm", L=4, M=4, snr_db=(10.0,), trials=64, seed=1)
+montecarlo.sweep(config)
+constellation = build_constellation("qam", 4)
+analysis.abep_point(build_symbol_book(4, constellation), 10.0)
+analysis.abep_point_ssm(4, constellation, 10.0)
+assert cli.main(["table", "--L", "2", "--M", "4", "--out", sys.argv[1]]) == 0
+before = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+values = [analysis.pep_quadrature(1.0, 1.0), float(analysis.q_function(3.0))]
+print(json.dumps({"before": before, "values": [v.hex() for v in values],
+                  "after": "scipy" in sys.modules}))
+"""
+
+
+def test_package_loads_scipy_only_for_the_quadrature_oracle(tmp_path):
+    """Importing qssm, simulating and bounding load no SciPy; the oracle loads it."""
+    src = str(Path(qssm.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p
+    )}
+    proc = subprocess.run(
+        [sys.executable, "-c", _IMPORT_CONTRACT, str(tmp_path / "table.csv")],
+        capture_output=True, text=True, env=env, timeout=120, check=True,
+    )
+    record = json.loads(proc.stdout.splitlines()[-1])
+    assert record["before"] == []
+    assert record["values"] == [pep_quadrature(1.0, 1.0).hex(), float(q_function(3.0)).hex()]
+    assert record["after"]

@@ -19,6 +19,7 @@ from qssm.cli import (
     symbol_table_csv,
     validate_analysis,
 )
+from qssm import montecarlo
 from qssm.montecarlo import SimConfig, sweep
 
 MINIMAL = {
@@ -264,7 +265,7 @@ def test_validate_verdict_stable_across_seeds():
     assert verdicts.pop() == DEFAULT_CONVENTION.value
 
 
-def test_main_exit_codes(tmp_path, capsys):
+def test_main_exit_codes(tmp_path, capsys, monkeypatch):
     missing = tmp_path / "nope.json"
     assert main(["run", str(missing)]) == 4  # unreadable file
 
@@ -310,6 +311,25 @@ def test_main_exit_codes(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert "L=8" in err and "N=9" in err and "dft_grid" in err
+
+    # SimConfig validation of a config built from flags is a configuration error,
+    # and so are flags that do not parse
+    assert main(["sweep", "--L", "3", "--M", "4", "--trials", "1"]) == 2
+    assert "L must be a power of two" in capsys.readouterr().err
+    assert main(["sweep", "--L", "2", "--M", "4", "--snr", "0:x:2"]) == 2
+    assert main(["validate", "--trials", "0"]) == 2
+    assert "Traceback" not in capsys.readouterr().err
+
+    # a ValueError from inside a kernel is a fault of the program, not of its input
+    def broken_kernel(*args):
+        raise ValueError("kernel fault")
+
+    monkeypatch.setattr(montecarlo, "_block_bit_errors", broken_kernel)
+    args = ["sweep", "--L", "2", "--M", "4", "--snr", "10", "--trials", "1",
+            "--out-dir", str(tmp_path / "broken")]
+    assert main(args) == 5
+    err = capsys.readouterr().err
+    assert err == "internal error: ValueError: kernel fault\n"
 
 
 def test_main_sweep_and_compare(tmp_path, capsys):

@@ -26,6 +26,7 @@ from qssm.montecarlo import (
     _PURPOSE_NOISE,
     _COMPLEX_BUDGET,
     _observe_physical,
+    _receive_gram,
     binomial_ci,
     crossing_snr_db,
     gain_at_level,
@@ -372,6 +373,44 @@ def test_observe_physical_matches_dense_steering(L, mode, spacing, n_t, n_r):
     if spacing == 1.0:  # an aliased pair: its closed-form Gram entry is 1 exactly
         assert _dirichlet_gram(np.array(-0.5), np.array(0.5), n_r, spacing) == 1.0
         assert (np.abs(sin_aoa[:, :, None] - sin_aoa[:, None, :]) == 1.0).any()
+
+
+@pytest.mark.parametrize(
+    "L,mode,spacing,n_t,n_r",
+    [
+        (4, "dft_grid", 0.5, 32, 32),
+        (4, "min_sep", 0.5, 32, 32),
+        (4, "dft_grid", 0.25, 16, 12),
+        (4, "dft_grid", 1.0, 32, 32),  # aliased pairs: entries of exactly 1 off the diagonal
+        (1, "dft_grid", 0.5, 32, 32),
+        (32, "dft_grid", 0.5, 32, 32),
+    ],
+)
+def test_receive_gram_upper_triangle_equals_full_evaluation(monkeypatch, L, mode, spacing, n_t, n_r):
+    """Mirroring the pairs l < m changes no entry of g_r and no byte of z."""
+
+    def full_gram(sines, n_elements, spacing):
+        return _dirichlet_gram(sines[:, :, None], sines[:, None, :], n_elements, spacing)
+
+    n = 1500  # several tiles of the kernel, the last one partial
+    tx, rx = ArrayGeometry(n_t, spacing), ArrayGeometry(n_r, spacing)
+    rng = np.random.default_rng(L)
+    sin_aod = _draw_sines(rng, n, L, n_t, mode, spacing)
+    sin_aoa = _draw_sines(rng, n, L, n_r, mode, spacing)
+    gains = _complex_normals(rng, (n, L))
+    noise = _complex_normals(rng, (n, n_r))
+    symbols = (
+        rng.integers(0, L, n), rng.integers(0, L, n),
+        rng.choice([-3.0, -1.0, 1.0, 3.0], n), rng.choice([-3.0, -1.0, 1.0, 3.0], n),
+    )
+    expected = full_gram(sin_aoa, n_r, spacing)
+    assert np.array_equal(_receive_gram(sin_aoa, n_r, spacing), expected)
+    if spacing == 1.0:
+        assert (expected[:, ~np.eye(L, dtype=bool)] == 1.0).any()
+    args = (tx, rx, sin_aod, sin_aoa, gains, symbols, 10.0, noise)
+    z = _observe_physical(*args)
+    monkeypatch.setattr(montecarlo, "_receive_gram", full_gram)
+    assert z.tobytes() == _observe_physical(*args).tobytes()
 
 
 def test_ideal_block_matches_one_shot_chain():
