@@ -19,6 +19,7 @@ MIN_SEP = "min_sep"
 
 _ANGLE_MODES = (DFT_GRID, MIN_SEP)
 _MAX_REJECTION_ROUNDS = 100_000
+_GRID_DRAW_TILE = 1 << 20  # uniforms per argsort of DFT-grid picks
 
 
 class SamplingError(ValueError):
@@ -140,12 +141,19 @@ def _draw_sines(
 ) -> np.ndarray:
     """(n_rows, L) sine-domain angles for one array side.
 
-    DFT-grid rows pick L distinct grid points; min-separation rows are
-    redrawn until sine_separation_ok holds, for at most
-    _MAX_REJECTION_ROUNDS rounds.  Each round re-checks only the rows it
+    DFT-grid rows pick L distinct grid points, the first L of an argsort of
+    N uniforms, drawn in row tiles of at most _GRID_DRAW_TILE uniforms;
+    min-separation rows are redrawn until sine_separation_ok holds, for at
+    most _MAX_REJECTION_ROUNDS rounds.  Each round re-checks only the rows it
     redrew, in row order, so the draws are those of a full re-check.
     """
     if angle_mode == DFT_GRID:
+        step = max(1, _GRID_DRAW_TILE // n_elements)
+        if n_rows > step:  # row tiles draw the same uniforms with bounded temporaries
+            return np.concatenate([
+                _draw_sines(rng, min(step, n_rows - a), L, n_elements, angle_mode)
+                for a in range(0, n_rows, step)
+            ])
         picks = np.argsort(rng.random((n_rows, n_elements)), axis=1)[:, :L]
         return _grid_sines(n_elements)[picks]
     sines = np.sin(rng.uniform(0.0, 2.0 * np.pi, (n_rows, L)))

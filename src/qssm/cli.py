@@ -227,6 +227,7 @@ def manifest_json(name: str, curve: AbepCurve) -> str:
         "config": curve.config.to_dict(),
         "config_hash": curve.config_hash,
         "seed": curve.config.seed,
+        "stream_version": curve.stream_version,
         "version": __version__,
     }
     return json.dumps(record, indent=2, sort_keys=True) + "\n"
@@ -242,7 +243,11 @@ def write_curve(curve: AbepCurve, name: str, out_dir: Path) -> dict[str, Path]:
 
 
 def load_curve(csv_path: Path) -> AbepCurve:
-    """Rebuild a curve from a result CSV and its sibling manifest."""
+    """Rebuild a curve from a result CSV and its sibling manifest.
+
+    A manifest without ``stream_version`` predates the key: its curve was
+    drawn from stream version 1.
+    """
     manifest_path = csv_path.with_name(csv_path.name.removesuffix(".csv") + ".manifest.json")
     if not manifest_path.exists():
         raise ConfigError(f"manifest not found next to {csv_path} ({manifest_path.name})")
@@ -250,6 +255,7 @@ def load_curve(csv_path: Path) -> AbepCurve:
         record = json.loads(manifest_path.read_text())
         config = SimConfig(**record["config"])
         config_hash = record["config_hash"]
+        stream_version = int(record.get("stream_version", 1))
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"{manifest_path}: {exc}") from exc
     lines = csv_path.read_text().strip().splitlines()
@@ -259,7 +265,9 @@ def load_curve(csv_path: Path) -> AbepCurve:
         points = tuple(_curve_point(line.split(","), config) for line in lines[1:])
     except (IndexError, ValueError) as exc:
         raise ConfigError(f"{csv_path}: {exc}") from exc
-    return AbepCurve(config=config, config_hash=config_hash, points=points)
+    return AbepCurve(
+        config=config, config_hash=config_hash, points=points, stream_version=stream_version
+    )
 
 
 def _curve_point(cols: list[str], config: SimConfig) -> CurvePoint:

@@ -51,6 +51,12 @@ PHYSICAL = "physical"
 #: Trials per RNG block.  Fixed: changing it changes the sample stream.
 TRIALS_PER_BLOCK = 1 << 14
 
+#: Version of the sample stream, recorded in every manifest.  A change that
+#: moves seeded error counts bumps it.  Version 2: physical mode draws its
+#: projected noise as CN(0, G_r) from L normals per trial, not from N_r
+#: element normals; ideal QSSM and SSM draw as in version 1.
+STREAM_VERSION = 2
+
 _PURPOSE_CHANNEL = 0        # per-trial channel draws, keyed by trial block
 _PURPOSE_LABELS = 1
 _PURPOSE_NOISE = 2
@@ -59,9 +65,9 @@ _PURPOSE_CHANNEL_BLOCK = 3  # per-block channel redraw, keyed by channel block
 _WILSON_Z = 1.959963984540054  # two-sided 95%
 
 #: Complex values that bound the physical kernel's tiles: each (tile, L, L)
-#: Gram and (tile, L, N_r) phase-power array holds at most 1/32 of them.  With
-#: N = 32, a whole block then peaks below 16 * _COMPLEX_BUDGET bytes, the size
-#: of one complex array of the budget (the tests pin it).
+#: Gram and factor holds at most 1/32 of them.  A whole block then peaks
+#: below 16 * _COMPLEX_BUDGET bytes, the size of one complex array of the
+#: budget (the tests pin it at N = 32 and N = 256).
 _COMPLEX_BUDGET = 1 << 22
 _METRIC_TILE = 1 << 18     # float64 metrics per detection tile
 
@@ -191,11 +197,13 @@ class CurvePoint:
 
 @dataclass(frozen=True)
 class AbepCurve:
-    """Simulated estimates plus analytical/asymptotic bounds per SNR point."""
+    """Simulated estimates plus analytical/asymptotic bounds per SNR point, and
+    the version of the sample stream the estimates were drawn from."""
 
     config: SimConfig
     config_hash: str
     points: tuple[CurvePoint, ...]
+    stream_version: int = STREAM_VERSION
 
     @property
     def snr_db(self) -> np.ndarray:
@@ -349,38 +357,32 @@ def _observe_scalar(betas, points, root_rho, noise):
     return root_rho * (betas[0] * points[0] + 1j * betas[1] * points[1]) + noise
 
 
-def _observe_physical(tx, rx, sin_aod, sin_aoa, gains, symbols, root_rho, noise):
+def _observe_physical(tx, rx, sin_aod, sin_aoa, gains, symbols, root_rho, white):
     """(B, L) beam outputs z of the array chain for QSSM ``symbols`` (k1, k2, x_re, x_im),
-    with (B, N_r) element ``noise``.
+    with (B, L) unit-variance complex ``white`` normals.
 
     z = sqrt(rho) * G_r (gains * beams) + A_r^H n.  The beams are x_re and
     j*x_im times columns k1 and k2 of the transmit Gram; both Grams are
-    closed-form Dirichlet kernels, and A_r^H n sums the noise against the
-    phase powers w^n / sqrt(N_r), w = exp(-j*2*pi*d*s).  Trials run in tiles
-    that bound the temporaries.
+    closed-form Dirichlet kernels.  The projected noise A_r^H n of unit
+    element noise is CN(0, G_r), so it is drawn as F @ white with F F^H = G_r
+    (_gram_factor).  Trials run in tiles that bound the temporaries.
     """
     k1, k2, x_re, x_im = symbols
     n_trials, L = gains.shape
-    n_r, d_r = rx.n_elements, rx.spacing_over_lambda
     rows = np.arange(n_trials)[:, None]
     aimed = sin_aod[rows, np.array((k1, k2)).T, None]  # (B, 2, 1) sines of beams k1, k2
     weights = np.zeros((n_trials, 1, 2), dtype=complex)  # x_re and j*x_im on beams k1, k2
     weights.real[:, 0, 0] = x_re
     weights.imag[:, 0, 1] = x_im
     z = np.empty((n_trials, L), dtype=complex)
-    tile = max(1, _COMPLEX_BUDGET // (32 * L * max(L, n_r)))
+    tile = max(1, _COMPLEX_BUDGET // (32 * L * L))
     for a0 in range(0, n_trials, tile):
         sl = slice(a0, a0 + tile)
-        s_r = sin_aoa[sl]
         g_t = _dirichlet_gram(sin_aod[sl, None, :], aimed[sl], tx.n_elements, tx.spacing_over_lambda)
-        g_r = _receive_gram(s_r, n_r, d_r)
-        powers = np.empty((len(s_r), L, n_r), dtype=complex)
-        powers[..., 0] = n_r**-0.5
-        powers[..., 1:] = np.exp((-2j * np.pi * d_r) * s_r)[..., None]
-        np.multiply.accumulate(powers, axis=2, out=powers)
+        g_r = _receive_gram(sin_aoa[sl], rx.n_elements, rx.spacing_over_lambda)
         beams = (weights[sl] @ g_t)[:, 0]
         signal = g_r @ (gains[sl] * beams)[..., None]
-        z[sl] = (root_rho * signal + powers @ noise[sl, :, None])[..., 0]
+        z[sl] = (root_rho * signal + _gram_factor(g_r) @ white[sl, :, None])[..., 0]
     return z
 
 
@@ -403,6 +405,28 @@ def _receive_gram(sines: np.ndarray, n_elements: int, spacing: float) -> np.ndar
     diagonal = np.arange(L)
     gram[:, diagonal, diagonal] = 1.0
     return gram
+
+
+def _gram_factor(gram: np.ndarray) -> np.ndarray:
+    """(B, L, L) lower-triangular F with F F^H = ``gram``, per Hermitian PSD Gram of unit diagonal.
+
+    Outer-product LDL^H: column 0 is column 0 of the Gram (pivot 1); each
+    later pivot is the corner of the Schur complement the earlier columns
+    leave, and F = L sqrt(D).  A beam that is an exact alias of an earlier
+    one repeats that beam's row and column, so its pivot rounds to 0 or
+    below; such a pivot leaves its column zero, with no threshold.
+    """
+    unit = np.zeros(gram.shape, dtype=complex)
+    unit[:, :, 0] = gram[:, :, 0]
+    pivots = [gram[:, :1, 0].real]  # the unit diagonal: pivot 1 for column 0
+    rest = gram
+    for j in range(1, gram.shape[1]):
+        rest = rest[:, 1:, 1:] - unit[:, j:, j - 1, None] * rest[:, None, 1:, 0].conj()
+        pivot = rest[:, :1, 0].real
+        pivots.append(pivot)
+        np.divide(rest[:, :, 0], pivot, out=unit[:, j:, j], where=pivot > 0.0)
+    unit *= np.sqrt(np.maximum(np.concatenate(pivots, axis=1), 0.0))[:, None, :]
+    return unit
 
 
 def _features(y: np.ndarray, a: np.ndarray, cross: bool = False) -> np.ndarray:
@@ -456,10 +480,10 @@ def _block_bit_errors(
         y = _observe_scalar(betas, symbols[len(betas) :], root_rho, noise)
         features = _features(y[:, None], root_rho * gains, cross=config.scheme == QSSM)
     else:  # joint detection on the L beam outputs of the array chain
-        noise = _complex_normals(noise_rng, (n_trials, config.n_r))
+        white = _complex_normals(noise_rng, (n_trials, config.L))
         tx, rx = (ArrayGeometry(n, config.spacing) for n in (config.n_t, config.n_r))
-        z = _observe_physical(tx, rx, sin_aod, sin_aoa, gains, symbols, root_rho, noise)
-        del noise, sin_aod, sin_aoa  # detection needs only z and the gains
+        z = _observe_physical(tx, rx, sin_aod, sin_aoa, gains, symbols, root_rho, white)
+        del white, sin_aod, sin_aoa  # detection needs only z and the gains
         features = _features(z, root_rho * gains)
     return _detect_errors(features, W, column_labels, labels, popcounts)
 

@@ -5,8 +5,11 @@ that remains after perfectly orthogonal beams collapse the array
 processing: y = sqrt(rho) * (beta_k1 * x_re + j * beta_k2 * x_im) + n with
 unit-variance complex noise, rho being the SNR.  The physical model runs
 the full array pipeline (transmit superposition, channel matrix,
-per-element noise, phase-shift combining toward all L monitored
-directions) and detects jointly on the L beam outputs.
+phase-shift combining toward all L monitored directions) and detects
+jointly on the L beam outputs.  Unit-variance noise on each receive
+element reaches those outputs as CN(0, G_r), G_r the receive Gram, so
+the projected noise is drawn from that distribution directly: L normals
+per symbol, not one per element.
 
 A single-beam baseline chain (SSM) with the same scalar idealisation ships
 for rate-matched comparisons.  All detectors break metric ties toward the
@@ -130,14 +133,15 @@ def qssm_observe_physical(
     rho: float,
     rng: np.random.Generator | None,
 ) -> PhysicalObservation:
-    """Full array chain: superposed beams through H, per-element noise, combining."""
+    """Full array chain: superposed beams through H, combining, and projected
+    noise drawn as CN(0, G_r), the distribution per-element noise gives."""
     row = _symbol_row(rho, realization.n_paths, (symbol.k1, symbol.k2), (symbol.x_re, symbol.x_im))
     row = tuple(np.array([f]) for f in row)
-    shape = (1, realization.rx_geometry.n_elements)
-    noise = np.zeros(shape) if rng is None else _complex_normals(rng, shape)
+    shape = (1, realization.n_paths)
+    white = np.zeros(shape) if rng is None else _complex_normals(rng, shape)
     sides = (realization.tx_geometry, realization.rx_geometry)
     sines = (np.sin(realization.aod)[None], np.sin(realization.aoa)[None])
-    z = mc._observe_physical(*sides, *sines, realization.gains[None], row, np.sqrt(rho), noise)
+    z = mc._observe_physical(*sides, *sines, realization.gains[None], row, np.sqrt(rho), white)
     return PhysicalObservation(z=z[0])
 
 

@@ -162,6 +162,19 @@ def test_min_sep_sampler_matches_full_recheck(monkeypatch):
     assert str(raised.value) == str(expected.value)
 
 
+def test_dft_grid_sampler_tiles_draw_the_same_picks():
+    # row tiles bound the (rows, N) uniforms and their argsort; they draw the same
+    # uniforms in the same order, so the picks and the generator state are those
+    # of one argsort over every row
+    for n_rows, n_elements in ((16384, 256), (5000, 1000), (3, 4096)):
+        rng, ref_rng = np.random.default_rng(n_rows), np.random.default_rng(n_rows)
+        sines = _draw_sines(rng, n_rows, 4, n_elements, DFT_GRID)
+        picks = np.argsort(ref_rng.random((n_rows, n_elements)), axis=1)[:, :4]
+        assert sines.tobytes() == dft_grid_sines(n_elements)[picks].tobytes()
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+    assert 256 * 16384 > channel._GRID_DRAW_TILE  # the first case runs in several tiles
+
+
 def test_min_separation_infeasible():
     rng = np.random.default_rng(1)
     with pytest.raises(ValueError):

@@ -149,6 +149,7 @@ def test_run_experiment_artifacts(tmp_path):
     assert manifest["config"]["L"] == 2
     assert manifest["config_hash"]
     assert manifest["seed"] == 1
+    assert manifest["stream_version"] == montecarlo.STREAM_VERSION == 2
     report = written["compare_qssm_small_vs_ssm_small.txt"].read_text()
     assert "gain of qssm_small over ssm_small" in report
 
@@ -208,6 +209,26 @@ def test_csv_roundtrip_preserves_values(tmp_path):
     assert loaded.config_hash == curve.config_hash
     assert np.array_equal(loaded.values("sim"), curve.values("sim"))
     assert np.array_equal(loaded.values("analytic"), curve.values("analytic"))
+    assert loaded.stream_version == montecarlo.STREAM_VERSION
+
+
+def test_load_curve_reads_manifests_without_stream_version(tmp_path):
+    # manifests written before the key existed were drawn from stream version 1;
+    # the CSV layout and the config hash do not depend on the version
+    config = SimConfig(scheme="qssm", L=2, M=4, snr_db=(0.0, 8.0), trials=300, seed=3)
+    curve = sweep(config)
+    written = run_experiment(
+        parse_config(json.dumps({"configs": [{"name": "c", **config.to_dict()}]})),
+        out_dir=str(tmp_path),
+    )
+    manifest = json.loads(written["c.manifest.json"].read_text())
+    assert manifest["config_hash"] == config.config_hash()
+    del manifest["stream_version"]
+    written["c.manifest.json"].write_text(json.dumps(manifest))
+    loaded = load_curve(written["c.csv"])
+    assert loaded.stream_version == 1
+    assert loaded.config_hash == curve.config_hash
+    assert curve_csv(loaded) == curve_csv(curve) == written["c.csv"].read_text()
 
 
 def test_csv_serialises_17_significant_digits():

@@ -11,6 +11,7 @@ from qssm.channel import steering_bank, ArrayGeometry, ChannelRealization, _diri
 from qssm.modem import QAM, build_constellation, build_symbol_book, ssm_hypotheses
 from qssm import montecarlo
 from qssm.montecarlo import (
+    STREAM_VERSION,
     TRIALS_PER_BLOCK,
     AbepCurve,
     BerEstimate,
@@ -25,6 +26,7 @@ from qssm.montecarlo import (
     _PURPOSE_LABELS,
     _PURPOSE_NOISE,
     _COMPLEX_BUDGET,
+    _gram_factor,
     _observe_physical,
     _receive_gram,
     binomial_ci,
@@ -235,8 +237,13 @@ def _brute_force_block_errors(cfg: SimConfig, snr_db: float, block: int, n: int)
         channel = np.einsum("nil,nl,njl->nij", a_r, gains, a_t.conj())  # sum_l g a_r a_t^H
         tx = np.einsum("njl,nl->nj", a_t, profile[labels])
         y = np.sqrt(rho) * np.einsum("nij,nj->ni", channel, tx)
-        y = y + _complex_normals(noise_rng, (n, cfg.n_r))
-        z = np.einsum("nil,ni->nl", a_r.conj(), y)
+        # projected element noise a_r^H n is CN(0, G_r): a Cholesky factor of the
+        # dense Gram colours L white normals
+        g_r = np.einsum("nil,nim->nlm", a_r.conj(), a_r)
+        white = _complex_normals(noise_rng, (n, cfg.L))
+        z = np.einsum("nil,ni->nl", a_r.conj(), y) + np.einsum(
+            "nlm,nm->nl", np.linalg.cholesky(g_r), white
+        )
         model = np.sqrt(rho) * gains[:, None, :] * profile[None, :, :]
         metrics = np.sum(np.abs(z[:, None, :] - model) ** 2, axis=2)
     label_hat = np.argmin(metrics, axis=1)
@@ -302,13 +309,24 @@ def test_detector_block_memory_within_budget():
     assert peak < 16 * _COMPLEX_BUDGET
 
 
-@pytest.mark.parametrize("L,mode", [(4, "dft_grid"), (4, "min_sep"), (32, "dft_grid")])
-def test_physical_block_memory_within_budget(L, mode):
-    # one full physical block at N=32: the Gram, phase-power and detector tiles,
-    # plus the block's own arrays, stay below a single complex temporary of the budget
+@pytest.mark.parametrize(
+    "L,mode,n",
+    [
+        pytest.param(4, "dft_grid", 32, id="4-dft_grid"),
+        pytest.param(4, "min_sep", 32, id="4-min_sep"),
+        pytest.param(32, "dft_grid", 32, id="32-dft_grid"),
+        # element noise of (B, N_r) took a block to 131 MiB here; the kernel draws
+        # (B, L) normals, and the DFT-grid picks are drawn in row tiles
+        pytest.param(4, "min_sep", 256, id="4-min_sep-256"),
+        pytest.param(4, "dft_grid", 256, id="4-dft_grid-256"),
+    ],
+)
+def test_physical_block_memory_within_budget(L, mode, n):
+    # one full physical block: the Gram, factor and detector tiles, plus the
+    # block's own arrays, stay below a single complex temporary of the budget
     cfg = SimConfig(
         scheme="qssm", L=L, M=4, channel_mode="physical", angle_mode=mode,
-        trials=TRIALS_PER_BLOCK, seed=2,
+        n_t=n, n_r=n, trials=TRIALS_PER_BLOCK, seed=2,
     )
     _scheme_tables(cfg.scheme, cfg.kind, cfg.M, cfg.L)
     tracemalloc.start()
@@ -320,8 +338,21 @@ def test_physical_block_memory_within_budget(L, mode):
     assert peak < 16 * _COMPLEX_BUDGET
 
 
-def _dense_observe_physical(tx, rx, sin_aod, sin_aoa, gains, symbols, root_rho, noise):
-    """Beam outputs from (B, L, N) steering tensors and einsum Grams, in row chunks."""
+def _dense_factor(gram):
+    """np.linalg.cholesky of (B, L, L) dense Grams.  A beam that aliases an earlier
+    one (|g| = 1 up to rounding) is that beam: it takes the beam's row and adds no
+    column, so the factor of the Gram of distinct beams serves."""
+    L = gram.shape[-1]
+    alias = np.tril(np.abs(gram) > 1.0 - 1e-9, -1)
+    first = np.where(alias.any(axis=2), alias.argmax(axis=2), np.arange(L))
+    repeat = first != np.arange(L)
+    distinct = np.where(repeat[:, :, None] | repeat[:, None, :], np.eye(L), gram)
+    return np.take_along_axis(np.linalg.cholesky(distinct), first[:, :, None], axis=1)
+
+
+def _dense_observe_physical(tx, rx, sin_aod, sin_aoa, gains, symbols, root_rho, white):
+    """Beam outputs from (B, L, N) steering tensors and einsum Grams, in row chunks;
+    the projected noise is the Cholesky factor of the dense Gram times ``white``."""
     k1, k2, x_re, x_im = symbols
     z = np.empty(gains.shape, dtype=complex)
     for a in range(0, len(gains), 1024):
@@ -336,7 +367,7 @@ def _dense_observe_physical(tx, rx, sin_aod, sin_aoa, gains, symbols, root_rho, 
         r = np.arange(len(g_t))
         beams = x_re[sl][:, None] * g_t[r, :, k1[sl]] + 1j * x_im[sl][:, None] * g_t[r, :, k2[sl]]
         z[sl] = root_rho * np.einsum("blm,bm->bl", g_r, gains[sl] * beams) + np.einsum(
-            "bln,bn->bl", a_r.conj(), noise[sl]
+            "blm,bm->bl", _dense_factor(g_r), white[sl]
         )
     return z
 
@@ -366,8 +397,8 @@ def test_observe_physical_matches_dense_steering(L, mode, spacing, n_t, n_r):
             rng.choice([-3.0, -1.0, 1.0, 3.0], n), rng.choice([-3.0, -1.0, 1.0, 3.0], n),
         )
         scale = root_rho * 3.0 * np.abs(gains).max()
-        for noise in (_complex_normals(rng, (n, n_r)), np.zeros((n, n_r))):
-            args = (tx, rx, sin_aod, sin_aoa, gains, symbols, root_rho, noise)
+        for white in (_complex_normals(rng, (n, L)), np.zeros((n, L))):
+            args = (tx, rx, sin_aod, sin_aoa, gains, symbols, root_rho, white)
             z = _observe_physical(*args)
             assert np.abs(z - _dense_observe_physical(*args)).max() <= 1e-12 * scale
     if spacing == 1.0:  # an aliased pair: its closed-form Gram entry is 1 exactly
@@ -398,7 +429,7 @@ def test_receive_gram_upper_triangle_equals_full_evaluation(monkeypatch, L, mode
     sin_aod = _draw_sines(rng, n, L, n_t, mode, spacing)
     sin_aoa = _draw_sines(rng, n, L, n_r, mode, spacing)
     gains = _complex_normals(rng, (n, L))
-    noise = _complex_normals(rng, (n, n_r))
+    white = _complex_normals(rng, (n, L))
     symbols = (
         rng.integers(0, L, n), rng.integers(0, L, n),
         rng.choice([-3.0, -1.0, 1.0, 3.0], n), rng.choice([-3.0, -1.0, 1.0, 3.0], n),
@@ -407,10 +438,90 @@ def test_receive_gram_upper_triangle_equals_full_evaluation(monkeypatch, L, mode
     assert np.array_equal(_receive_gram(sin_aoa, n_r, spacing), expected)
     if spacing == 1.0:
         assert (expected[:, ~np.eye(L, dtype=bool)] == 1.0).any()
-    args = (tx, rx, sin_aod, sin_aoa, gains, symbols, 10.0, noise)
+    args = (tx, rx, sin_aod, sin_aoa, gains, symbols, 10.0, white)
     z = _observe_physical(*args)
     monkeypatch.setattr(montecarlo, "_receive_gram", full_gram)
     assert z.tobytes() == _observe_physical(*args).tobytes()
+
+
+@pytest.mark.parametrize(
+    "L,mode,spacing,n_r",
+    [
+        (4, "dft_grid", 0.5, 32),
+        (4, "min_sep", 0.5, 32),
+        (4, "dft_grid", 0.25, 12),  # the receive side of the 16/12-element arrays
+        (4, "dft_grid", 1.0, 32),  # aliased pairs: the Gram is rank-deficient
+        (1, "dft_grid", 0.5, 32),
+        (32, "dft_grid", 0.5, 32),
+    ],
+)
+def test_gram_factor_reproduces_receive_gram(L, mode, spacing, n_r):
+    """F is lower-triangular and F F^H = G_r to 1e-12, rank-deficient Grams included."""
+    rng = np.random.default_rng(L + n_r)
+    gram = _receive_gram(_draw_sines(rng, 4096, L, n_r, mode, spacing), n_r, spacing)
+    factor = _gram_factor(gram)
+    assert not np.triu(factor, 1).any()
+    assert np.abs(factor @ factor.conj().transpose(0, 2, 1) - gram).max() <= 1e-12
+    if spacing == 1.0:
+        # np.linalg.cholesky rejects these Grams; a beam that repeats an earlier
+        # one exactly has a zero pivot, and its column of F stays zero
+        trial, m, _ = np.nonzero(np.tril(gram == 1.0, -1))
+        assert trial.size
+        assert not factor[trial, :, m].any()
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.cholesky(gram)
+
+
+@pytest.mark.parametrize("mode,spacing", [("min_sep", 0.5), ("dft_grid", 1.0)])
+def test_projected_noise_covariance_matches_element_noise(mode, spacing):
+    """At rho = 0 the kernel's z has the covariance of A_r^H n, n unit element noise.
+
+    One fixed realization, 2^16 draws of each.  An entry of a sample covariance
+    of n unit-variance complex normals has standard deviation at most
+    1/sqrt(n), its pseudo-covariance sqrt(2/n); the test allows 6 of them
+    against G_r, and 6 * sqrt(2/n) between the two sample covariances.
+    """
+    n, L, N = 1 << 16, 4, 32
+    geometry = ArrayGeometry(N, spacing)
+    rng = np.random.default_rng(23)
+    if mode == "min_sep":
+        sines = _draw_sines(rng, 1, L, N, mode, spacing)[0]
+    else:  # sines -0.5 and 0.5 one alias period apart: the same beam
+        sines = np.array([-0.5, 0.5, 0.125, -0.25])
+    a_r = steering_bank(geometry, np.arcsin(sines))  # (N, L)
+    gram = a_r.conj().T @ a_r
+    rows = np.repeat(sines[None], n, axis=0)
+    symbols = (np.zeros(n, dtype=int), np.zeros(n, dtype=int), np.ones(n), np.ones(n))
+    white = _complex_normals(rng, (n, L))
+    z = _observe_physical(geometry, geometry, rows, rows, np.ones((n, L)), symbols, 0.0, white)
+    z_dense = _complex_normals(rng, (n, N)) @ a_r.conj()
+    one, two = 6.0 / np.sqrt(n), 6.0 * np.sqrt(2.0 / n)
+    covariances = [draws.T @ draws.conj() / n for draws in (z, z_dense)]
+    for covariance, draws in zip(covariances, (z, z_dense)):
+        assert np.abs(covariance - gram).max() <= one
+        assert np.abs(draws.T @ draws / n).max() <= two
+    assert np.abs(covariances[0] - covariances[1]).max() <= two
+    if spacing == 1.0:
+        assert gram[0, 1] == pytest.approx(1.0, abs=1e-12)
+
+
+def test_stream_version_pins_counts():
+    """Bit errors of one seeded block per model under stream version 2.  Ideal QSSM
+    and SSM draw no physical noise, so theirs are the counts of version 1."""
+    cases = [
+        (dict(scheme="qssm", L=4, M=4), 10.0),
+        (dict(scheme="qssm", L=8, M=16), 16.0),
+        (dict(scheme="ssm", L=4, M=16), 16.0),
+        (dict(scheme="qssm", L=4, M=4, channel_mode="physical", angle_mode="dft_grid"), 10.0),
+        (dict(scheme="qssm", L=4, M=4, channel_mode="physical", angle_mode="min_sep"), 10.0),
+    ]
+    counts = [
+        _block_bit_errors(SimConfig(trials=1, seed=9, **kw), snr_db, 1, TRIALS_PER_BLOCK)
+        for kw, snr_db in cases
+    ]
+    assert STREAM_VERSION == 2
+    assert counts[:3] == [31454, 63870, 18758]  # as in stream version 1
+    assert counts[3:] == [10321, 10561]  # version 1 drew 10323 and 10567
 
 
 def test_ideal_block_matches_one_shot_chain():
@@ -442,7 +553,7 @@ def test_physical_block_matches_one_shot_chain():
     book = build_symbol_book(4, build_constellation(QAM, 4))
     geom = ArrayGeometry(32)
     labels = _substream(13, 10.0, _PURPOSE_LABELS, 0).integers(0, 64, 200)
-    noise = _complex_normals(_substream(13, 10.0, _PURPOSE_NOISE, 0), (200, 32))
+    white = _complex_normals(_substream(13, 10.0, _PURPOSE_NOISE, 0), (200, 4))
     crng = _substream(13, 10.0, _PURPOSE_CHANNEL, 0)
     gains = _complex_normals(crng, (200, 4))
     sin_aod = _draw_sines(crng, 200, 4, 32, "dft_grid", 0.5)
@@ -461,10 +572,10 @@ def test_physical_block_matches_one_shot_chain():
         a_t = steering_bank(geom, real.aod)
         a_r = steering_bank(geom, real.aoa)
         tx = a_t[:, s.k1 - 1] * s.x_re + 1j * a_t[:, s.k2 - 1] * s.x_im
-        y = np.sqrt(rho) * (a_r * gains[t][None, :]) @ (a_t.conj().T @ tx) + noise[t]
-        det = ml_detect_physical(
-            PhysicalObservation(z=a_r.conj().T @ y), real, book, rho
-        )
+        y = np.sqrt(rho) * (a_r * gains[t][None, :]) @ (a_t.conj().T @ tx)
+        # the projected element noise a_r^H n, drawn as CN(0, a_r^H a_r)
+        z = a_r.conj().T @ y + np.linalg.cholesky(a_r.conj().T @ a_r) @ white[t]
+        det = ml_detect_physical(PhysicalObservation(z=z), real, book, rho)
         errors += bin(labels[t] ^ int(det.label_hat, 2)).count("1")
     assert block_errors == errors
 
