@@ -131,6 +131,32 @@ def sine_separation_ok(sines: np.ndarray, geometry: ArrayGeometry) -> bool:
     return bool(_sines_separated(one_row, geometry.n_elements, geometry.spacing_over_lambda)[0])
 
 
+def _check_angle_sampling(L: int, angle_mode: str, *geometries: ArrayGeometry) -> None:
+    """Raise unless _draw_sines can place L sines under ``angle_mode`` on each array.
+
+    L must fit the N-point sine grid.  min_sep needs L >= 2 gaps of at least
+    period/N on the alias circle of period 1/spacing, so L = N cannot be
+    sampled; below half-wavelength spacing the sines cover only an arc of 2
+    of the period, so the L - 1 inner gaps must also fit that arc.
+    """
+    if L < 1:
+        raise ValueError(f"L must be >= 1, got {L}")
+    if angle_mode not in _ANGLE_MODES:
+        raise ValueError(f"angle_mode must be one of {_ANGLE_MODES}, got {angle_mode!r}")
+    for g in geometries:
+        n, spacing = g.n_elements, g.spacing_over_lambda
+        if L > n:
+            raise ValueError(f"cannot place {L} scatterers on a {n}-point sine grid")
+        if angle_mode == MIN_SEP and L >= 2:
+            gap = 1.0 / (spacing * n)
+            if L == n or (spacing < 0.5 and (L - 1) * gap >= 2.0):
+                raise ValueError(
+                    f"min_sep angle sampling cannot place L={L} sines at gaps of {gap:g} "
+                    f"on an array of {n} elements with spacing {spacing:g}; "
+                    f"use angle_mode='{DFT_GRID}' or larger arrays"
+                )
+
+
 def _draw_sines(
     rng: np.random.Generator,
     n_rows: int,
@@ -178,13 +204,7 @@ def sample_channel(
     angle_mode: str = DFT_GRID,
 ) -> ChannelRealization:
     """Draw per-side angles under the given mode, then L i.i.d. CN(0,1) gains."""
-    if L < 1:
-        raise ValueError(f"L must be >= 1, got {L}")
-    if angle_mode not in _ANGLE_MODES:
-        raise ValueError(f"angle_mode must be one of {_ANGLE_MODES}, got {angle_mode!r}")
-    for g in (tx_geometry, rx_geometry):
-        if L > g.n_elements:
-            raise ValueError(f"cannot place {L} scatterers on a {g.n_elements}-point sine grid")
+    _check_angle_sampling(L, angle_mode, tx_geometry, rx_geometry)
     aod, aoa = (
         _angles_from_sines(
             _draw_sines(rng, 1, L, g.n_elements, angle_mode, g.spacing_over_lambda)[0]

@@ -30,25 +30,9 @@ OUTPUT_DIR_ENV = "QSSM_OUT_DIR"
 
 CSV_HEADER = "snr_db,abep_sim,ci_low,ci_high,abep_analytic,abep_asymptotic,trials,bit_errors"
 
-_CONFIG_KEYS = {
-    "name",
-    "scheme",
-    "L",
-    "M",
-    "kind",
-    "channel_mode",
-    "n_t",
-    "n_r",
-    "spacing",
-    "angle_mode",
-    "snr_db",
-    "snr",
-    "trials",
-    "seed",
-    "redraw",
-    "redraw_block",
-    "convention",
-}
+#: Keys of one experiment-file config: the SimConfig fields, its name, and
+#: "snr" as another spelling of "snr_db"
+_CONFIG_KEYS = {f.name for f in dataclasses.fields(SimConfig)} | {"name", "snr"}
 
 
 class ConfigError(ValueError):
@@ -100,6 +84,10 @@ def _snr_grid_from_spec(entry, path: str) -> tuple[float, ...]:
     raise ConfigError(f"{path}: expected a non-empty list or a start/stop/step object")
 
 
+def _default_name(config: SimConfig) -> str:
+    return f"{config.scheme}_L{config.L}_{config.M}{config.kind}"
+
+
 def _config_from_dict(raw: dict, path: str) -> tuple[str, SimConfig]:
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: expected an object")
@@ -120,7 +108,7 @@ def _config_from_dict(raw: dict, path: str) -> tuple[str, SimConfig]:
         config = SimConfig(**kwargs)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{path}: {exc}") from exc
-    name = raw.get("name") or f"{config.scheme}_L{config.L}_{config.M}{config.kind}"
+    name = raw.get("name") or _default_name(config)
     if not isinstance(name, str) or not name:
         raise ConfigError(f"{path}.name: must be a non-empty string")
     return name, config
@@ -507,14 +495,9 @@ def _emit(text: str, out: Path | None) -> None:
 
 def _cmd_run(args) -> int:
     spec = parse_config(args.config.read_text())
-    if args.seed is not None or args.trials is not None or args.convention is not None:
-        overrides = {}
-        if args.seed is not None:
-            overrides["seed"] = args.seed
-        if args.trials is not None:
-            overrides["trials"] = args.trials
-        if args.convention is not None:
-            overrides["convention"] = PepConvention(args.convention)
+    given = {"seed": args.seed, "trials": args.trials, "convention": args.convention}
+    overrides = {key: value for key, value in given.items() if value is not None}
+    if overrides:  # SimConfig turns a convention name into its PepConvention
         spec = dataclasses.replace(
             spec,
             configs=tuple(
@@ -522,6 +505,11 @@ def _cmd_run(args) -> int:
                 for name, cfg in spec.configs
             ),
         )
+    return _run_and_list(spec, args)
+
+
+def _run_and_list(spec: ExperimentSpec, args) -> int:
+    """run_experiment on ``spec``, then print every written path in name order."""
     written = run_experiment(spec, workers=args.workers, out_dir=args.out_dir)
     for name in sorted(written):
         print(written[name])
@@ -542,13 +530,9 @@ def _cmd_sweep(args) -> int:
         seed=args.seed,
         convention=PepConvention(args.convention),
     )
-    name = args.name or f"{config.scheme}_L{config.L}_{config.M}{config.kind}"
-    curve = montecarlo.sweep(config, workers=args.workers)
-    target = Path(args.out_dir or os.environ.get(OUTPUT_DIR_ENV) or "results")
-    paths = write_curve(curve, name, target)
-    for key in sorted(paths):
-        print(paths[key])
-    return 0
+    name = args.name or _default_name(config)
+    spec = ExperimentSpec(configs=((name, config),), output_dir=None, comparisons=(), levels=())
+    return _run_and_list(spec, args)
 
 
 def _cmd_table(args) -> int:

@@ -98,6 +98,16 @@ class SymbolBook:
         return int(log2(self.L))
 
 
+def _check_constellation(kind: str, order: int) -> None:
+    """Raise unless :func:`build_constellation` can build (kind, order); builds nothing."""
+    if kind not in (PSK, QAM):
+        raise ValueError(f"kind must be {PSK!r} or {QAM!r}, got {kind!r}")
+    if order not in _SUPPORTED_ORDERS:
+        raise ValueError(f"order must be one of {_SUPPORTED_ORDERS}, got {order}")
+    if kind == QAM and order == 2:
+        raise ValueError("2QAM degenerates to BPSK; use kind='psk' with order 2")
+
+
 def build_constellation(kind: str, order: int) -> Constellation:
     """Construct a unit-average-energy PSK or QAM constellation.
 
@@ -107,13 +117,7 @@ def build_constellation(kind: str, order: int) -> Constellation:
     PSK places point ``i`` at angle 2*pi*i/order under Gray label gray(i).
     """
     kind = kind.lower()
-    if kind not in (PSK, QAM):
-        raise ValueError(f"kind must be {PSK!r} or {QAM!r}, got {kind!r}")
-    if order not in _SUPPORTED_ORDERS:
-        raise ValueError(f"order must be one of {_SUPPORTED_ORDERS}, got {order}")
-    if kind == QAM and order == 2:
-        raise ValueError("2QAM degenerates to BPSK; use kind='psk' with order 2")
-
+    _check_constellation(kind, order)
     k = int(log2(order))
     points = np.zeros(order, dtype=complex)
     if kind == PSK:
@@ -151,22 +155,17 @@ def spectral_efficiency(order: int, n_scatterers: int) -> int:
 
 
 def ssm_spectral_efficiency(order: int, n_scatterers: int) -> int:
-    """Bits per channel use of the single-beam baseline: log2(M) + log2(L)."""
-    if not _is_pow2(order) or order < 2:
-        raise ValueError(f"order must be a power of two >= 2, got {order}")
-    if not _is_pow2(n_scatterers):
-        raise ValueError(f"n_scatterers must be a power of two >= 1, got {n_scatterers}")
-    return int(log2(order)) + int(log2(n_scatterers))
+    """Bits per channel use of the single-beam baseline: log2(M) + log2(L),
+    the QSSM rate less the second beam's scatterer bits."""
+    return spectral_efficiency(order, n_scatterers) - int(log2(n_scatterers))
 
 
 def build_symbol_book(n_scatterers: int, constellation: Constellation) -> SymbolBook:
     """Enumerate all L^2 * M symbols in label order."""
-    if not _is_pow2(n_scatterers):
-        raise ValueError(f"n_scatterers must be a power of two >= 1, got {n_scatterers}")
+    total_bits = spectral_efficiency(constellation.order, n_scatterers)
     L = n_scatterers
     l_bits = int(log2(L))
     m_bits = constellation.bits
-    total_bits = 2 * l_bits + m_bits
     size = (L * L) * constellation.order
 
     k1_idx = np.empty(size, dtype=np.int64)

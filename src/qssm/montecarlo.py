@@ -25,16 +25,16 @@ from . import analysis
 from .analysis import PepConvention, snr_db_to_rho
 from .channel import (
     DFT_GRID,
-    MIN_SEP,
     ArrayGeometry,
+    _check_angle_sampling,
     _complex_normals,
     _dirichlet_gram,
     _draw_sines,
 )
 from .modem import (
-    PSK,
     QAM,
     SymbolBook,
+    _check_constellation,
     _is_pow2,
     build_constellation,
     build_symbol_book,
@@ -70,6 +70,7 @@ _WILSON_Z = 1.959963984540054  # two-sided 95%
 #: budget (the tests pin it at N = 32 and N = 256).
 _COMPLEX_BUDGET = 1 << 22
 _METRIC_TILE = 1 << 18     # float64 metrics per detection tile
+_METRIC_ROWS = 256         # fewest trials per detection tile
 
 #: Default SNR grid (dB) of the standard error-rate sweeps.
 DEFAULT_SNR_GRID_DB = tuple(float(s) for s in range(0, 41, 2))
@@ -98,44 +99,20 @@ class SimConfig:
     def __post_init__(self) -> None:
         if self.scheme not in (QSSM, SSM):
             raise ValueError(f"scheme must be '{QSSM}' or '{SSM}', got {self.scheme!r}")
-        if self.kind not in (PSK, QAM):
-            raise ValueError(f"kind must be '{PSK}' or '{QAM}', got {self.kind!r}")
         if not _is_pow2(self.L):
             raise ValueError(f"L must be a power of two >= 1, got {self.L}")
-        if not _is_pow2(self.M) or self.M < 2:
-            raise ValueError(f"M must be a power of two >= 2, got {self.M}")
-        if self.kind == QAM and self.M == 2:
-            raise ValueError("2QAM degenerates to BPSK; use kind='psk' with M=2")
+        _check_constellation(self.kind, self.M)
         if self.channel_mode not in (IDEAL, PHYSICAL):
             raise ValueError(
                 f"channel_mode must be '{IDEAL}' or '{PHYSICAL}', got {self.channel_mode!r}"
             )
         if self.scheme == SSM and self.channel_mode == PHYSICAL:
             raise ValueError("the SSM baseline chain is defined for ideal mode only")
-        if self.angle_mode not in (DFT_GRID, MIN_SEP):
-            raise ValueError(
-                f"angle_mode must be '{DFT_GRID}' or '{MIN_SEP}', got {self.angle_mode!r}"
-            )
-        if self.n_t < 1 or self.n_r < 1:
-            raise ValueError("n_t and n_r must be >= 1")
-        if not self.spacing > 0:
-            raise ValueError(f"spacing must be > 0, got {self.spacing}")
-        n_min = min(self.n_t, self.n_r)
-        if self.channel_mode == PHYSICAL and self.L > n_min:
-            raise ValueError(
-                f"L={self.L} scatterers do not fit the {n_min}-point "
-                "sine grid of the smaller array"
-            )
-        if self.channel_mode == PHYSICAL and self.angle_mode == MIN_SEP and self.L >= 2:
-            # L gaps of at least period/N must fit the period; below half-wavelength
-            # spacing the L - 1 inner gaps must also fit the arc of 2 sines cover
-            gap = 1.0 / (self.spacing * n_min)
-            if self.L == n_min or (self.spacing < 0.5 and (self.L - 1) * gap >= 2.0):
-                raise ValueError(
-                    f"min_sep angle sampling cannot place L={self.L} sines at gaps of "
-                    f"{gap:g} on an array of {n_min} elements with spacing "
-                    f"{self.spacing:g}; use angle_mode='{DFT_GRID}' or larger arrays"
-                )
+        sides = [ArrayGeometry(n, self.spacing) for n in (self.n_t, self.n_r)]
+        if self.channel_mode == IDEAL:
+            sides = []  # ideal mode draws no angles: only angle_mode is checked
+        _check_angle_sampling(self.L, self.angle_mode, *sides)
+        _check_table_size(self.scheme, self.L, self.M)
         object.__setattr__(self, "snr_db", tuple(float(s) for s in self.snr_db))
         if len(self.snr_db) == 0:
             raise ValueError("snr_db grid must not be empty")
@@ -301,6 +278,25 @@ def _metric_coefficients(L: int, symbols):
     return W[:, column_labels], column_labels
 
 
+#: Bytes that W of _metric_coefficients and one _decide metric tile may take
+#: together; SimConfig rejects a (scheme, L, M) whose tables need more.
+_TABLE_BUDGET = 1 << 26
+
+
+def _check_table_size(scheme: str, L: int, M: int) -> None:
+    """Raise unless W, (3L + L(L-1)/2) x S for QSSM and 3L x S for SSM over the
+    S hypotheses, plus a metric tile of at most max(_METRIC_ROWS * S,
+    _METRIC_TILE) float64, fit _TABLE_BUDGET."""
+    S = L * L * M if scheme == QSSM else L * M
+    rows = 3 * L + (L * (L - 1) // 2 if scheme == QSSM else 0)
+    need = 8 * (rows * S + max(_METRIC_ROWS * S, _METRIC_TILE))
+    if need > _TABLE_BUDGET:
+        raise ValueError(
+            f"{scheme} L={L} M={M}: the detector tables need {need / 2**20:.0f} MiB, "
+            f"over the {_TABLE_BUDGET >> 20} MiB budget"
+        )
+
+
 @lru_cache(maxsize=8)
 def _scheme_tables(scheme: str, kind: str, M: int, L: int):
     """(constellation, hypotheses, label popcounts, W, column labels), built once.
@@ -447,7 +443,7 @@ def _decide(features, W, column_labels) -> np.ndarray:
     which is the lowest label among tied hypotheses.
     """
     W = W[: features.shape[1]]
-    chunk = max(256, _METRIC_TILE // W.shape[1])
+    chunk = max(_METRIC_ROWS, _METRIC_TILE // W.shape[1])
     decided = np.empty(len(features), dtype=column_labels.dtype)
     for a in range(0, len(features), chunk):
         decided[a : a + chunk] = column_labels[np.argmin(features[a : a + chunk] @ W, axis=1)]
@@ -661,7 +657,7 @@ def arbitrate_convention(
     verdict is the unique convention satisfying both, or None.
     """
     book = _scheme_tables(QSSM, QAM, 4, 4)[1]
-    candidates = []
+    candidates = []  # (snr_db, paper bound) where the exact bound is at most the threshold
     for snr_db in snr_grid_db:
         rho = snr_db_to_rho(snr_db)
         exact = analysis.abep_union_bound(
@@ -671,7 +667,7 @@ def arbitrate_convention(
             paper = analysis.abep_union_bound(
                 book, rho, "closed_form", PepConvention.PAPER_EQ21
             )
-            candidates.append((snr_db, paper, exact))
+            candidates.append((snr_db, paper))
     if len(candidates) < 2:
         raise ValueError(
             "SNR grid has fewer than two points below the bound threshold"
@@ -682,15 +678,15 @@ def arbitrate_convention(
         M=4,
         kind=QAM,
         channel_mode=IDEAL,
-        snr_db=tuple(s for s, _, _ in candidates),
+        snr_db=tuple(s for s, _ in candidates),
         trials=trials,
         seed=seed,
+        convention=PepConvention.EXACT_MODEL,
     )
-    with _process_pool(workers) as pool:
-        points = [
-            ArbiterPoint(snr_db, run_point(config, snr_db, workers, pool=pool).abep, paper, exact)
-            for snr_db, paper, exact in candidates
-        ]
+    points = [  # the curve's analytic bound is the exact_model one
+        ArbiterPoint(snr_db, p.estimate.abep, paper, p.abep_analytic)
+        for (snr_db, paper), p in zip(candidates, sweep(config, workers).points)
+    ]
 
     def _within_factor_two(bound: float, simulated: float) -> bool:
         return simulated / 2.0 <= bound <= simulated * 2.0

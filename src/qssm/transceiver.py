@@ -23,13 +23,12 @@ rates share one statement of every model.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import log2
 
 import numpy as np
 
 from . import montecarlo as mc
 from .channel import ChannelRealization, _complex_normals
-from .modem import Constellation, QssmSymbol, SymbolBook
+from .modem import Constellation, QssmSymbol, SymbolBook, ssm_spectral_efficiency
 
 
 @dataclass(frozen=True)
@@ -85,9 +84,10 @@ def _scalar_trial(gains: np.ndarray, symbol: tuple, rho: float, rng) -> complex:
 
 
 def _detect_one(scheme: str, constellation: Constellation, L: int, y, gains, rho: float):
-    """(label, metric |y - h|^2) of the first-argmin decision on one row y: a scalar y
-    (1, 1) takes h from the observation kernel, so a noiseless winner scores 0.0
-    exactly, and beam outputs (1, L) the orthogonal-beam model."""
+    """(label, hypothesis row, metric |y - h|^2) of the first-argmin decision on one
+    row y: a scalar y (1, 1) takes h from the observation kernel, so a noiseless
+    winner scores 0.0 exactly, and beam outputs (1, L) the orthogonal-beam model.
+    The row is the winner's 0-based scatterer indices, then its signal parts."""
     if len(gains) != L:
         raise ValueError(f"{len(gains)} gains for L={L} scatterers")
     _, hypotheses, _, W, column_labels = mc._scheme_tables(
@@ -100,17 +100,19 @@ def _detect_one(scheme: str, constellation: Constellation, L: int, y, gains, rho
     v = int(mc._decide(features, W, column_labels)[0])
     winner = [array[v] for array in mc._symbol_arrays(hypotheses)]
     if scalar:
-        return v, float(abs(y[0, 0] - _scalar_trial(gains, winner, rho, None)) ** 2)
+        return v, winner, float(abs(y[0, 0] - _scalar_trial(gains, winner, rho, None)) ** 2)
     k1, k2, x_re, x_im = winner
     h = np.zeros(L, dtype=complex)
     h[k1] += a[k1] * x_re
     h[k2] += 1j * a[k2] * x_im
-    return v, float(np.sum(np.abs(y[0] - h) ** 2))
+    return v, winner, float(np.sum(np.abs(y[0] - h) ** 2))
 
 
-def _detection(book: SymbolBook, v: int, metric: float) -> DetectionResult:
+def _detection(book: SymbolBook, decision: tuple) -> DetectionResult:
+    """The book's symbol for a (label, row, metric) decision of _detect_one."""
     if len(book) == 0:
         raise ValueError("symbol book is empty")
+    v, _, metric = decision
     s = book.symbols[v]
     return DetectionResult(k1_hat=s.k1, k2_hat=s.k2, x_hat=s.x, metric=metric, label_hat=s.label)
 
@@ -153,7 +155,7 @@ def ml_detect_ideal(
 ) -> DetectionResult:
     """Exhaustive minimum-distance search over all L^2 * M scalar hypotheses."""
     y = np.array([[observation.y_r]])
-    return _detection(book, *_detect_one(mc.QSSM, book.constellation, book.L, y, gains, rho))
+    return _detection(book, _detect_one(mc.QSSM, book.constellation, book.L, y, gains, rho))
 
 
 def ml_detect_physical(
@@ -169,7 +171,7 @@ def ml_detect_physical(
             f"observation has {len(z)} beams, realization has {realization.n_paths}"
         )
     decision = _detect_one(mc.QSSM, book.constellation, book.L, z[None], realization.gains, rho)
-    return _detection(book, *decision)
+    return _detection(book, decision)
 
 
 # ---------------------------------------------------------------------------
@@ -197,11 +199,8 @@ def ssm_detect_ideal(
 ) -> SsmDetectionResult:
     """Exhaustive search over the L * M single-beam hypotheses."""
     y = np.array([[observation.y_r]])
-    v, metric = _detect_one(mc.SSM, constellation, n_scatterers, y, gains, rho)
-    bits = int(log2(n_scatterers)) + constellation.bits
+    v, (k, x), metric = _detect_one(mc.SSM, constellation, n_scatterers, y, gains, rho)
+    bits = ssm_spectral_efficiency(constellation.order, n_scatterers)
     return SsmDetectionResult(
-        k_hat=(v >> constellation.bits) + 1,
-        x_hat=complex(constellation.points[v & (constellation.order - 1)]),
-        metric=metric,
-        label_hat=format(v, f"0{bits}b"),
+        k_hat=int(k) + 1, x_hat=complex(x), metric=metric, label_hat=format(v, f"0{bits}b")
     )

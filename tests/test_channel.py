@@ -1,5 +1,7 @@
 """Array response, channel sampling, and diagnostic tests."""
 
+import time
+
 import numpy as np
 import pytest
 
@@ -21,6 +23,7 @@ from qssm.channel import (
     _draw_sines,
     _sines_separated,
 )
+from qssm.montecarlo import SimConfig
 
 GEOM32 = ArrayGeometry(32)
 
@@ -183,6 +186,46 @@ def test_min_separation_infeasible():
         sample_channel(33, GEOM32, GEOM32, rng, DFT_GRID)
     with pytest.raises(ValueError):
         sample_channel(0, GEOM32, GEOM32, rng)
+    # L gaps of period/N fill the whole period at L = N, and below half-wavelength
+    # spacing 7 gaps of 1/3 overrun the arc of 2 that sines cover: both are
+    # rejected before any round of the rejection sampler
+    for L, geometry in ((4, ArrayGeometry(4)), (8, ArrayGeometry(12, 0.25))):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="cannot place"):
+            sample_channel(L, geometry, geometry, rng, MIN_SEP)
+        assert time.perf_counter() - start < 0.5
+        with pytest.raises(ValueError, match="cannot place"):
+            sample_channel(L, GEOM32, geometry, rng, MIN_SEP)
+
+
+def test_sample_channel_accepts_what_physical_config_accepts(monkeypatch):
+    # one feasibility rule for both: the sampler's up-front check and SimConfig in
+    # physical mode accept the same (L, N, spacing, angle mode).  With no rejection
+    # rounds an accepted min_sep draw ends in SamplingError, raised only after
+    # the check has passed
+    monkeypatch.setattr(channel, "_MAX_REJECTION_ROUNDS", 0)
+    rng = np.random.default_rng(0)
+    for L in (1, 2, 4, 8, 16, 32):
+        for n in range(1, 34):
+            for spacing in (0.25, 0.3, 0.5, 1.0):
+                for mode in (DFT_GRID, MIN_SEP):
+                    geometry = ArrayGeometry(n, spacing)
+                    try:
+                        sample_channel(L, geometry, geometry, rng, mode)
+                        sampled = True
+                    except channel.SamplingError:
+                        sampled = True
+                    except ValueError:
+                        sampled = False
+                    try:
+                        SimConfig(
+                            scheme="qssm", L=L, M=4, channel_mode="physical", n_t=n,
+                            n_r=n, spacing=spacing, angle_mode=mode,
+                        )
+                        configured = True
+                    except ValueError:
+                        configured = False
+                    assert sampled == configured, (L, n, spacing, mode)
 
 
 def test_orthogonality_defect_dft_grid():

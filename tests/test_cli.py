@@ -337,6 +337,15 @@ def test_main_exit_codes(tmp_path, capsys, monkeypatch):
     # and so are flags that do not parse
     assert main(["sweep", "--L", "3", "--M", "4", "--trials", "1"]) == 2
     assert "L must be a power of two" in capsys.readouterr().err
+    # a (kind, M) the modem cannot build, and detector tables over their memory
+    # budget, are rejected while the config is built, not inside the run
+    assert main(["sweep", "--L", "4", "--M", "128", "--trials", "16", "--snr", "0"]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and "internal error" not in err
+    assert "order must be one of" in err
+    assert main(["sweep", "--L", "64", "--M", "64", "--trials", "1", "--snr", "0"]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and "MiB budget" in err
     assert main(["sweep", "--L", "2", "--M", "4", "--snr", "0:x:2"]) == 2
     assert main(["validate", "--trials", "0"]) == 2
     assert "Traceback" not in capsys.readouterr().err

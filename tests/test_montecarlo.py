@@ -1,16 +1,30 @@
 """Monte Carlo engine: determinism, statistics, curves."""
 
+import itertools
 import multiprocessing
 import tracemalloc
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
-from qssm.analysis import abep_union_bound, snr_db_to_rho
-from qssm.channel import steering_bank, ArrayGeometry, ChannelRealization, _dirichlet_gram
-from qssm.modem import QAM, build_constellation, build_symbol_book, ssm_hypotheses
+from qssm.analysis import DEFAULT_CONVENTION, PepConvention, abep_union_bound, snr_db_to_rho
+from qssm.channel import (
+    DFT_GRID,
+    MIN_SEP,
+    steering_bank,
+    ArrayGeometry,
+    ChannelRealization,
+    _dirichlet_gram,
+)
+from qssm.modem import PSK, QAM, _is_pow2, build_constellation, build_symbol_book, ssm_hypotheses
 from qssm import montecarlo
 from qssm.montecarlo import (
+    DEFAULT_SNR_GRID_DB,
+    IDEAL,
+    PHYSICAL,
+    QSSM,
+    SSM,
     STREAM_VERSION,
     TRIALS_PER_BLOCK,
     AbepCurve,
@@ -57,6 +71,128 @@ def test_binomial_ci_examples():
         binomial_ci(0, 0)
     with pytest.raises(ValueError):
         binomial_ci(5, 4)
+
+
+@dataclass(frozen=True)
+class _ParentConfigRules:
+    """SimConfig's fields and __post_init__ as they stood while SimConfig restated
+    the modem's, the array's and the angle sampler's input rules itself: the
+    reference of test_config_accepts_what_the_restated_rules_accepted."""
+
+    scheme: str
+    L: int
+    M: int
+    kind: str = QAM
+    channel_mode: str = IDEAL
+    n_t: int = 32
+    n_r: int = 32
+    spacing: float = 0.5
+    angle_mode: str = DFT_GRID
+    snr_db: tuple[float, ...] = DEFAULT_SNR_GRID_DB
+    trials: int = 1_000_000
+    seed: int = 0
+    redraw: str = "per_trial"
+    redraw_block: int = 128
+    convention: PepConvention = DEFAULT_CONVENTION
+
+    def __post_init__(self) -> None:
+        if self.scheme not in (QSSM, SSM):
+            raise ValueError(f"scheme must be '{QSSM}' or '{SSM}', got {self.scheme!r}")
+        if self.kind not in (PSK, QAM):
+            raise ValueError(f"kind must be '{PSK}' or '{QAM}', got {self.kind!r}")
+        if not _is_pow2(self.L):
+            raise ValueError(f"L must be a power of two >= 1, got {self.L}")
+        if not _is_pow2(self.M) or self.M < 2:
+            raise ValueError(f"M must be a power of two >= 2, got {self.M}")
+        if self.kind == QAM and self.M == 2:
+            raise ValueError("2QAM degenerates to BPSK; use kind='psk' with M=2")
+        if self.channel_mode not in (IDEAL, PHYSICAL):
+            raise ValueError(
+                f"channel_mode must be '{IDEAL}' or '{PHYSICAL}', got {self.channel_mode!r}"
+            )
+        if self.scheme == SSM and self.channel_mode == PHYSICAL:
+            raise ValueError("the SSM baseline chain is defined for ideal mode only")
+        if self.angle_mode not in (DFT_GRID, MIN_SEP):
+            raise ValueError(
+                f"angle_mode must be '{DFT_GRID}' or '{MIN_SEP}', got {self.angle_mode!r}"
+            )
+        if self.n_t < 1 or self.n_r < 1:
+            raise ValueError("n_t and n_r must be >= 1")
+        if not self.spacing > 0:
+            raise ValueError(f"spacing must be > 0, got {self.spacing}")
+        n_min = min(self.n_t, self.n_r)
+        if self.channel_mode == PHYSICAL and self.L > n_min:
+            raise ValueError(
+                f"L={self.L} scatterers do not fit the {n_min}-point "
+                "sine grid of the smaller array"
+            )
+        if self.channel_mode == PHYSICAL and self.angle_mode == MIN_SEP and self.L >= 2:
+            # L gaps of at least period/N must fit the period; below half-wavelength
+            # spacing the L - 1 inner gaps must also fit the arc of 2 sines cover
+            gap = 1.0 / (self.spacing * n_min)
+            if self.L == n_min or (self.spacing < 0.5 and (self.L - 1) * gap >= 2.0):
+                raise ValueError(
+                    f"min_sep angle sampling cannot place L={self.L} sines at gaps of "
+                    f"{gap:g} on an array of {n_min} elements with spacing "
+                    f"{self.spacing:g}; use angle_mode='{DFT_GRID}' or larger arrays"
+                )
+        object.__setattr__(self, "snr_db", tuple(float(s) for s in self.snr_db))
+        if len(self.snr_db) == 0:
+            raise ValueError("snr_db grid must not be empty")
+        if not all(np.isfinite(s) for s in self.snr_db):
+            raise ValueError("snr_db grid values must be finite")
+        if any(b <= a for a, b in zip(self.snr_db, self.snr_db[1:])):
+            raise ValueError("snr_db grid must be strictly increasing")
+        if self.trials < 1:
+            raise ValueError(f"trials must be >= 1, got {self.trials}")
+        if self.redraw not in ("per_trial", "per_block"):
+            raise ValueError(
+                f"redraw must be 'per_trial' or 'per_block', got {self.redraw!r}"
+            )
+        if self.redraw_block < 1:
+            raise ValueError(f"redraw_block must be >= 1, got {self.redraw_block}")
+        if not isinstance(self.convention, PepConvention):
+            object.__setattr__(
+                self, "convention", PepConvention(str(self.convention))
+            )
+
+
+def _accepts(build, **kwargs) -> bool:
+    try:
+        build(**kwargs)
+    except ValueError:
+        return False
+    return True
+
+
+def test_config_accepts_what_the_restated_rules_accepted():
+    # SimConfig asks the modem, the arrays and the angle sampler instead of
+    # restating their rules; it accepts what the restated rules accepted, except
+    # orders the modem cannot build (M > 64) and detector tables over budget:
+    # float64 W of 3L (+ L(L-1)/2 for QSSM) rows by S hypotheses, plus one
+    # detection tile of at least 256 trials by S
+    modes = [(c, a) for c in (IDEAL, PHYSICAL) for a in (DFT_GRID, MIN_SEP)]
+    sizes = [(1, 2), (2, 1), (4, 8), (8, 4), (6, 7), (9, 12), (12, 33), (33, 16), (32, 31)]
+    checked = {True: 0, False: 0}
+    for scheme, kind, L, M in itertools.product(
+        (QSSM, SSM), (PSK, QAM, "QAM"), (1, 2, 3, 4, 8, 12, 16, 32, 64),
+        (2, 3, 4, 8, 16, 64, 96, 128, 256),
+    ):
+        S = L * L * M if scheme == QSSM else L * M
+        rows = 3 * L + (L * (L - 1) // 2 if scheme == QSSM else 0)
+        table_ok = 8 * (rows * S + max(256 * S, 1 << 18)) <= montecarlo._TABLE_BUDGET
+        for (n_t, n_r), spacing, (channel_mode, angle_mode) in itertools.product(
+            sizes, (0.25, 0.5, 1.0), modes
+        ):
+            kwargs = dict(
+                scheme=scheme, kind=kind, L=L, M=M, n_t=n_t, n_r=n_r, spacing=spacing,
+                channel_mode=channel_mode, angle_mode=angle_mode,
+            )
+            accepted = _accepts(SimConfig, **kwargs)
+            expected = _accepts(_ParentConfigRules, **kwargs) and M <= 64 and table_ok
+            assert accepted == expected, kwargs
+            checked[accepted] += 1
+    assert min(checked.values()) > 1000
 
 
 def test_config_validation():
