@@ -114,6 +114,17 @@ def _config_from_dict(raw: dict, path: str) -> tuple[str, SimConfig]:
     return name, config
 
 
+def _check_equal_rate(where: str, a: tuple[str, SimConfig], b: tuple[str, SimConfig]) -> None:
+    """Raise unless the (name, config) pairs a and b send equal bits per channel use."""
+    (name_a, config_a), (name_b, config_b) = a, b
+    rate_a, rate_b = config_a.spectral_efficiency(), config_b.spectral_efficiency()
+    if rate_a != rate_b:
+        raise ConfigError(
+            f"{where}spectral efficiencies differ "
+            f"({name_a}: {rate_a} b/s/Hz, {name_b}: {rate_b} b/s/Hz)"
+        )
+
+
 def parse_config(text: str) -> ExperimentSpec:
     """Parse and validate a JSON experiment document."""
     try:
@@ -146,14 +157,9 @@ def parse_config(text: str) -> ExperimentSpec:
         for side in ("a", "b"):
             if pair[side] not in by_name:
                 raise ConfigError(f"{path}.{side}: unknown config name {pair[side]!r}")
-        rate_a = by_name[pair["a"]].spectral_efficiency()
-        rate_b = by_name[pair["b"]].spectral_efficiency()
-        if rate_a != rate_b:
-            raise ConfigError(
-                f"{path}: spectral efficiencies differ "
-                f"({pair['a']}: {rate_a} b/s/Hz, {pair['b']}: {rate_b} b/s/Hz)"
-            )
-        comparisons.append((pair["a"], pair["b"]))
+        a, b = pair["a"], pair["b"]
+        _check_equal_rate(f"{path}: ", (a, by_name[a]), (b, by_name[b]))
+        comparisons.append((a, b))
 
     levels = raw.get("levels", [1e-3, 1e-4])
     if not isinstance(levels, list) or not all(
@@ -402,8 +408,15 @@ def validate_analysis(trials: int = 1_000_000, seed: int = 0, workers: int = 1) 
     return "\n".join(lines) + "\n"
 
 
+#: Most rows ``qssm table`` dumps: L = 64 at M = 64, above every QSSM book
+#: SimConfig accepts
+_TABLE_ROWS = 1 << 18
+
+
 def symbol_table_csv(L: int, M: int, kind: str) -> str:
     """Symbol book as CSV: label, scatterer indices, signal components."""
+    if L * L * M > _TABLE_ROWS:
+        raise ValueError(f"table: L^2 * M = {L * L * M} rows, over the {_TABLE_ROWS} it dumps")
     book = build_symbol_book(L, build_constellation(kind, M))
     lines = ["label,k1,k2,x_re,x_im"]
     for s in book.symbols:
@@ -553,13 +566,7 @@ def _cmd_validate(args) -> int:
 def _cmd_compare(args) -> int:
     curve_a = load_curve(args.csv_a)
     curve_b = load_curve(args.csv_b)
-    rate_a = curve_a.config.spectral_efficiency()
-    rate_b = curve_b.config.spectral_efficiency()
-    if rate_a != rate_b:
-        raise ConfigError(
-            f"spectral efficiencies differ ({args.csv_a.name}: {rate_a} b/s/Hz, "
-            f"{args.csv_b.name}: {rate_b} b/s/Hz)"
-        )
+    _check_equal_rate("", (args.csv_a.name, curve_a.config), (args.csv_b.name, curve_b.config))
     levels = _floats(args.levels.split(","), "--levels")
     report = compare_report(
         curve_a, curve_b, levels, args.csv_a.stem, args.csv_b.stem

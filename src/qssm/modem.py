@@ -160,53 +160,34 @@ def ssm_spectral_efficiency(order: int, n_scatterers: int) -> int:
     return spectral_efficiency(order, n_scatterers) - int(log2(n_scatterers))
 
 
+def _label_table(n_scatterers: int, constellation: Constellation, beams: int) -> tuple:
+    """Label-indexed (k1, k2, x_re, x_im) of the L^beams * M labels [spatial bits | signal bits].
+
+    The spatial field is k1 then k2 for two beams (QSSM) and the one index
+    k = k1 = k2 for one beam (SSM); indices are 0-based.
+    """
+    values = np.arange(n_scatterers**beams * constellation.order)
+    spatial = values >> constellation.bits
+    x = constellation.points[values & (constellation.order - 1)]
+    k1, k2 = spatial // n_scatterers ** (beams - 1), spatial % n_scatterers
+    return k1, k2, x.real.copy(), x.imag.copy()
+
+
 def build_symbol_book(n_scatterers: int, constellation: Constellation) -> SymbolBook:
     """Enumerate all L^2 * M symbols in label order."""
     total_bits = spectral_efficiency(constellation.order, n_scatterers)
-    L = n_scatterers
-    l_bits = int(log2(L))
-    m_bits = constellation.bits
-    size = (L * L) * constellation.order
-
-    k1_idx = np.empty(size, dtype=np.int64)
-    k2_idx = np.empty(size, dtype=np.int64)
-    x = np.empty(size, dtype=complex)
-    symbols = []
-    for v in range(size):
-        i1 = v >> (l_bits + m_bits)
-        i2 = (v >> m_bits) & (L - 1)
-        sig = v & (constellation.order - 1)
-        point = constellation.points[sig]
-        k1_idx[v] = i1
-        k2_idx[v] = i2
-        x[v] = point
-        symbols.append(
-            QssmSymbol(
-                k1=i1 + 1,
-                k2=i2 + 1,
-                x_re=float(point.real),
-                x_im=float(point.imag),
-                label=format(v, f"0{total_bits}b"),
-            )
-        )
-    return SymbolBook(
-        L=L,
-        constellation=constellation,
-        symbols=tuple(symbols),
-        k1_idx=k1_idx,
-        k2_idx=k2_idx,
-        x_re=x.real.copy(),
-        x_im=x.imag.copy(),
+    table = _label_table(n_scatterers, constellation, 2)
+    symbols = tuple(
+        QssmSymbol(k1=i1 + 1, k2=i2 + 1, x_re=u, x_im=v, label=format(value, f"0{total_bits}b"))
+        for value, (i1, i2, u, v) in enumerate(zip(*(array.tolist() for array in table)))
     )
+    return SymbolBook(n_scatterers, constellation, symbols, *table)
 
 
-def ssm_hypotheses(n_scatterers: int, constellation: Constellation):
-    """Label-ordered (k index, point) arrays for the L * M single-beam hypotheses."""
-    size = n_scatterers * constellation.order
-    values = np.arange(size)
-    k_idx = values >> constellation.bits
-    x = constellation.points[values & (constellation.order - 1)]
-    return k_idx, x
+def ssm_hypotheses(n_scatterers: int, constellation: Constellation) -> tuple:
+    """Label-ordered (k, k, x_re, x_im) arrays of the L * M single-beam hypotheses:
+    QSSM's table restricted to k1 = k2 = k."""
+    return _label_table(n_scatterers, constellation, 1)
 
 
 def map_bits(bits, book: SymbolBook) -> QssmSymbol:

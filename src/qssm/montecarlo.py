@@ -33,7 +33,6 @@ from .channel import (
 )
 from .modem import (
     QAM,
-    SymbolBook,
     _check_constellation,
     _is_pow2,
     build_constellation,
@@ -241,41 +240,34 @@ def _substream(seed: int, snr_db: float, purpose: int, index: int) -> np.random.
 # per-block simulation
 # ---------------------------------------------------------------------------
 
-def _symbol_arrays(hypotheses) -> tuple:
-    """Label-indexed (k1, k2, x_re, x_im) of a QSSM book; SSM (k, x) as they are."""
-    if isinstance(hypotheses, SymbolBook):
-        return hypotheses.k1_idx, hypotheses.k2_idx, hypotheses.x_re, hypotheses.x_im
-    return hypotheses
-
-
 def _metric_coefficients(L: int, symbols):
     """(W, column labels): features @ W is the ML metric less |y|^2 (README).
 
-    Rows |a_l|^2, Re(conj(y) a_l), Im(conj(y) a_l), then for QSSM
-    ``symbols`` one row Im(a_l conj(a_m)) per pair l < m; SSM (k, x) is the
-    one-beam case.  Equal columns merge into one that keeps the lowest
+    ``symbols`` is the label-indexed table (k1, k2, x_re, x_im); SSM is its
+    k1 = k2 case.  Rows |a_l|^2, Re(conj(y) a_l), Im(conj(y) a_l), then, when
+    some hypothesis has k1 != k2, one row Im(a_l conj(a_m)) per pair l < m.
+    Hypotheses with equal (x_re, x_im), equal k1 where x_re != 0 and equal k2
+    where x_im != 0 have equal models, since a zero part leaves its beam's
+    index unused.  Each such class gets one column, which keeps its lowest
     label, and columns follow those labels, so the first argmin breaks ties
     toward the lowest label.
     """
-    cross = len(symbols) == 4
-    k1, k2, u, v = symbols if cross else (symbols[0], symbols[0], symbols[1].real, symbols[1].imag)
-    cols = np.arange(len(u))
-    pairs = L * (L - 1) // 2 if cross else 0
-    W = np.zeros((3 * L + pairs, len(u)))
+    k1, k2, u, v = symbols
+    model = np.stack((np.where(u != 0, k1, -1), np.where(v != 0, k2, -1), u, v))
+    column_labels = np.sort(np.unique(model, axis=1, return_index=True)[1])
+    k1, k2, u, v = (array[column_labels] for array in symbols)
+    cols = np.arange(len(column_labels))
+    split = k1 != k2
+    W = np.zeros((3 * L + (L * (L - 1) // 2 if split.any() else 0), len(cols)))
     W[k1, cols] = u * u
     W[k2, cols] += v * v
     W[L + k1, cols] = -2.0 * u
     W[2 * L + k2, cols] = 2.0 * v
-    if cross:  # pair lo < hi has the row of its place in np.triu_indices(L, 1)
-        lo, hi, split = np.minimum(k1, k2), np.maximum(k1, k2), k1 != k2
-        row = 3 * L + lo * (2 * L - lo - 1) // 2 + hi - lo - 1
-        W[row[split], cols[split]] = (np.where(k1 < k2, 2.0, -2.0) * u * v)[split]
-    W += 0.0  # -0.0 -> 0.0, so equal columns have equal bytes
-    first: dict[bytes, int] = {}
-    for label, column in enumerate(W.T):
-        first.setdefault(column.tobytes(), label)
-    column_labels = np.fromiter(first.values(), dtype=np.int64)
-    return W[:, column_labels], column_labels
+    # pair lo < hi has the row of its place in np.triu_indices(L, 1)
+    lo, hi = np.minimum(k1, k2)[split], np.maximum(k1, k2)[split]
+    row = 3 * L + lo * (2 * L - lo - 1) // 2 + hi - lo - 1
+    W[row, cols[split]] = (np.where(k1 < k2, 2.0, -2.0) * u * v)[split]
+    return W, column_labels
 
 
 #: Bytes that W of _metric_coefficients and one _decide metric tile may take
@@ -299,20 +291,24 @@ def _check_table_size(scheme: str, L: int, M: int) -> None:
 
 @lru_cache(maxsize=8)
 def _scheme_tables(scheme: str, kind: str, M: int, L: int):
-    """(constellation, hypotheses, label popcounts, W, column labels), built once.
+    """(constellation, book, table, label popcounts, W, column labels), built once.
 
-    The hypotheses are the symbol book for QSSM and the (k index, point)
-    arrays for SSM; W and its column labels come from _metric_coefficients.
+    The table is the label-indexed (k1, k2, x_re, x_im) of every hypothesis:
+    the symbol book's arrays for QSSM (book None for SSM) and its k1 = k2
+    rows for SSM.  W and its column labels come from _metric_coefficients.
     Every block shares them, so their arrays are read-only.
     """
     constellation = build_constellation(kind, M)
-    hypotheses = (build_symbol_book if scheme == QSSM else ssm_hypotheses)(L, constellation)
-    arrays = _symbol_arrays(hypotheses)
-    coefficients, column_labels = _metric_coefficients(L, arrays)
-    popcounts = np.bitwise_count(np.arange(len(arrays[0]), dtype=np.uint64)).astype(np.int64)
-    for array in (constellation.points, popcounts, coefficients, column_labels, *arrays):
+    if scheme == QSSM:
+        book = build_symbol_book(L, constellation)
+        table = (book.k1_idx, book.k2_idx, book.x_re, book.x_im)
+    else:
+        book, table = None, ssm_hypotheses(L, constellation)
+    coefficients, column_labels = _metric_coefficients(L, table)
+    popcounts = np.bitwise_count(np.arange(len(table[0]), dtype=np.uint64)).astype(np.int64)
+    for array in (constellation.points, popcounts, coefficients, column_labels, *table):
         array.flags.writeable = False
-    return constellation, hypotheses, popcounts, coefficients, column_labels
+    return constellation, book, table, popcounts, coefficients, column_labels
 
 
 def _block_channel(config: SimConfig, snr_db: float, block_index: int, n_trials: int):
@@ -344,13 +340,10 @@ def _block_channel(config: SimConfig, snr_db: float, block_index: int, n_trials:
     return gains, sin_aod, sin_aoa
 
 
-def _observe_scalar(betas, points, root_rho, noise):
-    """sqrt(rho) * (beta_k1 * x_re + j * beta_k2 * x_im) + n for QSSM betas
-    (beta_k1, beta_k2) and points (x_re, x_im), sqrt(rho) * beta_k * x + n for
-    SSM (beta_k,) and (x,); per trial for arrays, one trial for scalars."""
-    if len(betas) == 1:
-        return root_rho * betas[0] * points[0] + noise
-    return root_rho * (betas[0] * points[0] + 1j * betas[1] * points[1]) + noise
+def _observe_scalar(beta_k1, beta_k2, x_re, x_im, root_rho, noise):
+    """sqrt(rho) * (beta_k1 * x_re + j * beta_k2 * x_im) + n, SSM being k1 = k2;
+    per trial for arrays, one trial for scalars."""
+    return root_rho * (beta_k1 * x_re + 1j * beta_k2 * x_im) + noise
 
 
 def _observe_physical(tx, rx, sin_aod, sin_aoa, gains, symbols, root_rho, white):
@@ -427,7 +420,7 @@ def _gram_factor(gram: np.ndarray) -> np.ndarray:
 
 def _features(y: np.ndarray, a: np.ndarray, cross: bool = False) -> np.ndarray:
     """Features |a_l|^2, Re(conj(y_l) a_l), Im(conj(y_l) a_l) of (B, 1) or (B, L) y,
-    a = sqrt(rho)*beta, then with ``cross`` (ideal QSSM) Im(a_l conj(a_m)), l < m."""
+    a = sqrt(rho)*beta, then with ``cross`` (W has pair rows) Im(a_l conj(a_m)), l < m."""
     ya = y.conj() * a
     parts = [a.real**2 + a.imag**2, ya.real, ya.imag]
     if cross:
@@ -460,7 +453,7 @@ def _block_bit_errors(
 ) -> int:
     """Bit errors over one block of trials; pure function of (config, snr, block)."""
     rho = snr_db_to_rho(snr_db)
-    _, hypotheses, popcounts, W, column_labels = _scheme_tables(
+    _, _, table, popcounts, W, column_labels = _scheme_tables(
         config.scheme, config.kind, config.M, config.L
     )
     labels = _substream(config.seed, snr_db, _PURPOSE_LABELS, block_index).integers(
@@ -469,12 +462,13 @@ def _block_bit_errors(
     noise_rng = _substream(config.seed, snr_db, _PURPOSE_NOISE, block_index)
     gains, sin_aod, sin_aoa = _block_channel(config, snr_db, block_index, n_trials)
     root_rho = np.sqrt(rho)
-    symbols = tuple(array[labels] for array in _symbol_arrays(hypotheses))
-    if config.channel_mode == IDEAL:  # symbols: scatterer indices, then points
+    symbols = tuple(array[labels] for array in table)
+    if config.channel_mode == IDEAL:
         noise = _complex_normals(noise_rng, n_trials)
-        betas = tuple(gains[np.arange(n_trials), k] for k in symbols[: len(symbols) // 2])
-        y = _observe_scalar(betas, symbols[len(betas) :], root_rho, noise)
-        features = _features(y[:, None], root_rho * gains, cross=config.scheme == QSSM)
+        k1, k2, x_re, x_im = symbols
+        rows = np.arange(n_trials)
+        y = _observe_scalar(gains[rows, k1], gains[rows, k2], x_re, x_im, root_rho, noise)
+        features = _features(y[:, None], root_rho * gains, cross=len(W) > 3 * config.L)
     else:  # joint detection on the L beam outputs of the array chain
         white = _complex_normals(noise_rng, (n_trials, config.L))
         tx, rx = (ArrayGeometry(n, config.spacing) for n in (config.n_t, config.n_r))
@@ -558,7 +552,7 @@ def sweep(
     With ``workers > 1`` one process pool serves every point and is closed
     before the curve is returned.
     """
-    constellation, hypotheses, *_ = _scheme_tables(
+    constellation, book, *_ = _scheme_tables(
         config.scheme, config.kind, config.M, config.L
     )
     points = []
@@ -568,7 +562,7 @@ def sweep(
                 config, snr_db, workers=workers, max_errors=max_errors, pool=pool
             )
             if config.scheme == QSSM:
-                bound = analysis.abep_point(hypotheses, snr_db, config.convention)
+                bound = analysis.abep_point(book, snr_db, config.convention)
             else:
                 bound = analysis.abep_point_ssm(
                     config.L, constellation, snr_db, config.convention

@@ -67,38 +67,38 @@ class SsmDetectionResult:
     label_hat: str
 
 
-def _symbol_row(rho: float, L: int, indices: tuple, points: tuple) -> tuple:
-    """Validated 0-based scatterer indices, then signal points, of one symbol."""
+def _symbol_row(rho: float, L: int, k1: int, k2: int, x_re: float, x_im: float) -> tuple:
+    """Validated (k1, k2, x_re, x_im) row of one symbol, with 0-based scatterer indices."""
     if rho < 0:
         raise ValueError(f"rho must be >= 0, got {rho}")
-    if not all(1 <= k <= L for k in indices):
+    if not (1 <= k1 <= L and 1 <= k2 <= L):
         raise ValueError(f"scatterer indices out of range 1..{L}")
-    return (*(k - 1 for k in indices), *points)
+    return k1 - 1, k2 - 1, x_re, x_im
 
 
 def _scalar_trial(gains: np.ndarray, symbol: tuple, rho: float, rng) -> complex:
-    """One trial of the scalar observation kernel; ``symbol`` holds indices, then points."""
+    """One trial of the scalar observation kernel for a (k1, k2, x_re, x_im) row."""
     noise = 0.0 if rng is None else _complex_normals(rng, None)
-    betas = [gains[k] for k in symbol[: len(symbol) // 2]]
-    return mc._observe_scalar(betas, symbol[len(betas) :], np.sqrt(rho), noise)
+    k1, k2, x_re, x_im = symbol
+    return mc._observe_scalar(gains[k1], gains[k2], x_re, x_im, np.sqrt(rho), noise)
 
 
 def _detect_one(scheme: str, constellation: Constellation, L: int, y, gains, rho: float):
     """(label, hypothesis row, metric |y - h|^2) of the first-argmin decision on one
     row y: a scalar y (1, 1) takes h from the observation kernel, so a noiseless
     winner scores 0.0 exactly, and beam outputs (1, L) the orthogonal-beam model.
-    The row is the winner's 0-based scatterer indices, then its signal parts."""
+    The row is the winner's (k1, k2, x_re, x_im), indices 0-based."""
     if len(gains) != L:
         raise ValueError(f"{len(gains)} gains for L={L} scatterers")
-    _, hypotheses, _, W, column_labels = mc._scheme_tables(
+    _, _, table, _, W, column_labels = mc._scheme_tables(
         scheme, constellation.kind, constellation.order, L
     )
     gains = np.asarray(gains)
     a = np.sqrt(rho) * gains
     scalar = y.shape[1] == 1
-    features = mc._features(y, a[None], cross=scalar and scheme == mc.QSSM)
+    features = mc._features(y, a[None], cross=scalar and len(W) > 3 * L)
     v = int(mc._decide(features, W, column_labels)[0])
-    winner = [array[v] for array in mc._symbol_arrays(hypotheses)]
+    winner = [array[v] for array in table]
     if scalar:
         return v, winner, float(abs(y[0, 0] - _scalar_trial(gains, winner, rho, None)) ** 2)
     k1, k2, x_re, x_im = winner
@@ -124,7 +124,7 @@ def qssm_observe_ideal(
     rng: np.random.Generator | None,
 ) -> IdealObservation:
     """Scalar observation y = sqrt(rho)*(beta_k1*x_re + j*beta_k2*x_im) + n."""
-    row = _symbol_row(rho, len(gains), (symbol.k1, symbol.k2), (symbol.x_re, symbol.x_im))
+    row = _symbol_row(rho, len(gains), symbol.k1, symbol.k2, symbol.x_re, symbol.x_im)
     y = _scalar_trial(gains, row, rho, rng)
     return IdealObservation(y_r=complex(y), snr=float(rho))
 
@@ -137,7 +137,7 @@ def qssm_observe_physical(
 ) -> PhysicalObservation:
     """Full array chain: superposed beams through H, combining, and projected
     noise drawn as CN(0, G_r), the distribution per-element noise gives."""
-    row = _symbol_row(rho, realization.n_paths, (symbol.k1, symbol.k2), (symbol.x_re, symbol.x_im))
+    row = _symbol_row(rho, realization.n_paths, symbol.k1, symbol.k2, symbol.x_re, symbol.x_im)
     row = tuple(np.array([f]) for f in row)
     shape = (1, realization.n_paths)
     white = np.zeros(shape) if rng is None else _complex_normals(rng, shape)
@@ -185,8 +185,9 @@ def ssm_observe_ideal(
     rho: float,
     rng: np.random.Generator | None,
 ) -> IdealObservation:
-    """Single-beam scalar observation y = sqrt(rho) * beta_k * x + n."""
-    y = _scalar_trial(gains, _symbol_row(rho, len(gains), (k,), (x,)), rho, rng)
+    """Single-beam scalar observation y = sqrt(rho) * beta_k * x + n, the QSSM
+    observation of row (k, k, Re x, Im x)."""
+    y = _scalar_trial(gains, _symbol_row(rho, len(gains), k, k, x.real, x.imag), rho, rng)
     return IdealObservation(y_r=complex(y), snr=float(rho))
 
 
@@ -199,8 +200,9 @@ def ssm_detect_ideal(
 ) -> SsmDetectionResult:
     """Exhaustive search over the L * M single-beam hypotheses."""
     y = np.array([[observation.y_r]])
-    v, (k, x), metric = _detect_one(mc.SSM, constellation, n_scatterers, y, gains, rho)
+    v, (k, _, x_re, x_im), metric = _detect_one(mc.SSM, constellation, n_scatterers, y, gains, rho)
     bits = ssm_spectral_efficiency(constellation.order, n_scatterers)
     return SsmDetectionResult(
-        k_hat=int(k) + 1, x_hat=complex(x), metric=metric, label_hat=format(v, f"0{bits}b")
+        k_hat=int(k) + 1, x_hat=complex(x_re, x_im), metric=metric,
+        label_hat=format(v, f"0{bits}b"),
     )

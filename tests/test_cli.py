@@ -298,6 +298,13 @@ def test_main_exit_codes(tmp_path, capsys, monkeypatch):
     invalid.write_text(json.dumps({"configs": [{"scheme": "qssm", "L": 3, "M": 4}]}))
     assert main(["run", str(invalid)]) == 2
 
+    # a book of L^2 * M = 2^26 rows is refused before any symbol is built
+    start = time.perf_counter()
+    assert main(["table", "--L", "1024", "--M", "64"]) == 2
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert "262144" in err and "Traceback" not in err
+
     # min_sep on an array with exactly L elements can never be sampled
     full = tmp_path / "full.json"
     full.write_text(json.dumps({"configs": [{

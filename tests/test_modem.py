@@ -14,6 +14,7 @@ from qssm.modem import (
     hamming_distance,
     map_bits,
     spectral_efficiency,
+    ssm_hypotheses,
     ssm_spectral_efficiency,
     QssmSymbol,
 )
@@ -156,15 +157,26 @@ def test_demap_rejects_foreign_symbol():
 def test_roundtrip_bijection_over_all_labels():
     for L in (1, 2, 4, 8):
         for kind, M in [(PSK, 2), (QAM, 4), (QAM, 8), (QAM, 16)]:
-            book = build_symbol_book(L, build_constellation(kind, M))
+            constellation = build_constellation(kind, M)
+            book = build_symbol_book(L, constellation)
             assert len(book) == L * L * M
             seen = set()
             for v in range(len(book)):
                 bits = [int(c) for c in format(v, f"0{book.bits_per_symbol}b")]
                 symbol = map_bits(bits, book)
                 assert demap_symbol(symbol, book) == bits
+                assert [type(f) for f in (symbol.k1, symbol.k2, symbol.x_re, symbol.x_im)] == [
+                    int, int, float, float
+                ]
+                row = (book.k1_idx[v] + 1, book.k2_idx[v] + 1, book.x_re[v], book.x_im[v])
+                assert row == (symbol.k1, symbol.k2, symbol.x_re, symbol.x_im)
                 seen.add(symbol.label)
             assert len(seen) == len(book)
+            # SSM's hypotheses are the book's k1 = k2 rows, in label order
+            same = book.k1_idx == book.k2_idx
+            table = (book.k1_idx, book.k2_idx, book.x_re, book.x_im)
+            for ssm, qssm in zip(ssm_hypotheses(L, constellation), table):
+                np.testing.assert_array_equal(ssm, qssm[same])
 
 
 def test_hamming_examples():

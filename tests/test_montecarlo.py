@@ -331,7 +331,7 @@ def test_block_tables_built_once_and_read_only(monkeypatch):
     for block in range(3):
         _block_bit_errors(cfg, 10.0, block, 100)
     assert len(builds) == 1
-    _, book, popcounts, coefficients, column_labels = _scheme_tables("qssm", QAM, 4, 2)
+    _, book, _, popcounts, coefficients, column_labels = _scheme_tables("qssm", QAM, 4, 2)
     for array in (
         book.k1_idx, book.x_re, book.constellation.points, popcounts, coefficients, column_labels
     ):
@@ -345,7 +345,8 @@ def _brute_force_block_errors(cfg: SimConfig, snr_db: float, block: int, n: int)
     rho = snr_db_to_rho(snr_db)
     constellation = build_constellation(cfg.kind, cfg.M)
     if cfg.scheme == "ssm":
-        k_idx, x = ssm_hypotheses(cfg.L, constellation)
+        k_idx, _, x_re, x_im = ssm_hypotheses(cfg.L, constellation)
+        x = x_re + 1j * x_im
         profile = np.zeros((len(x), cfg.L), dtype=complex)
         profile[np.arange(len(x)), k_idx] = x
     else:
@@ -395,6 +396,9 @@ def _brute_force_block_errors(cfg: SimConfig, snr_db: float, block: int, n: int)
         ("qssm", 4, 16, "psk", None),
         ("ssm", 4, 16, "qam", None),
         ("ssm", 16, 4, "psk", None),
+        # BPSK has no imaginary part, so a QSSM column drops its k2 and merges
+        ("qssm", 2, 2, "psk", None),
+        ("ssm", 4, 2, "psk", None),
         ("qssm", 4, 4, "qam", "dft_grid"),
         ("qssm", 4, 4, "qam", "min_sep"),
     ],
@@ -410,25 +414,65 @@ def test_block_kernel_equals_brute_force_ml(scheme, L, M, kind, mode):
             assert _block_bit_errors(cfg, snr_db, block, n) == expected, (snr_db, block)
 
 
+def _unmerged_coefficients(scheme: str, L: int, constellation) -> np.ndarray:
+    """W with one column per label, from the README column formula: u^2 at row k1,
+    v^2 added at row k2, -2u at Re row k1, +2v at Im row k2 and, for QSSM,
+    +-2uv at the row of pair {k1, k2} (+ when k1 < k2); -0.0 written as 0.0."""
+    M = constellation.order
+    pairs = list(itertools.combinations(range(L), 2)) if scheme == "qssm" else []
+    spatial = L * L if scheme == "qssm" else L
+    W = np.zeros((3 * L + len(pairs), spatial * M))
+    for label in range(spatial * M):
+        k, x = label // M, constellation.points[label % M]
+        k1, k2 = (k // L, k % L) if scheme == "qssm" else (k, k)
+        u, v = x.real, x.imag
+        W[k1, label] += u * u
+        W[k2, label] += v * v
+        W[L + k1, label] = -2.0 * u
+        W[2 * L + k2, label] = 2.0 * v
+        if k1 != k2:
+            pair_row = 3 * L + pairs.index((min(k1, k2), max(k1, k2)))
+            W[pair_row, label] = 2.0 * u * v * np.sign(k2 - k1)
+    return W + 0.0
+
+
 def test_psk_duplicate_hypotheses_merge_to_lowest_label():
-    # a zero signal component leaves one scatterer index unused; such hypotheses
-    # share one column, which carries the lowest label of its class
-    _, book, _, coefficients, column_labels = _scheme_tables("qssm", "psk", 4, 2)
-    assert coefficients.shape[1] == len(column_labels) < len(book)
-    assert np.all(np.diff(column_labels) > 0)
-    columns = {}
-    for v in range(len(book)):
-        u, w = book.x_re[v], book.x_im[v]
-        key = (
-            book.k1_idx[v] if u else None, book.k2_idx[v] if w else None, u, w
-        )
-        columns.setdefault(key, v)
-    assert sorted(columns.values()) == list(column_labels)
+    # a zero signal component leaves one scatterer index unused; hypotheses whose
+    # unmerged columns are byte-equal share one column, which carries the lowest
+    # label of its class, and columns follow those labels
+    cases = itertools.product(("qssm", "ssm"), ("psk", "qam"), (1, 2, 4, 8), (2, 4, 8, 16, 64))
+    for scheme, kind, L, M in cases:
+        if kind == "qam" and M == 2:
+            continue  # 2QAM is not a constellation
+        W = _unmerged_coefficients(scheme, L, build_constellation(kind, M))
+        first = {}
+        for label, column in enumerate(W.T):
+            first.setdefault(column.tobytes(), label)
+        expected = np.array(sorted(first.values()))
+        *_, coefficients, column_labels = _scheme_tables(scheme, kind, M, L)
+        case = f"{scheme} L={L} {M}{kind}"
+        np.testing.assert_array_equal(column_labels, expected, err_msg=case)
+        np.testing.assert_array_equal(coefficients, W[:, expected], err_msg=case)
+        if scheme == "qssm" and kind == "psk" and M <= 4 and L > 1:
+            assert len(column_labels) < W.shape[1], case  # BPSK and QPSK points merge
     # at zero power every metric ties, so every trial decides label 0
     cfg = SimConfig(scheme="qssm", L=2, M=4, kind="psk", trials=1, seed=1)
     labels = _substream(1, float("-inf"), _PURPOSE_LABELS, 0).integers(0, 16, 1000)
     expected = sum(bin(int(t)).count("1") for t in labels)
     assert _block_bit_errors(cfg, float("-inf"), 0, 1000) == expected
+
+
+def test_table_build_peak_near_coefficients():
+    # W is built at the kept columns only: no per-column keys and no copy of W
+    _scheme_tables.cache_clear()
+    tracemalloc.start()
+    try:
+        coefficients = _scheme_tables("qssm", "qam", 64, 16)[4]
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+        _scheme_tables.cache_clear()
+    assert peak < 1.5 * coefficients.nbytes
 
 
 def test_detector_block_memory_within_budget():

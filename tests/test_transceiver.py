@@ -122,7 +122,8 @@ def test_detectors_pick_first_brute_force_argmin(chain, kind, M, L, snr_db):
     rho = 10.0 ** (snr_db / 10.0)
     rng = np.random.default_rng(int(snr_db) + 7 * L + M)
     if chain == "ssm":
-        k_idx, x = ssm_hypotheses(L, constellation)
+        k_idx, _, x_re, x_im = ssm_hypotheses(L, constellation)
+        x = x_re + 1j * x_im
         profile = np.zeros((len(x), L), dtype=complex)
         profile[np.arange(len(x)), k_idx] = x
     else:
@@ -276,7 +277,8 @@ def test_ssm_noiseless_roundtrip():
     constellation = build_constellation(QAM, 4)
     for L in (1, 2, 4):
         gains = GAINS4[:L]
-        k_idx, x = ssm_hypotheses(L, constellation)
+        k_idx, _, x_re, x_im = ssm_hypotheses(L, constellation)
+        x = x_re + 1j * x_im
         for v in range(L * 4):
             obs = ssm_observe_ideal(int(k_idx[v]) + 1, x[v], gains, 10.0, None)
             det = ssm_detect_ideal(obs, gains, constellation, L, 10.0)
