@@ -157,6 +157,18 @@ def _check_angle_sampling(L: int, angle_mode: str, *geometries: ArrayGeometry) -
                 )
 
 
+def _draw_grid_picks(rng: np.random.Generator, n_rows: int, L: int, n_elements: int) -> np.ndarray:
+    """(n_rows, L) distinct DFT-grid indices: the first L of an argsort of N
+    uniforms per row, drawn in row tiles of at most _GRID_DRAW_TILE uniforms."""
+    step = max(1, _GRID_DRAW_TILE // n_elements)
+    if n_rows > step:  # row tiles draw the same uniforms with bounded temporaries
+        return np.concatenate([
+            _draw_grid_picks(rng, min(step, n_rows - a), L, n_elements)
+            for a in range(0, n_rows, step)
+        ])
+    return np.argsort(rng.random((n_rows, n_elements)), axis=1)[:, :L]
+
+
 def _draw_sines(
     rng: np.random.Generator,
     n_rows: int,
@@ -167,21 +179,13 @@ def _draw_sines(
 ) -> np.ndarray:
     """(n_rows, L) sine-domain angles for one array side.
 
-    DFT-grid rows pick L distinct grid points, the first L of an argsort of
-    N uniforms, drawn in row tiles of at most _GRID_DRAW_TILE uniforms;
-    min-separation rows are redrawn until sine_separation_ok holds, for at
-    most _MAX_REJECTION_ROUNDS rounds.  Each round re-checks only the rows it
+    DFT-grid rows are the grid points of _draw_grid_picks; min-separation
+    rows are redrawn until sine_separation_ok holds, for at most
+    _MAX_REJECTION_ROUNDS rounds.  Each round re-checks only the rows it
     redrew, in row order, so the draws are those of a full re-check.
     """
     if angle_mode == DFT_GRID:
-        step = max(1, _GRID_DRAW_TILE // n_elements)
-        if n_rows > step:  # row tiles draw the same uniforms with bounded temporaries
-            return np.concatenate([
-                _draw_sines(rng, min(step, n_rows - a), L, n_elements, angle_mode)
-                for a in range(0, n_rows, step)
-            ])
-        picks = np.argsort(rng.random((n_rows, n_elements)), axis=1)[:, :L]
-        return _grid_sines(n_elements)[picks]
+        return _grid_sines(n_elements)[_draw_grid_picks(rng, n_rows, L, n_elements)]
     sines = np.sin(rng.uniform(0.0, 2.0 * np.pi, (n_rows, L)))
     bad = np.flatnonzero(~_sines_separated(sines, n_elements, spacing))
     for _ in range(_MAX_REJECTION_ROUNDS):

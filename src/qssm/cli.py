@@ -23,7 +23,7 @@ import numpy as np
 from . import __version__, analysis, montecarlo
 from .analysis import NumericalError, PepConvention
 from .channel import SamplingError
-from .modem import build_constellation, build_symbol_book
+from .modem import _label_table, build_constellation, spectral_efficiency
 from .montecarlo import AbepCurve, BerEstimate, CurvePoint, SimConfig
 
 OUTPUT_DIR_ENV = "QSSM_OUT_DIR"
@@ -417,10 +417,14 @@ def symbol_table_csv(L: int, M: int, kind: str) -> str:
     """Symbol book as CSV: label, scatterer indices, signal components."""
     if L * L * M > _TABLE_ROWS:
         raise ValueError(f"table: L^2 * M = {L * L * M} rows, over the {_TABLE_ROWS} it dumps")
-    book = build_symbol_book(L, build_constellation(kind, M))
+    constellation = build_constellation(kind, M)
+    width = spectral_efficiency(M, L)
+    table = (array.tolist() for array in _label_table(L, constellation, 2))
     lines = ["label,k1,k2,x_re,x_im"]
-    for s in book.symbols:
-        lines.append(f"{s.label},{s.k1},{s.k2},{_fmt(s.x_re)},{_fmt(s.x_im)}")
+    lines += [
+        f"{label:0{width}b},{k1 + 1},{k2 + 1},{_fmt(u)},{_fmt(v)}"
+        for label, (k1, k2, u, v) in enumerate(zip(*table))
+    ]
     return "\n".join(lines) + "\n"
 
 
@@ -435,6 +439,14 @@ def _parse_snr_arg(text: str) -> tuple[float, ...]:
     if len(parts) != 3:
         raise ConfigError(f"--snr: expected start:stop:step, got {text!r}")
     return _snr_grid_from_spec(dict(zip(("start", "stop", "step"), parts)), "--snr")
+
+
+_WORKERS_HELP = (
+    "worker processes for Monte Carlo blocks (results do not depend on it); "
+    "each worker's BLAS may start its own threads, so with more than one worker "
+    "set OPENBLAS_NUM_THREADS=1 (or OMP_NUM_THREADS=1) to keep them from "
+    "oversubscribing the cores"
+)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -456,7 +468,7 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         help="override the analysis convention",
     )
-    p_run.add_argument("--workers", type=int, default=1)
+    p_run.add_argument("--workers", type=int, default=1, help=_WORKERS_HELP)
 
     p_sweep = sub.add_parser("sweep", help="sweep a single config given by flags")
     p_sweep.add_argument("--scheme", choices=["qssm", "ssm"], default="qssm")
@@ -475,7 +487,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p_sweep.add_argument("--name", default=None)
     p_sweep.add_argument("--out-dir", default=None)
-    p_sweep.add_argument("--workers", type=int, default=1)
+    p_sweep.add_argument("--workers", type=int, default=1, help=_WORKERS_HELP)
 
     p_table = sub.add_parser("table", help="dump the symbol book as CSV")
     p_table.add_argument("--L", type=int, default=4)
@@ -486,7 +498,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_validate = sub.add_parser("validate", help="analysis self-checks and arbiter")
     p_validate.add_argument("--trials", type=int, default=1_000_000)
     p_validate.add_argument("--seed", type=int, default=0)
-    p_validate.add_argument("--workers", type=int, default=1)
+    p_validate.add_argument("--workers", type=int, default=1, help=_WORKERS_HELP)
     p_validate.add_argument("--out", type=Path, default=None)
 
     p_compare = sub.add_parser("compare", help="gain report between two result CSVs")

@@ -29,7 +29,9 @@ from .channel import (
     _check_angle_sampling,
     _complex_normals,
     _dirichlet_gram,
+    _draw_grid_picks,
     _draw_sines,
+    dft_grid_sines,
 )
 from .modem import (
     QAM,
@@ -312,32 +314,36 @@ def _scheme_tables(scheme: str, kind: str, M: int, L: int):
 
 
 def _block_channel(config: SimConfig, snr_db: float, block_index: int, n_trials: int):
-    """Gains (and sines in physical mode) for each trial of one block."""
-    need_angles = config.channel_mode == PHYSICAL
+    """Gains, and in physical mode each side's beams (_draw_beams), for each
+    trial of one block; ideal mode draws no beams and returns None for them."""
 
-    def sines(rng, n_rows):  # departure then arrival sines, in stream order
-        return tuple(
-            _draw_sines(rng, n_rows, config.L, n, config.angle_mode, config.spacing)
-            for n in (config.n_t, config.n_r)
-        )
+    def draw(rng, n_rows):  # gains, then departure and arrival beams: stream order
+        gains = _complex_normals(rng, (n_rows, config.L))
+        if config.channel_mode == IDEAL:
+            return (gains,)
+        return gains, *(_draw_beams(rng, n_rows, config, n) for n in (config.n_t, config.n_r))
 
     if config.redraw == "per_trial":
-        rng = _substream(config.seed, snr_db, _PURPOSE_CHANNEL, block_index)
-        gains = _complex_normals(rng, (n_trials, config.L))
-        return (gains, *sines(rng, n_trials)) if need_angles else (gains, None, None)
+        drawn = draw(_substream(config.seed, snr_db, _PURPOSE_CHANNEL, block_index), n_trials)
+    else:  # one draw per channel block, repeated over its trials
+        t0 = block_index * TRIALS_PER_BLOCK
+        channel_ids = (t0 + np.arange(n_trials)) // config.redraw_block
+        blocks, rows = np.unique(channel_ids, return_inverse=True)
+        draws = [
+            draw(_substream(config.seed, snr_db, _PURPOSE_CHANNEL_BLOCK, int(cb)), 1)
+            for cb in blocks
+        ]
+        drawn = tuple(np.concatenate(parts)[rows] for parts in zip(*draws))
+    return (drawn + (None, None))[:3]
 
-    t0 = block_index * TRIALS_PER_BLOCK
-    channel_ids = (t0 + np.arange(n_trials)) // config.redraw_block
-    gains = np.empty((n_trials, config.L), dtype=complex)
-    sin_aod = np.empty((n_trials, config.L)) if need_angles else None
-    sin_aoa = np.empty((n_trials, config.L)) if need_angles else None
-    for cb in np.unique(channel_ids):
-        rng = _substream(config.seed, snr_db, _PURPOSE_CHANNEL_BLOCK, int(cb))
-        rows = channel_ids == cb
-        gains[rows] = _complex_normals(rng, (1, config.L))
-        if need_angles:
-            sin_aod[rows], sin_aoa[rows] = sines(rng, 1)
-    return gains, sin_aod, sin_aoa
+
+def _draw_beams(rng, n_rows: int, config: SimConfig, n_elements: int) -> np.ndarray:
+    """(n_rows, L) beams of one array side: integer grid picks on the DFT grid when
+    the side's (N, N) Gram table fits one tile's Gram budget of _COMPLEX_BUDGET // 32
+    complex values (N <= 362), else sines."""
+    if config.angle_mode == DFT_GRID and n_elements * n_elements <= _COMPLEX_BUDGET // 32:
+        return _draw_grid_picks(rng, n_rows, config.L, n_elements)
+    return _draw_sines(rng, n_rows, config.L, n_elements, config.angle_mode, config.spacing)
 
 
 def _observe_scalar(beta_k1, beta_k2, x_re, x_im, root_rho, noise):
@@ -346,20 +352,22 @@ def _observe_scalar(beta_k1, beta_k2, x_re, x_im, root_rho, noise):
     return root_rho * (beta_k1 * x_re + 1j * beta_k2 * x_im) + noise
 
 
-def _observe_physical(tx, rx, sin_aod, sin_aoa, gains, symbols, root_rho, white):
+def _observe_physical(tx, rx, aod, aoa, gains, symbols, root_rho, white):
     """(B, L) beam outputs z of the array chain for QSSM ``symbols`` (k1, k2, x_re, x_im),
     with (B, L) unit-variance complex ``white`` normals.
 
     z = sqrt(rho) * G_r (gains * beams) + A_r^H n.  The beams are x_re and
     j*x_im times columns k1 and k2 of the transmit Gram; both Grams are
-    closed-form Dirichlet kernels.  The projected noise A_r^H n of unit
+    closed-form Dirichlet kernels.  ``aod`` and ``aoa`` are each side's (B, L)
+    beams: sines, or integer DFT-grid picks whose entries come from the
+    side's cached table (_pair_gram).  The projected noise A_r^H n of unit
     element noise is CN(0, G_r), so it is drawn as F @ white with F F^H = G_r
     (_gram_factor).  Trials run in tiles that bound the temporaries.
     """
     k1, k2, x_re, x_im = symbols
     n_trials, L = gains.shape
     rows = np.arange(n_trials)[:, None]
-    aimed = sin_aod[rows, np.array((k1, k2)).T, None]  # (B, 2, 1) sines of beams k1, k2
+    aimed = aod[rows, np.array((k1, k2)).T, None]  # (B, 2, 1) beams k1, k2
     weights = np.zeros((n_trials, 1, 2), dtype=complex)  # x_re and j*x_im on beams k1, k2
     weights.real[:, 0, 0] = x_re
     weights.imag[:, 0, 1] = x_im
@@ -367,27 +375,48 @@ def _observe_physical(tx, rx, sin_aod, sin_aoa, gains, symbols, root_rho, white)
     tile = max(1, _COMPLEX_BUDGET // (32 * L * L))
     for a0 in range(0, n_trials, tile):
         sl = slice(a0, a0 + tile)
-        g_t = _dirichlet_gram(sin_aod[sl, None, :], aimed[sl], tx.n_elements, tx.spacing_over_lambda)
-        g_r = _receive_gram(sin_aoa[sl], rx.n_elements, rx.spacing_over_lambda)
+        g_t = _pair_gram(aod[sl, None, :], aimed[sl], tx.n_elements, tx.spacing_over_lambda)
+        g_r = _receive_gram(aoa[sl], rx.n_elements, rx.spacing_over_lambda)
         beams = (weights[sl] @ g_t)[:, 0]
         signal = g_r @ (gains[sl] * beams)[..., None]
         z[sl] = (root_rho * signal + _gram_factor(g_r) @ white[sl, :, None])[..., 0]
     return z
 
 
+@lru_cache(maxsize=8)
+def _grid_gram(n_elements: int, spacing: float) -> np.ndarray:
+    """Read-only (N, N) Gram a^H(s_i) a(s_j) of the N DFT-grid sines, built once."""
+    grid = dft_grid_sines(n_elements)
+    table = _dirichlet_gram(grid[:, None], grid[None, :], n_elements, spacing)
+    table.flags.writeable = False
+    return table
+
+
+def _pair_gram(beams_l, beams_m, n_elements: int, spacing: float) -> np.ndarray:
+    """a^H(s_l) a(s_m), broadcast over two arrays of one side's beams: the Dirichlet
+    kernel of sines, or the entries of _grid_gram at integer grid picks.  The
+    table holds the kernel's own values, so both give the same bytes."""
+    if beams_l.dtype.kind == "f":
+        return _dirichlet_gram(beams_l, beams_m, n_elements, spacing)
+    return _grid_gram(n_elements, spacing)[beams_l, beams_m]
+
+
 #: (lo, hi) arrays of the pairs l < m, per L; the cross rows of W follow this order
 _pairs = lru_cache(maxsize=16)(np.triu_indices)
 
 
-def _receive_gram(sines: np.ndarray, n_elements: int, spacing: float) -> np.ndarray:
-    """(B, L, L) Gram a^H(s_l) a(s_m) of (B, L) ``sines``, Hermitian with a unit diagonal.
+def _receive_gram(beams: np.ndarray, n_elements: int, spacing: float) -> np.ndarray:
+    """(B, L, L) Gram a^H(s_l) a(s_m) of (B, L) ``beams`` (sines or grid picks),
+    Hermitian with a unit diagonal.
 
-    Only the pairs l < m go through the Dirichlet kernel; the mirror is their
+    Only the pairs l < m go through _pair_gram; the mirror is their
     conjugate and the diagonal is exactly 1, as the kernel gives at f = 0.
+    (The lower triangle of _grid_gram holds the same values, but at spacing
+    1 its aliased entries carry zero imaginary parts of the other sign.)
     """
-    n_trials, L = sines.shape
+    n_trials, L = beams.shape
     lo, hi = _pairs(L, 1)
-    upper = _dirichlet_gram(sines[:, lo], sines[:, hi], n_elements, spacing)
+    upper = _pair_gram(beams[:, lo], beams[:, hi], n_elements, spacing)
     gram = np.empty((n_trials, L, L), dtype=complex)
     gram[:, lo, hi] = upper
     gram[:, hi, lo] = upper.conj()
@@ -460,7 +489,7 @@ def _block_bit_errors(
         0, len(popcounts), n_trials
     )
     noise_rng = _substream(config.seed, snr_db, _PURPOSE_NOISE, block_index)
-    gains, sin_aod, sin_aoa = _block_channel(config, snr_db, block_index, n_trials)
+    gains, aod, aoa = _block_channel(config, snr_db, block_index, n_trials)
     root_rho = np.sqrt(rho)
     symbols = tuple(array[labels] for array in table)
     if config.channel_mode == IDEAL:
@@ -472,8 +501,8 @@ def _block_bit_errors(
     else:  # joint detection on the L beam outputs of the array chain
         white = _complex_normals(noise_rng, (n_trials, config.L))
         tx, rx = (ArrayGeometry(n, config.spacing) for n in (config.n_t, config.n_r))
-        z = _observe_physical(tx, rx, sin_aod, sin_aoa, gains, symbols, root_rho, white)
-        del white, sin_aod, sin_aoa  # detection needs only z and the gains
+        z = _observe_physical(tx, rx, aod, aoa, gains, symbols, root_rho, white)
+        del white, aod, aoa  # detection needs only z and the gains
         features = _features(z, root_rho * gains)
     return _detect_errors(features, W, column_labels, labels, popcounts)
 

@@ -2,6 +2,7 @@
 
 import json
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from qssm.cli import (
     validate_analysis,
 )
 from qssm import montecarlo
+from qssm.modem import build_constellation, build_symbol_book
 from qssm.montecarlo import SimConfig, sweep
 
 MINIMAL = {
@@ -109,6 +111,32 @@ def test_symbol_table_matches_bit_mapping():
     assert float(rows["000000"][3]) == pytest.approx(-1 / np.sqrt(2))
     assert rows["011011"][1:3] == ["2", "3"]
     assert float(rows["011011"][4]) == pytest.approx(+1 / np.sqrt(2))
+
+
+@pytest.mark.parametrize(
+    "L,M,kind", [(1, 2, "psk"), (2, 8, "qam"), (4, 16, "psk"), (8, 32, "qam"), (16, 64, "psk")]
+)
+def test_symbol_table_equals_object_rendering(L, M, kind):
+    """The CSV formatted from the label table is the rendering of the book's
+    QssmSymbol objects, byte for byte."""
+    book = build_symbol_book(L, build_constellation(kind, M))
+    expected = "label,k1,k2,x_re,x_im\n" + "".join(
+        f"{s.label},{s.k1},{s.k2},{s.x_re:.17g},{s.x_im:.17g}\n" for s in book.symbols
+    )
+    assert symbol_table_csv(L, M, kind) == expected
+
+
+def test_symbol_table_peak_memory():
+    """The largest table (L = 64, M = 64, 17 MB of CSV) peaks below five times its
+    text; rendering it from QssmSymbol objects peaked at eight times."""
+    tracemalloc.start()
+    try:
+        text = symbol_table_csv(64, 64, "qam")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(text.splitlines()) == 64 * 64 * 64 + 1
+    assert peak < 5 * len(text)
 
 
 def _tiny_spec_dict(trials=2000, seed=1):

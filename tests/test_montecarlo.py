@@ -16,6 +16,7 @@ from qssm.channel import (
     ArrayGeometry,
     ChannelRealization,
     _dirichlet_gram,
+    dft_grid_sines,
 )
 from qssm.modem import PSK, QAM, _is_pow2, build_constellation, build_symbol_book, ssm_hypotheses
 from qssm import montecarlo
@@ -40,6 +41,7 @@ from qssm.montecarlo import (
     _PURPOSE_LABELS,
     _PURPOSE_NOISE,
     _COMPLEX_BUDGET,
+    _block_channel,
     _gram_factor,
     _observe_physical,
     _receive_gram,
@@ -552,26 +554,57 @@ def _dense_observe_physical(tx, rx, sin_aod, sin_aoa, gains, symbols, root_rho, 
     return z
 
 
+def _physical_draws(rng, n, L, mode, spacing, n_t, n_r, beams):
+    """(gains, aod, aoa, picks) of n trials.  With ``beams`` "sines" the sines come
+    from _draw_sines and picks is None; with a redraw mode they are the DFT-grid
+    points of the picks _block_channel draws for a block in that mode."""
+    if beams == "sines":
+        sin_aod = _draw_sines(rng, n, L, n_t, mode, spacing)
+        sin_aoa = _draw_sines(rng, n, L, n_r, mode, spacing)
+        return _complex_normals(rng, (n, L)), sin_aod, sin_aoa, None
+    cfg = SimConfig(
+        scheme="qssm", L=L, M=4, channel_mode="physical", angle_mode=mode, n_t=n_t, n_r=n_r,
+        spacing=spacing, trials=n, seed=int(rng.integers(1 << 30)), redraw=beams,
+    )
+    gains, pick_aod, pick_aoa = _block_channel(cfg, 20.0, 0, n)
+    assert pick_aod.dtype.kind == pick_aoa.dtype.kind == "i"
+    sines = (dft_grid_sines(n_t)[pick_aod], dft_grid_sines(n_r)[pick_aoa])
+    return gains, *sines, (pick_aod, pick_aoa)
+
+
+def _beam_cases(*rows):
+    """Params (L, mode, spacing, n_t, n_r, beams): a "sines" case is named by its
+    first five values, a grid-pick case also by its redraw mode."""
+    return [pytest.param(*row, id="-".join(map(str, row[:-1] if row[-1] == "sines" else row)))
+            for row in rows]
+
+
 @pytest.mark.parametrize(
-    "L,mode,spacing,n_t,n_r",
-    [
-        (4, "dft_grid", 0.5, 32, 32),
-        (4, "dft_grid", 0.25, 16, 12),
-        (4, "dft_grid", 1.0, 32, 32),  # grid sines one apart steer the same beam
-        (4, "min_sep", 0.5, 32, 32),
-        (1, "dft_grid", 0.5, 32, 32),
-        (8, "dft_grid", 0.5, 8, 8),  # L = N: every grid beam is used
-    ],
+    "L,mode,spacing,n_t,n_r,beams",
+    _beam_cases(
+        (4, "dft_grid", 0.5, 32, 32, "sines"),
+        (4, "dft_grid", 0.25, 16, 12, "sines"),
+        (4, "dft_grid", 1.0, 32, 32, "sines"),  # grid sines one apart steer the same beam
+        (4, "min_sep", 0.5, 32, 32, "sines"),
+        (1, "dft_grid", 0.5, 32, 32, "sines"),
+        (8, "dft_grid", 0.5, 8, 8, "sines"),  # L = N: every grid beam is used
+        # grid picks: the Gram entries come from the cached (N, N) tables
+        (4, "dft_grid", 0.5, 32, 32, "per_trial"),
+        (4, "dft_grid", 0.25, 16, 12, "per_block"),
+        (4, "dft_grid", 1.0, 32, 32, "per_trial"),
+        (1, "dft_grid", 0.5, 32, 32, "per_block"),
+        (8, "dft_grid", 0.5, 8, 8, "per_trial"),
+        (32, "dft_grid", 0.5, 32, 32, "per_block"),
+    ),
 )
-def test_observe_physical_matches_dense_steering(L, mode, spacing, n_t, n_r):
-    """The closed-form chain equals the dense steering chain to 1e-12 of the signal scale."""
+def test_observe_physical_matches_dense_steering(L, mode, spacing, n_t, n_r, beams):
+    """The closed-form chain equals the dense steering chain to 1e-12 of the signal
+    scale; on grid picks, its table path gives the kernel's z byte for byte."""
     tx, rx = ArrayGeometry(n_t, spacing), ArrayGeometry(n_r, spacing)
     root_rho = 10.0
     for n in (1, TRIALS_PER_BLOCK):
         rng = np.random.default_rng(n + L)
-        sin_aod = _draw_sines(rng, n, L, n_t, mode, spacing)
-        sin_aoa = _draw_sines(rng, n, L, n_r, mode, spacing)
-        gains = _complex_normals(rng, (n, L))
+        gains, sin_aod, sin_aoa, picks = _physical_draws(rng, n, L, mode, spacing, n_t, n_r, beams)
         symbols = (
             rng.integers(0, L, n), rng.integers(0, L, n),
             rng.choice([-3.0, -1.0, 1.0, 3.0], n), rng.choice([-3.0, -1.0, 1.0, 3.0], n),
@@ -581,24 +614,37 @@ def test_observe_physical_matches_dense_steering(L, mode, spacing, n_t, n_r):
             args = (tx, rx, sin_aod, sin_aoa, gains, symbols, root_rho, white)
             z = _observe_physical(*args)
             assert np.abs(z - _dense_observe_physical(*args)).max() <= 1e-12 * scale
+            if picks is not None:
+                table_args = (tx, rx, *picks, gains, symbols, root_rho, white)
+                assert _observe_physical(*table_args).tobytes() == z.tobytes()
     if spacing == 1.0:  # an aliased pair: its closed-form Gram entry is 1 exactly
         assert _dirichlet_gram(np.array(-0.5), np.array(0.5), n_r, spacing) == 1.0
         assert (np.abs(sin_aoa[:, :, None] - sin_aoa[:, None, :]) == 1.0).any()
 
 
 @pytest.mark.parametrize(
-    "L,mode,spacing,n_t,n_r",
-    [
-        (4, "dft_grid", 0.5, 32, 32),
-        (4, "min_sep", 0.5, 32, 32),
-        (4, "dft_grid", 0.25, 16, 12),
-        (4, "dft_grid", 1.0, 32, 32),  # aliased pairs: entries of exactly 1 off the diagonal
-        (1, "dft_grid", 0.5, 32, 32),
-        (32, "dft_grid", 0.5, 32, 32),
-    ],
+    "L,mode,spacing,n_t,n_r,beams",
+    _beam_cases(
+        (4, "dft_grid", 0.5, 32, 32, "sines"),
+        (4, "min_sep", 0.5, 32, 32, "sines"),
+        (4, "dft_grid", 0.25, 16, 12, "sines"),
+        (4, "dft_grid", 1.0, 32, 32, "sines"),  # aliased pairs: entries of exactly 1 off the diagonal
+        (1, "dft_grid", 0.5, 32, 32, "sines"),
+        (32, "dft_grid", 0.5, 32, 32, "sines"),
+        # grid picks: the pairs l < m come from the cached (N, N) table
+        (4, "dft_grid", 0.5, 32, 32, "per_block"),
+        (4, "dft_grid", 0.25, 16, 12, "per_trial"),
+        (4, "dft_grid", 1.0, 32, 32, "per_block"),
+        (1, "dft_grid", 0.5, 32, 32, "per_trial"),
+        (8, "dft_grid", 0.5, 8, 8, "per_block"),
+        (32, "dft_grid", 0.5, 32, 32, "per_trial"),
+    ),
 )
-def test_receive_gram_upper_triangle_equals_full_evaluation(monkeypatch, L, mode, spacing, n_t, n_r):
-    """Mirroring the pairs l < m changes no entry of g_r and no byte of z."""
+def test_receive_gram_upper_triangle_equals_full_evaluation(
+    monkeypatch, L, mode, spacing, n_t, n_r, beams
+):
+    """Mirroring the pairs l < m changes no entry of g_r and no byte of z, and
+    neither does reading the pairs of grid picks from the table."""
 
     def full_gram(sines, n_elements, spacing):
         return _dirichlet_gram(sines[:, :, None], sines[:, None, :], n_elements, spacing)
@@ -606,9 +652,7 @@ def test_receive_gram_upper_triangle_equals_full_evaluation(monkeypatch, L, mode
     n = 1500  # several tiles of the kernel, the last one partial
     tx, rx = ArrayGeometry(n_t, spacing), ArrayGeometry(n_r, spacing)
     rng = np.random.default_rng(L)
-    sin_aod = _draw_sines(rng, n, L, n_t, mode, spacing)
-    sin_aoa = _draw_sines(rng, n, L, n_r, mode, spacing)
-    gains = _complex_normals(rng, (n, L))
+    gains, sin_aod, sin_aoa, picks = _physical_draws(rng, n, L, mode, spacing, n_t, n_r, beams)
     white = _complex_normals(rng, (n, L))
     symbols = (
         rng.integers(0, L, n), rng.integers(0, L, n),
@@ -620,8 +664,47 @@ def test_receive_gram_upper_triangle_equals_full_evaluation(monkeypatch, L, mode
         assert (expected[:, ~np.eye(L, dtype=bool)] == 1.0).any()
     args = (tx, rx, sin_aod, sin_aoa, gains, symbols, 10.0, white)
     z = _observe_physical(*args)
+    if picks is not None:
+        table_gram = _receive_gram(picks[1], n_r, spacing)
+        assert table_gram.tobytes() == _receive_gram(sin_aoa, n_r, spacing).tobytes()
+        table_args = (tx, rx, *picks, gains, symbols, 10.0, white)
+        assert _observe_physical(*table_args).tobytes() == z.tobytes()
     monkeypatch.setattr(montecarlo, "_receive_gram", full_gram)
     assert z.tobytes() == _observe_physical(*args).tobytes()
+
+
+@pytest.mark.parametrize(
+    "n_t,n_r,tables",
+    [
+        (32, 16, [(32, 32), (16, 16)]),
+        # 363^2 complex values exceed a tile's Gram budget: the receive side
+        # evaluates the kernel per trial, the transmit side still reads its table
+        (362, 363, [(362, 362)]),
+    ],
+)
+def test_grid_blocks_evaluate_the_kernel_only_to_build_tables(monkeypatch, n_t, n_r, tables):
+    """A DFT-grid block calls _dirichlet_gram once per (N, spacing) table, built on
+    first use and cached read-only, unless N^2 exceeds _COMPLEX_BUDGET // 32."""
+    shapes = []
+
+    def counted(sines_l, sines_m, n_elements, spacing):
+        shapes.append(np.broadcast_shapes(np.shape(sines_l), np.shape(sines_m)))
+        return _dirichlet_gram(sines_l, sines_m, n_elements, spacing)
+
+    monkeypatch.setattr(montecarlo, "_dirichlet_gram", counted)
+    montecarlo._grid_gram.cache_clear()
+    n = 1000
+    for redraw in ("per_trial", "per_block"):
+        cfg = SimConfig(
+            scheme="qssm", L=4, M=4, channel_mode="physical", n_t=n_t, n_r=n_r,
+            trials=n, seed=3, redraw=redraw,
+        )
+        _block_bit_errors(cfg, 20.0, 0, n)
+    table_shapes = [shape for shape in shapes if shape in ((n_t, n_t), (n_r, n_r))]
+    assert table_shapes == tables
+    kernel_calls = len(shapes) - len(tables)
+    assert (kernel_calls > 0) == (n_r * n_r > _COMPLEX_BUDGET // 32)
+    assert not montecarlo._grid_gram(n_t, 0.5).flags.writeable
 
 
 @pytest.mark.parametrize(
