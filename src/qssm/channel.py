@@ -106,8 +106,22 @@ def _angles_from_sines(sines: np.ndarray) -> np.ndarray:
 
 
 def _complex_normals(rng: np.random.Generator, shape) -> np.ndarray:
-    """Unit-variance circularly symmetric complex Gaussian draws."""
-    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
+    """Unit-variance circularly symmetric complex Gaussian draws; one Python
+    complex for ``shape=None``.
+
+    Arrays take the real draws, then the imaginary ones, each times
+    1/sqrt(2): NumPy divides a complex array by a real scalar with Smith's
+    algorithm, which multiplies by that reciprocal, so the bytes equal
+    ``(re + 1j * im) / np.sqrt(2.0)`` without its complex temporaries.
+    Python's complex division divides instead, so a scalar keeps that form.
+    """
+    if shape is None:
+        return (rng.standard_normal() + 1j * rng.standard_normal()) / np.sqrt(2.0)
+    scale = 1.0 / np.sqrt(2.0)
+    z = np.empty(shape, dtype=complex)
+    np.multiply(rng.standard_normal(shape), scale, out=z.real)
+    np.multiply(rng.standard_normal(shape), scale, out=z.imag)
+    return z
 
 
 def _sines_separated(sines: np.ndarray, n_elements: int, spacing: float) -> np.ndarray:

@@ -442,8 +442,10 @@ def _parse_snr_arg(text: str) -> tuple[float, ...]:
 
 
 _WORKERS_HELP = (
-    "worker processes for Monte Carlo blocks (results do not depend on it); "
-    "each worker's BLAS may start its own threads, so with more than one worker "
+    "worker processes for Monte Carlo blocks: 1 (the default) runs them in this "
+    "process, and a value above the CPUs this process may use starts only that "
+    "many; results do not depend on it, and one pool serves every config of the "
+    "run. Each worker's BLAS may start its own threads, so with more than one worker "
     "set OPENBLAS_NUM_THREADS=1 (or OMP_NUM_THREADS=1) to keep them from "
     "oversubscribing the cores"
 )
@@ -535,6 +537,7 @@ def _cmd_run(args) -> int:
 
 def _run_and_list(spec: ExperimentSpec, args) -> int:
     """run_experiment on ``spec``, then print every written path in name order."""
+    _from_input(montecarlo._check_workers, args.workers)
     written = run_experiment(spec, workers=args.workers, out_dir=args.out_dir)
     for name in sorted(written):
         print(written[name])
@@ -568,6 +571,7 @@ def _cmd_table(args) -> int:
 def _cmd_validate(args) -> int:
     if args.trials < 1:
         raise ConfigError(f"--trials: must be >= 1, got {args.trials}")
+    _from_input(montecarlo._check_workers, args.workers)
     _emit(
         validate_analysis(trials=args.trials, seed=args.seed, workers=args.workers),
         args.out,

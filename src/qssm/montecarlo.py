@@ -11,10 +11,11 @@ counts in block order, so scheduling cannot change results.
 
 from __future__ import annotations
 
+import atexit
 import hashlib
 import json
+import os
 from collections import deque
-from contextlib import nullcontext
 from dataclasses import dataclass, field, fields
 from functools import lru_cache
 from math import isinf
@@ -512,13 +513,56 @@ def _block_layout(trials: int) -> list[tuple[int, int]]:
     return [(b, min(TRIALS_PER_BLOCK, trials - t0)) for b, t0 in enumerate(starts)]
 
 
-def _process_pool(workers: int):
-    """A process pool for workers > 1, else a context that yields None."""
-    if workers <= 1:
-        return nullcontext()
+def _check_workers(workers: int) -> None:
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
+
+
+def _pool_size(workers: int) -> int:
+    """Worker processes for ``workers``: at most the CPUs this process may use."""
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    return min(workers, cpus)
+
+
+#: This process's shared pool as ((pid, size), executor), or None.
+_pool = None
+
+
+def _process_pool(size: int):
+    """The process pool of ``size`` workers that every call of this process shares.
+
+    Created on first need and kept: under fork every worker starts at the
+    first submit, so a pool per call would pay that start and a join each
+    time.  The key holds the pid, so a forked child never uses its parent's
+    pool.  A pool of another size, or one that broke while idle (a worker
+    was killed), is shut down and replaced.  Nothing guards the pool against
+    callers in several threads at once.
+    """
+    global _pool
+    key = (os.getpid(), size)
+    if _pool is not None:
+        if _pool[0] == key and not _pool[1]._broken:  # the executor's own flag
+            return _pool[1]
+        _close_pool()
     from concurrent.futures import ProcessPoolExecutor
 
-    return ProcessPoolExecutor(max_workers=workers)
+    _pool = (key, ProcessPoolExecutor(max_workers=size))
+    return _pool[1]
+
+
+def _close_pool() -> None:
+    """Shut the shared pool down and forget it (a forked child only forgets its
+    parent's)."""
+    global _pool
+    if _pool is not None and _pool[0][0] == os.getpid():
+        _pool[1].shutdown(wait=True, cancel_futures=True)
+    _pool = None
+
+
+atexit.register(_close_pool)  # no worker outlives the interpreter
 
 
 def run_point(
@@ -526,40 +570,45 @@ def run_point(
     snr_db: float,
     workers: int = 1,
     max_errors: int | None = None,
-    *,
-    pool=None,
 ) -> BerEstimate:
     """Estimate the ABEP at one SNR point.
 
-    Results are identical for any ``workers`` value.  ``max_errors``
+    Results are identical for any ``workers`` value (>= 1).  ``max_errors``
     optionally stops after the block in which the cumulative bit-error
     count crosses the threshold (no bias correction; not used by the
-    acceptance runs).  With ``workers > 1`` at most ``workers`` blocks are
-    in flight, on ``pool`` when given (``sweep`` shares one across its
-    points) or else on a pool of this call's own.
+    acceptance runs).  With ``workers > 1`` the blocks run on the process
+    pool this process keeps for all its calls, of ``workers`` processes but
+    no more than the CPUs it may use, with one block per process in flight.
+    A pool that breaks during the call raises ``BrokenProcessPool`` and is
+    dropped; blocks still queued when the call ends are cancelled.
     """
+    _check_workers(workers)
     blocks = _block_layout(config.trials)
     bits = config.bits_per_trial
     errors = trials_done = 0
+    size = _pool_size(workers)
+    pool = _process_pool(size) if size > 1 else None
     in_flight: deque = deque()
-    with _process_pool(workers if pool is None else 1) as own_pool:
-        pool = own_pool if pool is None else pool
-        queued = iter(blocks)
+    queued = iter(blocks)
+    try:
         for b, count in blocks:
             if pool is None:
                 block_errors = _block_bit_errors(config, snr_db, b, count)
             else:
                 for nb, ncount in queued:
                     in_flight.append(pool.submit(_block_bit_errors, config, snr_db, nb, ncount))
-                    if len(in_flight) >= workers:
+                    if len(in_flight) >= size:
                         break
                 block_errors = in_flight.popleft().result()
             errors += block_errors
             trials_done += count
             if max_errors is not None and errors >= max_errors:
                 break
+    finally:
         for future in in_flight:
             future.cancel()
+        if pool is not None and pool._broken:  # it raised BrokenProcessPool above
+            _close_pool()
     abep = errors / (trials_done * bits)
     ci_low, ci_high = binomial_ci(errors, trials_done * bits)
     return BerEstimate(
@@ -578,31 +627,29 @@ def sweep(
 ) -> AbepCurve:
     """Run every grid point and attach the analytical and asymptotic bounds.
 
-    With ``workers > 1`` one process pool serves every point and is closed
-    before the curve is returned.
+    With ``workers > 1`` every point runs on the process pool that
+    ``run_point`` keeps for the whole process; it stays open after the
+    curve is returned and is shut down at interpreter exit.
     """
     constellation, book, *_ = _scheme_tables(
         config.scheme, config.kind, config.M, config.L
     )
     points = []
-    with _process_pool(workers) as pool:
-        for snr_db in config.snr_db:
-            estimate = run_point(
-                config, snr_db, workers=workers, max_errors=max_errors, pool=pool
+    for snr_db in config.snr_db:
+        estimate = run_point(config, snr_db, workers=workers, max_errors=max_errors)
+        if config.scheme == QSSM:
+            bound = analysis.abep_point(book, snr_db, config.convention)
+        else:
+            bound = analysis.abep_point_ssm(
+                config.L, constellation, snr_db, config.convention
             )
-            if config.scheme == QSSM:
-                bound = analysis.abep_point(book, snr_db, config.convention)
-            else:
-                bound = analysis.abep_point_ssm(
-                    config.L, constellation, snr_db, config.convention
-                )
-            points.append(
-                CurvePoint(
-                    estimate=estimate,
-                    abep_analytic=bound.abep_analytical,
-                    abep_asymptotic=bound.abep_asymptotic,
-                )
+        points.append(
+            CurvePoint(
+                estimate=estimate,
+                abep_analytic=bound.abep_analytical,
+                abep_asymptotic=bound.abep_asymptotic,
             )
+        )
     return AbepCurve(
         config=config, config_hash=config.config_hash(), points=tuple(points)
     )

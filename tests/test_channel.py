@@ -20,6 +20,7 @@ from qssm.channel import (
     sample_channel,
     sine_separation_ok,
     steering_bank,
+    _complex_normals,
     _draw_sines,
     _sines_separated,
 )
@@ -87,6 +88,17 @@ def test_gain_unit_variance_single_path():
         [sample_channel(1, ArrayGeometry(2), ArrayGeometry(2), rng).gains[0] for _ in range(100_000)]
     )
     assert np.mean(np.abs(draws) ** 2) == pytest.approx(1.0, abs=0.02)
+
+
+@pytest.mark.parametrize("shape", [None, 5, (300,), (300, 4)])
+def test_complex_normals_bytes_equal_complex_division(shape):
+    """The draws equal (re + 1j * im) / sqrt(2) to the byte, and to the type."""
+    for seed in range(50):
+        rng = np.random.default_rng(seed)
+        divided = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
+        drawn = _complex_normals(np.random.default_rng(seed), shape)
+        assert type(drawn) is type(divided)
+        assert np.asarray(drawn).tobytes() == np.asarray(divided).tobytes()
 
 
 def test_gain_component_moments():

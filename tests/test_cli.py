@@ -1,6 +1,9 @@
 """Config parsing, artifact emission, and the command-line surface."""
 
 import json
+import multiprocessing
+import os
+import signal
 import time
 import tracemalloc
 
@@ -185,6 +188,38 @@ def test_run_experiment_artifacts(tmp_path):
     before = csv_path.read_bytes()
     run_experiment(spec, out_dir=str(tmp_path / "out"))
     assert csv_path.read_bytes() == before
+
+
+@pytest.mark.skipif(montecarlo._pool_size(2) < 2, reason="workers=2 runs serially on one CPU")
+def test_run_experiment_shares_one_pool_across_configs(tmp_path, monkeypatch):
+    """Every config of one run, and a second run, use the same worker processes."""
+    spec = parse_config(json.dumps(_tiny_spec_dict()))
+    serial = run_experiment(spec, out_dir=str(tmp_path / "serial"))
+    seen = []
+    real_sweep = montecarlo.sweep
+
+    def recording_sweep(*args, **kwargs):
+        curve = real_sweep(*args, **kwargs)
+        seen.append(sorted(p.pid for p in multiprocessing.active_children()))
+        return curve
+
+    monkeypatch.setattr(montecarlo, "sweep", recording_sweep)
+    for run in ("pooled", "again"):
+        written = run_experiment(spec, workers=2, out_dir=str(tmp_path / run))
+        for name, path in written.items():
+            if name.endswith(".csv"):
+                assert path.read_bytes() == serial[name].read_bytes()
+    assert len(seen) == 4 and len(seen[0]) == 2
+    assert all(pids == seen[0] for pids in seen)
+
+
+_TEST_PID = os.getpid()
+
+
+def _kill_worker(*args):
+    """Stands in for a block: the worker process running it dies."""
+    assert os.getpid() != _TEST_PID, "a block meant for a pool ran in the test process"
+    os.kill(os.getpid(), signal.SIGKILL)
 
 
 def test_two_curve_recipe_analytic_ordering(tmp_path):
@@ -384,6 +419,10 @@ def test_main_exit_codes(tmp_path, capsys, monkeypatch):
     assert main(["sweep", "--L", "2", "--M", "4", "--snr", "0:x:2"]) == 2
     assert main(["validate", "--trials", "0"]) == 2
     assert "Traceback" not in capsys.readouterr().err
+    # a worker count below one is refused before any run
+    assert main(["sweep", "--L", "2", "--M", "4", "--trials", "1", "--workers", "0"]) == 2
+    assert main(["validate", "--trials", "1", "--workers", "-1"]) == 2
+    assert capsys.readouterr().err.count("workers must be >= 1") == 2
 
     # a ValueError from inside a kernel is a fault of the program, not of its input
     def broken_kernel(*args):
@@ -395,6 +434,12 @@ def test_main_exit_codes(tmp_path, capsys, monkeypatch):
     assert main(args) == 5
     err = capsys.readouterr().err
     assert err == "internal error: ValueError: kernel fault\n"
+
+    # a pool worker that dies during the run is a fault of the program as well
+    if montecarlo._pool_size(2) >= 2:
+        monkeypatch.setattr(montecarlo, "_block_bit_errors", _kill_worker)
+        assert main([*args, "--workers", "2"]) == 5
+        assert capsys.readouterr().err.startswith("internal error: BrokenProcessPool")
 
 
 def test_main_sweep_and_compare(tmp_path, capsys):

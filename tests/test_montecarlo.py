@@ -1,9 +1,19 @@
 """Monte Carlo engine: determinism, statistics, curves."""
 
+import concurrent.futures
 import itertools
+import json
 import multiprocessing
+import os
+import signal
+import subprocess
+import sys
+import time
 import tracemalloc
+from concurrent.futures import Future
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -267,7 +277,144 @@ def test_run_point_worker_count_invariance():
     first, second = (p.estimate for p in serial.points)
     assert first.trials == 2 * TRIALS_PER_BLOCK and first.bit_errors >= 40_000
     assert second.trials == cfg.trials and second.bit_errors < 40_000
-    assert multiprocessing.active_children() == []  # the pool is closed on return
+
+
+# ---------------------------------------------------------------------------
+# the process pool: one per process, kept across calls
+# ---------------------------------------------------------------------------
+
+two_cpus = pytest.mark.skipif(
+    montecarlo._pool_size(2) < 2, reason="workers=2 runs serially on one CPU"
+)
+_POOL_CFG = SimConfig(
+    scheme="qssm", L=2, M=4, snr_db=(0.0, 10.0), trials=2 * TRIALS_PER_BLOCK, seed=5
+)
+_TEST_PID = os.getpid()
+
+
+def _worker_pids() -> list[int]:
+    return sorted(p.pid for p in multiprocessing.active_children())
+
+
+def _kill_worker(*args):
+    """Stands in for a block: the worker process running it dies."""
+    assert os.getpid() != _TEST_PID, "a block meant for a pool ran in the test process"
+    os.kill(os.getpid(), signal.SIGKILL)
+
+
+@two_cpus
+def test_one_pool_serves_every_sweep():
+    serial = sweep(_POOL_CFG, workers=1)
+    assert sweep(_POOL_CFG, workers=2) == serial
+    pids = _worker_pids()
+    assert len(pids) == 2
+    assert sweep(_POOL_CFG, workers=2) == serial
+    assert _worker_pids() == pids
+
+
+def test_another_pool_size_gives_a_new_pool():
+    first = montecarlo._process_pool(2)
+    assert montecarlo._process_pool(2) is first
+    other = montecarlo._process_pool(1)
+    assert other is not first
+    with pytest.raises(RuntimeError, match="shutdown"):  # the old pool was shut down
+        first.submit(int, "7")
+    assert other.submit(int, "7").result() == 7
+
+
+class _InlineExecutor:
+    """Stands in for ProcessPoolExecutor: records its size, starts no process
+    and runs each block at submit."""
+
+    _broken = False
+
+    def __init__(self, max_workers: int, sizes: list) -> None:
+        sizes.append(max_workers)
+
+    def submit(self, fn, *args):
+        future = Future()
+        future.set_result(fn(*args))
+        return future
+
+    def shutdown(self, wait=True, *, cancel_futures=False) -> None:
+        pass
+
+
+def test_pool_size_is_capped_at_usable_cpus(monkeypatch):
+    sizes: list = []
+    monkeypatch.setattr(
+        concurrent.futures, "ProcessPoolExecutor",
+        lambda max_workers: _InlineExecutor(max_workers, sizes),
+    )
+    monkeypatch.setattr(montecarlo, "_pool", None)  # a kept real pool comes back untouched
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    cfg = SimConfig(scheme="qssm", L=2, M=4, snr_db=(10.0,), trials=3 * TRIALS_PER_BLOCK, seed=5)
+    assert run_point(cfg, 10.0, workers=100_000) == run_point(cfg, 10.0)
+    assert sweep(cfg, workers=3) == sweep(cfg)
+    assert sizes == [3]  # one pool of 3 served both calls
+
+
+def test_workers_below_one_are_rejected_before_any_pool(monkeypatch):
+    def no_pool(size):
+        raise AssertionError("a pool was requested")
+
+    monkeypatch.setattr(montecarlo, "_process_pool", no_pool)
+    for workers in (0, -1):
+        with pytest.raises(ValueError, match="workers must be >= 1"):
+            run_point(_POOL_CFG, 0.0, workers=workers)
+        with pytest.raises(ValueError, match="workers must be >= 1"):
+            sweep(_POOL_CFG, workers=workers)
+
+
+@two_cpus
+def test_pool_broken_while_idle_is_replaced():
+    serial = sweep(_POOL_CFG, workers=1)
+    assert sweep(_POOL_CFG, workers=2) == serial
+    pids = _worker_pids()
+    os.kill(pids[0], signal.SIGKILL)
+    # the pool notices, marks itself broken and ends its other worker
+    deadline = time.monotonic() + 30.0
+    while _worker_pids() and time.monotonic() < deadline:
+        time.sleep(0.01)
+    assert _worker_pids() == []
+    assert sweep(_POOL_CFG, workers=2) == serial
+    assert len(_worker_pids()) == 2 and not set(_worker_pids()) & set(pids)
+
+
+@two_cpus
+def test_pool_broken_during_a_call_raises_and_is_dropped(monkeypatch):
+    monkeypatch.setattr(montecarlo, "_block_bit_errors", _kill_worker)
+    with pytest.raises(BrokenProcessPool):
+        run_point(_POOL_CFG, 0.0, workers=2)
+    assert montecarlo._pool is None
+    monkeypatch.undo()
+    assert run_point(_POOL_CFG, 0.0, workers=2) == run_point(_POOL_CFG, 0.0)
+
+
+_POOL_AT_EXIT = """
+import json, multiprocessing
+from qssm.montecarlo import SimConfig, sweep
+sweep(SimConfig(scheme="qssm", L=2, M=4, snr_db=(10.0,), trials=2 << 14), workers=2)
+print(json.dumps([p.pid for p in multiprocessing.active_children()]))
+"""
+
+
+@two_cpus
+def test_pool_workers_end_with_the_interpreter():
+    src = str(Path(montecarlo.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p
+    )}
+    proc = subprocess.run(
+        [sys.executable, "-c", _POOL_AT_EXIT],
+        capture_output=True, text=True, env=env, timeout=120, check=True,
+    )
+    pids = json.loads(proc.stdout.splitlines()[-1])
+    assert len(pids) == 2
+    for pid in pids:
+        with pytest.raises(ProcessLookupError):
+            os.kill(pid, 0)
 
 
 def test_run_point_high_snr_error_free():
