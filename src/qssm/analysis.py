@@ -52,6 +52,9 @@ DEFAULT_CONVENTION = PepConvention.EXACT_MODEL
 #: rho*eta_bar factor in the closed form: 2 for PAPER_EQ21, 4 for EXACT_MODEL.
 _CLOSED_FORM_FACTOR = {PepConvention.PAPER_EQ21: 2.0, PepConvention.EXACT_MODEL: 4.0}
 
+#: Relative accuracy that pep_quadrature asks of the adaptive quadrature.
+_QUADRATURE_REL_TOL = 1e-10
+
 
 class EtaCase(enum.Enum):
     """Which scatterer indices coincide between the true and wrong hypothesis."""
@@ -86,6 +89,11 @@ def q_function(x):
     return 0.5 * erfc(np.asarray(x, dtype=float) / np.sqrt(2.0))
 
 
+def _beam_eta(c, c_hat, same: bool):
+    """One beam's eta_bar term for values c, c_hat (scalars or arrays) it carries."""
+    return abs(c - c_hat) ** 2 if same else abs(c) ** 2 + abs(c_hat) ** 2
+
+
 def eta_bar(x: complex, x_hat: complex, same_k1: bool, same_k2: bool) -> EtaBar:
     """Expected squared modulus of the hypothesis-difference term.
 
@@ -95,14 +103,8 @@ def eta_bar(x: complex, x_hat: complex, same_k1: bool, same_k2: bool) -> EtaBar:
     """
     x = complex(x)
     x_hat = complex(x_hat)
-    if same_k1:
-        re_part = (x.real - x_hat.real) ** 2
-    else:
-        re_part = x.real**2 + x_hat.real**2
-    if same_k2:
-        im_part = (x.imag - x_hat.imag) ** 2
-    else:
-        im_part = x.imag**2 + x_hat.imag**2
+    re_part = _beam_eta(x.real, x_hat.real, same_k1)
+    im_part = _beam_eta(x.imag, x_hat.imag, same_k2)
     case = {
         (True, True): EtaCase.SAME_SAME,
         (False, True): EtaCase.DIFF_SAME,
@@ -139,16 +141,13 @@ def pep_closed_form(rho, eta_bar_value, convention: PepConvention = DEFAULT_CONV
 
 
 def pep_quadrature(
-    rho: float,
-    eta_bar_value: float,
-    convention: PepConvention = DEFAULT_CONVENTION,
-    rel_tol: float = 1e-10,
+    rho: float, eta_bar_value: float, convention: PepConvention = DEFAULT_CONVENTION
 ) -> float:
     """Numerical fading average of Q(sqrt(rho*eta_bar*g/2)); oracle for the closed form.
 
     The integral runs over u = max(rho*eta_bar, 1)*g, where the faster-decaying
     factor has unit scale, mapped onto (0, 1) through t = u/(1+u) and evaluated
-    by adaptive quadrature to ``rel_tol`` relative accuracy.
+    by adaptive quadrature to ``_QUADRATURE_REL_TOL`` relative accuracy.
     """
     if rho < 0 or eta_bar_value < 0:
         raise ValueError("rho and eta_bar must be >= 0")
@@ -169,14 +168,14 @@ def pep_quadrature(
         return density * q / (1.0 - t) ** 2
 
     value, abserr, info, *message = quad(
-        integrand, 0.0, 1.0, epsabs=0.0, epsrel=rel_tol, limit=200, full_output=True
+        integrand, 0.0, 1.0, epsabs=0.0, epsrel=_QUADRATURE_REL_TOL, limit=200, full_output=True
     )
     if message:
         raise NumericalError(
             f"PEP quadrature did not converge for rho*eta_bar={product:g} "
             f"({convention.value}): {message[0]}"
         )
-    if value > 0 and abserr / value > 10 * rel_tol:
+    if value > 0 and abserr / value > 10 * _QUADRATURE_REL_TOL:
         raise NumericalError(
             f"PEP quadrature met only {abserr / value:.2e} relative accuracy "
             f"for rho*eta_bar={product:g}"
@@ -184,15 +183,26 @@ def pep_quadrature(
     return float(value)
 
 
+def _check_asymptotic_rho(rho: float) -> None:
+    """The high-SNR form 13/(24*rho*eta_bar) is defined only for rho > 0."""
+    if not rho > 0:
+        raise ValueError(f"asymptotic PEP needs rho > 0, got {rho}")
+
+
+def _clamped_asymptotic(rho: float, eta_bar_value):
+    """13/(24*rho*eta_bar) capped at 0.5, so that eta_bar = 0 gives 0.5."""
+    with np.errstate(divide="ignore"):
+        return np.minimum(0.5, 13.0 / (24.0 * rho * eta_bar_value))
+
+
 def pep_asymptotic(rho: float, eta_bar_value: float) -> float:
     """High-SNR PEP 13/(24*rho*eta_bar), clamped to the 0.5 probability cap."""
-    if rho <= 0:
-        raise ValueError(f"asymptotic PEP needs rho > 0, got {rho}")
+    _check_asymptotic_rho(rho)
     if eta_bar_value <= 0:
         raise ValueError(
             f"asymptotic PEP undefined for eta_bar = {eta_bar_value} (needs > 0)"
         )
-    return min(0.5, 13.0 / (24.0 * rho * eta_bar_value))
+    return float(_clamped_asymptotic(rho, eta_bar_value))
 
 
 # ---------------------------------------------------------------------------
@@ -204,10 +214,9 @@ def _popcount_matrix(size: int) -> np.ndarray:
     return np.bitwise_count(values[:, None] ^ values[None, :]).astype(float)
 
 
-def _union_bound(
-    L: int, beams: tuple, rho: float, kernel: str, convention: PepConvention
-) -> float:
-    """Union bound over the L^B * M symbols (k_1, ..., k_B, s), B = len(beams).
+def _union_bound(L: int, beams: tuple, rho: float, convention: PepConvention) -> tuple:
+    """(closed form, asymptotic) union bounds over the L^B * M symbols
+    (k_1, ..., k_B, s), B = len(beams), in one pass over the index classes.
 
     Beam b carries ``beams[b][s]`` from scatterer k_b.  eta_bar adds one term
     per beam that depends only on whether its indices coincide and on (s, t),
@@ -215,33 +224,41 @@ def _union_bound(
     index-coincidence class is one M x M sum weighted n*ham_M + mass: equal
     indices give n = L pairs and mass 0, distinct ones n = L(L-1) and mass
     L^2*log2(L)/2.  The true symbol gets weight 0 on the all-equal diagonal.
+    The callers check rho for the asymptotic kernel.
     """
-    if kernel == "asymptotic" and rho <= 0:
-        raise ValueError(f"asymptotic kernel needs rho > 0, got {rho}")
-    if kernel not in ("closed_form", "asymptotic"):
-        raise ValueError(f"kernel must be 'closed_form' or 'asymptotic', got {kernel!r}")
     order = len(beams[0])
     ham = _popcount_matrix(order)
     same, diff = (L, 0.0), (L * (L - 1), L * L * log2(L) / 2.0)
-    total = 0.0
+    closed = asymptotic = 0.0
     for classes in itertools.product((same, diff), repeat=len(beams)):
         n = prod(count for count, _ in classes)
         if n == 0:
             continue
         eta = sum(
-            np.abs(c[:, None] - c[None, :]) ** 2 if cls is same
-            else np.abs(c[:, None]) ** 2 + np.abs(c[None, :]) ** 2
-            for c, cls in zip(beams, classes)
+            _beam_eta(c[:, None], c[None, :], cls is same) for c, cls in zip(beams, classes)
         )
-        if kernel == "closed_form":
-            pep = pep_closed_form(rho, eta, convention)
-        else:
-            with np.errstate(divide="ignore"):
-                pep = np.minimum(0.5, 13.0 / (24.0 * rho * eta))
         mass = sum(index_mass * (n // count) for count, index_mass in classes)
-        total += float(np.sum((n * ham + mass) * pep))
-    bits = len(beams) * log2(L) + log2(order)
-    return total / (L ** len(beams) * order * bits)
+        weight = n * ham + mass
+        closed += float(np.sum(weight * pep_closed_form(rho, eta, convention)))
+        asymptotic += float(np.sum(weight * _clamped_asymptotic(rho, eta)))
+    scale = L ** len(beams) * order * (len(beams) * log2(L) + log2(order))  # symbols * bits
+    return closed / scale, asymptotic / scale
+
+
+def _kernel_bound(L: int, beams: tuple, rho: float, kernel: str, convention) -> float:
+    """The union bound of one kernel, 'closed_form' or 'asymptotic'."""
+    if kernel == "asymptotic":
+        _check_asymptotic_rho(rho)
+    elif kernel != "closed_form":
+        raise ValueError(f"kernel must be 'closed_form' or 'asymptotic', got {kernel!r}")
+    return _union_bound(L, beams, rho, convention)[kernel == "asymptotic"]
+
+
+def _abep_point(L: int, beams: tuple, snr_db: float, convention) -> AbepPoint:
+    """Both union bounds at one SNR point, from one _union_bound pass."""
+    rho = snr_db_to_rho(snr_db)
+    _check_asymptotic_rho(rho)
+    return AbepPoint(float(snr_db), *_union_bound(L, beams, rho, convention))
 
 
 def abep_union_bound(
@@ -252,7 +269,7 @@ def abep_union_bound(
 ) -> float:
     """Hamming-weighted PEP sum over ordered pairs, / (L^2*M * log2(L^2*M)), in O(M^2)."""
     x = book.constellation.points
-    return _union_bound(book.L, (x.real, x.imag), rho, kernel, convention)
+    return _kernel_bound(book.L, (x.real, x.imag), rho, kernel, convention)
 
 
 def abep_union_bound_ssm(
@@ -263,7 +280,7 @@ def abep_union_bound_ssm(
     convention: PepConvention = DEFAULT_CONVENTION,
 ) -> float:
     """Union bound of the single-beam baseline over its L * M symbols."""
-    return _union_bound(n_scatterers, (constellation.points,), rho, kernel, convention)
+    return _kernel_bound(n_scatterers, (constellation.points,), rho, kernel, convention)
 
 
 def snr_db_to_rho(snr_db: float) -> float:
@@ -277,12 +294,8 @@ def abep_point(
     book: SymbolBook, snr_db: float, convention: PepConvention = DEFAULT_CONVENTION
 ) -> AbepPoint:
     """Closed-form and asymptotic union bounds at one SNR point."""
-    rho = snr_db_to_rho(snr_db)
-    return AbepPoint(
-        snr_db=float(snr_db),
-        abep_analytical=abep_union_bound(book, rho, "closed_form", convention),
-        abep_asymptotic=abep_union_bound(book, rho, "asymptotic", convention),
-    )
+    x = book.constellation.points
+    return _abep_point(book.L, (x.real, x.imag), snr_db, convention)
 
 
 def abep_point_ssm(
@@ -292,13 +305,4 @@ def abep_point_ssm(
     convention: PepConvention = DEFAULT_CONVENTION,
 ) -> AbepPoint:
     """Baseline analogue of :func:`abep_point`."""
-    rho = snr_db_to_rho(snr_db)
-    return AbepPoint(
-        snr_db=float(snr_db),
-        abep_analytical=abep_union_bound_ssm(
-            n_scatterers, constellation, rho, "closed_form", convention
-        ),
-        abep_asymptotic=abep_union_bound_ssm(
-            n_scatterers, constellation, rho, "asymptotic", convention
-        ),
-    )
+    return _abep_point(n_scatterers, (constellation.points,), snr_db, convention)

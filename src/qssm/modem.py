@@ -20,6 +20,9 @@ QAM = "qam"
 
 _SUPPORTED_ORDERS = (2, 4, 8, 16, 32, 64)
 
+#: Largest distance at which Constellation.index_of still matches a point
+_INDEX_TOL = 1e-9
+
 
 def _is_pow2(n: int) -> bool:
     return n >= 1 and (n & (n - 1)) == 0
@@ -47,10 +50,10 @@ class Constellation:
     def bits(self) -> int:
         return int(log2(self.order))
 
-    def index_of(self, point: complex, tol: float = 1e-9) -> int:
-        """Label value of the constellation point matching ``point``."""
+    def index_of(self, point: complex) -> int:
+        """Label value of the constellation point within _INDEX_TOL of ``point``."""
         idx = int(np.argmin(np.abs(self.points - point)))
-        if abs(self.points[idx] - point) > tol:
+        if abs(self.points[idx] - point) > _INDEX_TOL:
             raise ValueError(f"{point!r} is not a point of this constellation")
         return idx
 

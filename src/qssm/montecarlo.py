@@ -122,6 +122,7 @@ class SimConfig:
             raise ValueError("snr_db grid values must be finite")
         if any(b <= a for a, b in zip(self.snr_db, self.snr_db[1:])):
             raise ValueError("snr_db grid must be strictly increasing")
+        _check_snr_tokens(self.snr_db)
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
         if self.redraw not in ("per_trial", "per_block"):
@@ -223,9 +224,21 @@ def binomial_ci(errors: int, n: int) -> tuple[float, float]:
 # ---------------------------------------------------------------------------
 
 def _snr_token(snr_db: float) -> int:
+    """The SNR point's key in its substreams: the SNR in milli-dB, rounded."""
     if isinf(snr_db):
         return -(1 << 40) if snr_db < 0 else (1 << 40)
     return int(round(float(snr_db) * 1000.0))
+
+
+def _check_snr_tokens(snr_db: tuple) -> None:
+    """Raise if two points of an increasing grid round to one _snr_token: they
+    would draw the same labels, channels and noise."""
+    for a, b in zip(snr_db, snr_db[1:]):
+        if _snr_token(a) == _snr_token(b):
+            raise ValueError(
+                f"snr_db points {a:g} and {b:g} share one substream: the stream keys "
+                "SNRs in milli-dB, so grid points must round to distinct milli-dB values"
+            )
 
 
 def _substream(seed: int, snr_db: float, purpose: int, index: int) -> np.random.Generator:
@@ -448,34 +461,28 @@ def _gram_factor(gram: np.ndarray) -> np.ndarray:
     return unit
 
 
-def _features(y: np.ndarray, a: np.ndarray, cross: bool = False) -> np.ndarray:
-    """Features |a_l|^2, Re(conj(y_l) a_l), Im(conj(y_l) a_l) of (B, 1) or (B, L) y,
-    a = sqrt(rho)*beta, then with ``cross`` (W has pair rows) Im(a_l conj(a_m)), l < m."""
+def _decide(y: np.ndarray, a: np.ndarray, W, column_labels) -> np.ndarray:
+    """Per-trial label of the ML decision on (B, 1) scalar observations or
+    (B, L) beam outputs ``y``, with (B, L) a = sqrt(rho)*beta.
+
+    The features |a_l|^2, Re(conj(y_l) a_l), Im(conj(y_l) a_l) and, for a
+    scalar y whose W has pair rows, Im(a_l conj(a_m)) for l < m pair with the
+    leading rows of W; features @ W is the metric less |y|^2.  The first
+    argmin wins, which is the lowest label among tied hypotheses.
+    """
     ya = y.conj() * a
     parts = [a.real**2 + a.imag**2, ya.real, ya.imag]
-    if cross:
+    if y.shape[1] == 1 and len(W) > 3 * a.shape[1]:
         lo, hi = _pairs(a.shape[1], 1)
         parts.append((a[:, lo] * a[:, hi].conj()).imag)
-    return np.concatenate(parts, axis=1)
-
-
-def _decide(features, W, column_labels) -> np.ndarray:
-    """Per-trial label of the first argmin over the columns of features @ W.
-
-    ``features`` pairs with the leading rows of W.  The first minimum wins,
-    which is the lowest label among tied hypotheses.
-    """
+    features = np.concatenate(parts, axis=1)
+    del a, ya, parts  # only the features enter the product tiles
     W = W[: features.shape[1]]
     chunk = max(_METRIC_ROWS, _METRIC_TILE // W.shape[1])
     decided = np.empty(len(features), dtype=column_labels.dtype)
-    for a in range(0, len(features), chunk):
-        decided[a : a + chunk] = column_labels[np.argmin(features[a : a + chunk] @ W, axis=1)]
+    for t in range(0, len(features), chunk):
+        decided[t : t + chunk] = column_labels[np.argmin(features[t : t + chunk] @ W, axis=1)]
     return decided
-
-
-def _detect_errors(features, W, column_labels, labels, popcounts) -> int:
-    """Summed label-bit errors of the decisions of _decide."""
-    return int(popcounts[labels ^ _decide(features, W, column_labels)].sum())
 
 
 def _block_bit_errors(
@@ -497,15 +504,14 @@ def _block_bit_errors(
         noise = _complex_normals(noise_rng, n_trials)
         k1, k2, x_re, x_im = symbols
         rows = np.arange(n_trials)
-        y = _observe_scalar(gains[rows, k1], gains[rows, k2], x_re, x_im, root_rho, noise)
-        features = _features(y[:, None], root_rho * gains, cross=len(W) > 3 * config.L)
+        y = _observe_scalar(gains[rows, k1], gains[rows, k2], x_re, x_im, root_rho, noise)[:, None]
     else:  # joint detection on the L beam outputs of the array chain
         white = _complex_normals(noise_rng, (n_trials, config.L))
         tx, rx = (ArrayGeometry(n, config.spacing) for n in (config.n_t, config.n_r))
-        z = _observe_physical(tx, rx, aod, aoa, gains, symbols, root_rho, white)
-        del white, aod, aoa  # detection needs only z and the gains
-        features = _features(z, root_rho * gains)
-    return _detect_errors(features, W, column_labels, labels, popcounts)
+        y = _observe_physical(tx, rx, aod, aoa, gains, symbols, root_rho, white)
+        del white, aod, aoa  # detection needs only y and the gains
+    decided = _decide(y, root_rho * gains, W, column_labels)
+    return int(popcounts[labels ^ decided].sum())
 
 
 def _block_layout(trials: int) -> list[tuple[int, int]]:
@@ -711,37 +717,36 @@ class ArbiterReport:
     verdict: PepConvention | None = field(default=None)
 
 
+#: The arbiter simulates the points of this grid (dB) where the exact_model
+#: union bound is at most _ARBITER_BOUND_THRESHOLD.
+_ARBITER_SNR_GRID_DB = DEFAULT_SNR_GRID_DB
+_ARBITER_BOUND_THRESHOLD = 1e-2
+
+
 def arbitrate_convention(
-    trials: int = 1_000_000,
-    seed: int = 0,
-    bound_threshold: float = 1e-2,
-    snr_grid_db: tuple[float, ...] = DEFAULT_SNR_GRID_DB,
-    workers: int = 1,
+    trials: int = 1_000_000, seed: int = 0, workers: int = 1
 ) -> ArbiterReport:
     """Decide the closed-form convention empirically on the L=4, 4QAM chain.
 
-    Simulates the ideal-mode chain at every grid SNR whose default-convention
-    union bound is at most ``bound_threshold``, then checks per convention
-    whether its bound (a) lies above the simulated ABEP at every such point
-    and (b) stays within a factor of two at the two highest SNRs.  The
-    verdict is the unique convention satisfying both, or None.
+    Simulates the ideal-mode chain at every point of _ARBITER_SNR_GRID_DB
+    whose exact_model union bound is at most _ARBITER_BOUND_THRESHOLD (34 to
+    40 dB), then checks per convention whether its bound (a) lies above the
+    simulated ABEP at every such point and (b) stays within a factor of two
+    at the two highest SNRs.  The verdict is the unique convention
+    satisfying both, or None.
     """
     book = _scheme_tables(QSSM, QAM, 4, 4)[1]
     candidates = []  # (snr_db, paper bound) where the exact bound is at most the threshold
-    for snr_db in snr_grid_db:
+    for snr_db in _ARBITER_SNR_GRID_DB:
         rho = snr_db_to_rho(snr_db)
         exact = analysis.abep_union_bound(
             book, rho, "closed_form", PepConvention.EXACT_MODEL
         )
-        if exact <= bound_threshold:
+        if exact <= _ARBITER_BOUND_THRESHOLD:
             paper = analysis.abep_union_bound(
                 book, rho, "closed_form", PepConvention.PAPER_EQ21
             )
             candidates.append((snr_db, paper))
-    if len(candidates) < 2:
-        raise ValueError(
-            "SNR grid has fewer than two points below the bound threshold"
-        )
     config = SimConfig(
         scheme=QSSM,
         L=4,

@@ -67,10 +67,15 @@ class SsmDetectionResult:
     label_hat: str
 
 
+def _check_rho(rho: float) -> None:
+    """Every chain and detector needs a linear SNR rho >= 0 (NaN fails too)."""
+    if not rho >= 0:
+        raise ValueError(f"rho must be >= 0, got {rho}")
+
+
 def _symbol_row(rho: float, L: int, k1: int, k2: int, x_re: float, x_im: float) -> tuple:
     """Validated (k1, k2, x_re, x_im) row of one symbol, with 0-based scatterer indices."""
-    if rho < 0:
-        raise ValueError(f"rho must be >= 0, got {rho}")
+    _check_rho(rho)
     if not (1 <= k1 <= L and 1 <= k2 <= L):
         raise ValueError(f"scatterer indices out of range 1..{L}")
     return k1 - 1, k2 - 1, x_re, x_im
@@ -88,6 +93,7 @@ def _detect_one(scheme: str, constellation: Constellation, L: int, y, gains, rho
     row y: a scalar y (1, 1) takes h from the observation kernel, so a noiseless
     winner scores 0.0 exactly, and beam outputs (1, L) the orthogonal-beam model.
     The row is the winner's (k1, k2, x_re, x_im), indices 0-based."""
+    _check_rho(rho)
     if len(gains) != L:
         raise ValueError(f"{len(gains)} gains for L={L} scatterers")
     _, _, table, _, W, column_labels = mc._scheme_tables(
@@ -95,11 +101,9 @@ def _detect_one(scheme: str, constellation: Constellation, L: int, y, gains, rho
     )
     gains = np.asarray(gains)
     a = np.sqrt(rho) * gains
-    scalar = y.shape[1] == 1
-    features = mc._features(y, a[None], cross=scalar and len(W) > 3 * L)
-    v = int(mc._decide(features, W, column_labels)[0])
+    v = int(mc._decide(y, a[None], W, column_labels)[0])
     winner = [array[v] for array in table]
-    if scalar:
+    if y.shape[1] == 1:
         return v, winner, float(abs(y[0, 0] - _scalar_trial(gains, winner, rho, None)) ** 2)
     k1, k2, x_re, x_im = winner
     h = np.zeros(L, dtype=complex)

@@ -13,7 +13,7 @@ import pytest
 from scipy.integrate import quad
 
 import qssm
-
+from qssm import analysis
 from qssm.analysis import (
     DEFAULT_CONVENTION,
     EtaCase,
@@ -21,6 +21,7 @@ from qssm.analysis import (
     abep_union_bound,
     abep_union_bound_ssm,
     abep_point,
+    abep_point_ssm,
     eta_bar,
     pep_asymptotic,
     pep_closed_form,
@@ -270,6 +271,54 @@ def test_abep_point_fields():
     assert point.abep_asymptotic > 0
     rho = snr_db_to_rho(30.0)
     assert point.abep_analytical == pytest.approx(abep_union_bound(book, rho))
+    # both fields come from one pass and equal each kernel's own bound bit for bit
+    for constellation, L in ((build_constellation(QAM, 16), 4), (build_constellation(PSK, 8), 2)):
+        book = build_symbol_book(L, constellation)
+        for snr_db in (0.0, 17.5, 40.0):
+            rho = snr_db_to_rho(snr_db)
+            for convention in BOTH:
+                point = abep_point(book, snr_db, convention)
+                assert point.abep_analytical == abep_union_bound(
+                    book, rho, "closed_form", convention
+                )
+                assert point.abep_asymptotic == abep_union_bound(
+                    book, rho, "asymptotic", convention
+                )
+                point = abep_point_ssm(L, constellation, snr_db, convention)
+                assert point.abep_analytical == abep_union_bound_ssm(
+                    L, constellation, rho, "closed_form", convention
+                )
+                assert point.abep_asymptotic == abep_union_bound_ssm(
+                    L, constellation, rho, "asymptotic", convention
+                )
+    # the asymptotic form needs rho > 0: SNR -inf (rho = 0) still raises
+    constellation = build_constellation(QAM, 4)
+    book = build_symbol_book(4, constellation)
+    with pytest.raises(ValueError):
+        abep_point(book, float("-inf"))
+    with pytest.raises(ValueError):
+        abep_point_ssm(4, constellation, float("-inf"))
+    with pytest.raises(ValueError):
+        abep_union_bound(book, 0.0, "asymptotic")
+    with pytest.raises(ValueError):
+        abep_union_bound_ssm(4, constellation, 0.0, "asymptotic")
+    assert abep_union_bound(book, 0.0, "closed_form") > 0
+
+
+def test_abep_point_runs_one_class_loop(monkeypatch):
+    """One SNR point builds the Hamming table once for both kernels."""
+    calls = []
+
+    def counted(size):
+        calls.append(size)
+        return _popcount_matrix(size)
+
+    monkeypatch.setattr(analysis, "_popcount_matrix", counted)
+    constellation = build_constellation(QAM, 4)
+    abep_point(build_symbol_book(4, constellation), 20.0)
+    assert calls == [4]
+    abep_point_ssm(4, constellation, 20.0)
+    assert calls == [4, 4]
 
 
 def _dense_union_bound(eta, hamming, bits, rho, kernel, convention):

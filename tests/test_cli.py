@@ -417,6 +417,9 @@ def test_main_exit_codes(tmp_path, capsys, monkeypatch):
     err = capsys.readouterr().err
     assert "Traceback" not in err and "MiB budget" in err
     assert main(["sweep", "--L", "2", "--M", "4", "--snr", "0:x:2"]) == 2
+    # two grid points of one milli-dB substream key
+    assert main(["sweep", "--L", "2", "--M", "4", "--trials", "1", "--snr", "0,0.0004"]) == 2
+    assert "share one substream" in capsys.readouterr().err
     assert main(["validate", "--trials", "0"]) == 2
     assert "Traceback" not in capsys.readouterr().err
     # a worker count below one is refused before any run

@@ -438,6 +438,16 @@ def test_disjoint_seed_cis_overlap():
     assert a.ci_low <= b.ci_high and b.ci_low <= a.ci_high
 
 
+def test_config_rejects_grid_points_sharing_a_substream():
+    # substreams key an SNR by its rounded milli-dB value: 0.0004 dB would
+    # replay every draw of 0 dB, so the grid is refused
+    with pytest.raises(ValueError, match="share one substream"):
+        SimConfig(scheme="qssm", L=4, M=4, snr_db=(0.0, 0.0004, 0.0008), trials=2000, seed=1)
+    with pytest.raises(ValueError, match="share one substream"):
+        SimConfig(scheme="ssm", L=4, M=4, snr_db=(10.0, 10.0005))
+    SimConfig(scheme="qssm", L=4, M=4, snr_db=(0.0, 0.0006))
+
+
 def test_run_point_off_grid_snr_allowed():
     cfg = SimConfig(scheme="qssm", L=2, M=4, snr_db=(0.0, 10.0), trials=5_000, seed=7)
     est = run_point(cfg, 7.5)

@@ -217,6 +217,25 @@ def test_physical_detector_total_on_duplicate_angle():
     assert det.label_hat in {s.label for s in book.symbols}
 
 
+@pytest.mark.parametrize("rho", [-1.0, float("nan")])
+def test_per_symbol_chains_reject_a_bad_rho(rho):
+    """Every observer and detector rejects rho < 0 and NaN before it computes."""
+    real = _grid_realization(seed=14)
+    symbol = BOOK44.symbols[5]
+    constellation = BOOK44.constellation
+    calls = [
+        lambda: qssm_observe_ideal(symbol, GAINS4, rho, None),
+        lambda: qssm_observe_physical(symbol, real, rho, None),
+        lambda: ssm_observe_ideal(1, constellation.points[0], GAINS4, rho, None),
+        lambda: ml_detect_ideal(IdealObservation(0.3 + 0.1j, 1.0), GAINS4, BOOK44, rho),
+        lambda: ml_detect_physical(PhysicalObservation(np.ones(4, complex)), real, BOOK44, rho),
+        lambda: ssm_detect_ideal(IdealObservation(0.3 + 0.1j, 1.0), GAINS4, constellation, 4, rho),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="rho must be >= 0"):
+            call()
+
+
 def test_detector_dimension_mismatch():
     real = _grid_realization(seed=14)
     with pytest.raises(ValueError):
