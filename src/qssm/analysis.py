@@ -116,9 +116,9 @@ def eta_bar(x: complex, x_hat: complex, same_k1: bool, same_k2: bool) -> EtaBar:
 
 def pep_conditional(rho: float, eta: float) -> float:
     """PEP conditioned on the fading: Q(sqrt(rho*eta/2))."""
-    if rho < 0:
+    if not rho >= 0:  # NaN fails too
         raise ValueError(f"rho must be >= 0, got {rho}")
-    if eta < 0:
+    if not eta >= 0:
         raise ValueError(f"eta must be >= 0, got {eta}")
     return float(q_function(np.sqrt(rho * eta / 2.0)))
 
@@ -132,7 +132,7 @@ def pep_closed_form(rho, eta_bar_value, convention: PepConvention = DEFAULT_CONV
     """
     factor = _CLOSED_FORM_FACTOR[convention]
     product = np.asarray(rho, dtype=float) * np.asarray(eta_bar_value, dtype=float)
-    if np.any(product < 0):
+    if not np.all(product >= 0):  # NaN fails too
         raise ValueError("rho and eta_bar must be >= 0")
     with np.errstate(divide="ignore"):
         eps = factor / product
@@ -149,7 +149,7 @@ def pep_quadrature(
     factor has unit scale, mapped onto (0, 1) through t = u/(1+u) and evaluated
     by adaptive quadrature to ``_QUADRATURE_REL_TOL`` relative accuracy.
     """
-    if rho < 0 or eta_bar_value < 0:
+    if not (rho >= 0 and eta_bar_value >= 0):  # NaN fails too
         raise ValueError("rho and eta_bar must be >= 0")
     from scipy.integrate import quad
     from scipy.special import erfc

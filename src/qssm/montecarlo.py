@@ -66,12 +66,14 @@ _PURPOSE_CHANNEL_BLOCK = 3  # per-block channel redraw, keyed by channel block
 
 _WILSON_Z = 1.959963984540054  # two-sided 95%
 
-#: Complex values that bound the physical kernel's tiles: each (tile, L, L)
-#: Gram and factor holds at most 1/32 of them.  A whole block then peaks
-#: below 16 * _COMPLEX_BUDGET bytes, the size of one complex array of the
-#: budget (the tests pin it at N = 32 and N = 256).
+#: Complex values that bound a physical block: a side's DFT-grid Gram table
+#: holds at most 1/32 of them, and a whole block peaks below
+#: 16 * _COMPLEX_BUDGET bytes, the size of one complex array of the budget
+#: (the tests pin it at N = 32 and N = 256).
 _COMPLEX_BUDGET = 1 << 22
-_METRIC_TILE = 1 << 18     # float64 metrics per detection tile
+#: Float64 values of one tile (512 KiB, cache-sized): a detection tile's
+#: metrics, and a physical tile's (tile, L, L) complex Gram or factor.
+_METRIC_TILE = 1 << 16
 _METRIC_ROWS = 256         # fewest trials per detection tile
 
 #: Default SNR grid (dB) of the standard error-rate sweeps.
@@ -286,18 +288,21 @@ def _metric_coefficients(L: int, symbols):
     return W, column_labels
 
 
-#: Bytes that W of _metric_coefficients and one _decide metric tile may take
-#: together; SimConfig rejects a (scheme, L, M) whose tables need more.
+#: Bytes that W of _metric_coefficients and one _decide feature and metric
+#: tile may take together; SimConfig rejects a (scheme, L, M) whose tables
+#: need more.
 _TABLE_BUDGET = 1 << 26
 
 
 def _check_table_size(scheme: str, L: int, M: int) -> None:
     """Raise unless W, (3L + L(L-1)/2) x S for QSSM and 3L x S for SSM over the
-    S hypotheses, plus a metric tile of at most max(_METRIC_ROWS * S,
-    _METRIC_TILE) float64, fit _TABLE_BUDGET."""
+    S hypotheses, plus one feature tile and one metric tile fit _TABLE_BUDGET:
+    a tile of max(_METRIC_ROWS, _METRIC_TILE // S) trials holds at most as
+    many float64 features per trial as W has rows, and S metrics."""
     S = L * L * M if scheme == QSSM else L * M
     rows = 3 * L + (L * (L - 1) // 2 if scheme == QSSM else 0)
-    need = 8 * (rows * S + max(_METRIC_ROWS * S, _METRIC_TILE))
+    tile = max(_METRIC_ROWS, _METRIC_TILE // S)
+    need = 8 * (rows * S + tile * (rows + S))
     if need > _TABLE_BUDGET:
         raise ValueError(
             f"{scheme} L={L} M={M}: the detector tables need {need / 2**20:.0f} MiB, "
@@ -353,8 +358,8 @@ def _block_channel(config: SimConfig, snr_db: float, block_index: int, n_trials:
 
 def _draw_beams(rng, n_rows: int, config: SimConfig, n_elements: int) -> np.ndarray:
     """(n_rows, L) beams of one array side: integer grid picks on the DFT grid when
-    the side's (N, N) Gram table fits one tile's Gram budget of _COMPLEX_BUDGET // 32
-    complex values (N <= 362), else sines."""
+    the side's (N, N) Gram table holds at most _COMPLEX_BUDGET // 32 complex
+    values (N <= 362), else sines."""
     if config.angle_mode == DFT_GRID and n_elements * n_elements <= _COMPLEX_BUDGET // 32:
         return _draw_grid_picks(rng, n_rows, config.L, n_elements)
     return _draw_sines(rng, n_rows, config.L, n_elements, config.angle_mode, config.spacing)
@@ -376,7 +381,8 @@ def _observe_physical(tx, rx, aod, aoa, gains, symbols, root_rho, white):
     beams: sines, or integer DFT-grid picks whose entries come from the
     side's cached table (_pair_gram).  The projected noise A_r^H n of unit
     element noise is CN(0, G_r), so it is drawn as F @ white with F F^H = G_r
-    (_gram_factor).  Trials run in tiles that bound the temporaries.
+    (_gram_factor).  Trials run in tiles whose Gram and factor each take
+    _METRIC_TILE float64, so the temporaries stay cache-sized.
     """
     k1, k2, x_re, x_im = symbols
     n_trials, L = gains.shape
@@ -386,7 +392,7 @@ def _observe_physical(tx, rx, aod, aoa, gains, symbols, root_rho, white):
     weights.real[:, 0, 0] = x_re
     weights.imag[:, 0, 1] = x_im
     z = np.empty((n_trials, L), dtype=complex)
-    tile = max(1, _COMPLEX_BUDGET // (32 * L * L))
+    tile = max(1, _METRIC_TILE // (2 * L * L))
     for a0 in range(0, n_trials, tile):
         sl = slice(a0, a0 + tile)
         g_t = _pair_gram(aod[sl, None, :], aimed[sl], tx.n_elements, tx.spacing_over_lambda)
@@ -461,27 +467,33 @@ def _gram_factor(gram: np.ndarray) -> np.ndarray:
     return unit
 
 
-def _decide(y: np.ndarray, a: np.ndarray, W, column_labels) -> np.ndarray:
+def _decide(y: np.ndarray, gains: np.ndarray, root_rho, W, column_labels) -> np.ndarray:
     """Per-trial label of the ML decision on (B, 1) scalar observations or
-    (B, L) beam outputs ``y``, with (B, L) a = sqrt(rho)*beta.
+    (B, L) beam outputs ``y``, with a = root_rho * (B, L) ``gains``.
 
     The features |a_l|^2, Re(conj(y_l) a_l), Im(conj(y_l) a_l) and, for a
     scalar y whose W has pair rows, Im(a_l conj(a_m)) for l < m pair with the
     leading rows of W; features @ W is the metric less |y|^2.  The first
-    argmin wins, which is the lowest label among tied hypotheses.
+    argmin wins, which is the lowest label among tied hypotheses.  Each tile
+    of trials builds its own a, features and metrics, about _METRIC_TILE
+    float64 (at least _METRIC_ROWS trials), so they stay cache-sized and no
+    (B, L) temporary is built; a batch of one is one tile.
     """
-    ya = y.conj() * a
-    parts = [a.real**2 + a.imag**2, ya.real, ya.imag]
-    if y.shape[1] == 1 and len(W) > 3 * a.shape[1]:
-        lo, hi = _pairs(a.shape[1], 1)
-        parts.append((a[:, lo] * a[:, hi].conj()).imag)
-    features = np.concatenate(parts, axis=1)
-    del a, ya, parts  # only the features enter the product tiles
-    W = W[: features.shape[1]]
-    chunk = max(_METRIC_ROWS, _METRIC_TILE // W.shape[1])
-    decided = np.empty(len(features), dtype=column_labels.dtype)
-    for t in range(0, len(features), chunk):
-        decided[t : t + chunk] = column_labels[np.argmin(features[t : t + chunk] @ W, axis=1)]
+    L = gains.shape[1]
+    pairs = y.shape[1] == 1 and len(W) > 3 * L
+    if pairs:
+        lo, hi = _pairs(L, 1)
+    else:
+        W = W[: 3 * L]
+    rows = max(_METRIC_ROWS, _METRIC_TILE // W.shape[1])
+    decided = np.empty(len(y), dtype=column_labels.dtype)
+    for t in range(0, len(y), rows):
+        a_t = root_rho * gains[t : t + rows]
+        ya = y[t : t + rows].conj() * a_t
+        parts = [a_t.real**2 + a_t.imag**2, ya.real, ya.imag]
+        if pairs:
+            parts.append((a_t[:, lo] * a_t[:, hi].conj()).imag)
+        decided[t : t + rows] = column_labels[np.argmin(np.concatenate(parts, axis=1) @ W, axis=1)]
     return decided
 
 
@@ -510,7 +522,7 @@ def _block_bit_errors(
         tx, rx = (ArrayGeometry(n, config.spacing) for n in (config.n_t, config.n_r))
         y = _observe_physical(tx, rx, aod, aoa, gains, symbols, root_rho, white)
         del white, aod, aoa  # detection needs only y and the gains
-    decided = _decide(y, root_rho * gains, W, column_labels)
+    decided = _decide(y, gains, root_rho, W, column_labels)
     return int(popcounts[labels ^ decided].sum())
 
 

@@ -100,15 +100,15 @@ def _detect_one(scheme: str, constellation: Constellation, L: int, y, gains, rho
         scheme, constellation.kind, constellation.order, L
     )
     gains = np.asarray(gains)
-    a = np.sqrt(rho) * gains
-    v = int(mc._decide(y, a[None], W, column_labels)[0])
+    root_rho = np.sqrt(rho)
+    v = int(mc._decide(y, gains[None], root_rho, W, column_labels)[0])
     winner = [array[v] for array in table]
     if y.shape[1] == 1:
         return v, winner, float(abs(y[0, 0] - _scalar_trial(gains, winner, rho, None)) ** 2)
     k1, k2, x_re, x_im = winner
     h = np.zeros(L, dtype=complex)
-    h[k1] += a[k1] * x_re
-    h[k2] += 1j * a[k2] * x_im
+    h[k1] += root_rho * gains[k1] * x_re
+    h[k2] += 1j * (root_rho * gains[k2]) * x_im
     return v, winner, float(np.sum(np.abs(y[0] - h) ** 2))
 
 

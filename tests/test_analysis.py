@@ -228,6 +228,34 @@ def test_union_bound_asymptotic_clamp_at_low_snr():
     assert abep_union_bound(book, tiny_rho, "asymptotic") == pytest.approx(expected)
 
 
+_NAN = float("nan")
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(lambda: pep_conditional(_NAN, 1.0), id="pep_conditional"),
+        pytest.param(lambda: pep_conditional(1.0, _NAN), id="pep_conditional-eta"),
+        pytest.param(lambda: pep_closed_form(_NAN, 1.0), id="pep_closed_form"),
+        pytest.param(lambda: pep_closed_form(_NAN, np.ones(3)), id="pep_closed_form-array"),
+        pytest.param(lambda: pep_quadrature(_NAN, 1.0), id="pep_quadrature"),
+        pytest.param(lambda: pep_quadrature(1.0, _NAN), id="pep_quadrature-eta_bar"),
+        pytest.param(
+            lambda: abep_union_bound(build_symbol_book(2, build_constellation(QAM, 4)), _NAN),
+            id="abep_union_bound",
+        ),
+        pytest.param(
+            lambda: abep_union_bound_ssm(4, build_constellation(QAM, 4), _NAN),
+            id="abep_union_bound_ssm",
+        ),
+    ],
+)
+def test_pep_and_closed_form_bounds_reject_nan(call):
+    # the guards read "not rho >= 0", so NaN fails as a negative value does
+    with pytest.raises(ValueError):
+        call()
+
+
 def test_union_bound_rejects_unknown_kernel():
     book = build_symbol_book(1, build_constellation(PSK, 2))
     with pytest.raises(ValueError):

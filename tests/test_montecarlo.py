@@ -573,6 +573,58 @@ def test_block_kernel_equals_brute_force_ml(scheme, L, M, kind, mode):
             assert _block_bit_errors(cfg, snr_db, block, n) == expected, (snr_db, block)
 
 
+@pytest.mark.parametrize(
+    "scheme,L,M,kind,beams",
+    [
+        ("qssm", 4, 4, "qam", False),
+        ("qssm", 4, 8, "psk", False),
+        ("qssm", 2, 2, "psk", False),
+        ("ssm", 4, 16, "qam", False),
+        ("ssm", 8, 4, "psk", False),
+        ("qssm", 4, 4, "qam", True),
+        ("qssm", 4, 8, "psk", True),
+    ],
+)
+def test_detector_tiles_do_not_change_decisions(monkeypatch, scheme, L, M, kind, beams):
+    """Tiles of _METRIC_ROWS trials split a block unevenly (one trial, fewer trials
+    than a tile, k tiles plus one); each decision equals the first argmin of
+    features @ W over the whole block at once, and at rho = 0 every trial
+    decides label 0."""
+    _, _, table, _, W, column_labels = _scheme_tables(scheme, kind, M, L)
+    monkeypatch.setattr(montecarlo, "_METRIC_TILE", 1)
+    rows = montecarlo._METRIC_ROWS
+    rng = np.random.default_rng(23)
+    for n in (1, rows // 3, 3 * rows + 1):
+        labels = rng.integers(0, len(table[0]), n)
+        k1, k2, x_re, x_im = (array[labels] for array in table)
+        gains = _complex_normals(rng, (n, L))
+        for snr_db in (float("-inf"), 0.0, 20.0):
+            root_rho = np.sqrt(snr_db_to_rho(snr_db))
+            a = root_rho * gains
+            trials = np.arange(n)
+            if beams:  # beam outputs of the orthogonal-beam model
+                y = _complex_normals(rng, (n, L))
+                y[trials, k1] += a[trials, k1] * x_re
+                y[trials, k2] += 1j * a[trials, k2] * x_im
+            else:
+                noise = _complex_normals(rng, n)
+                y = montecarlo._observe_scalar(
+                    gains[trials, k1], gains[trials, k2], x_re, x_im, root_rho, noise
+                )[:, None]
+            decided = montecarlo._decide(y, gains, root_rho, W, column_labels)
+
+            ya = y.conj() * a
+            parts = [a.real**2 + a.imag**2, ya.real, ya.imag]
+            if not beams and len(W) > 3 * L:
+                lo, hi = np.triu_indices(L, 1)
+                parts.append((a[:, lo] * a[:, hi].conj()).imag)
+            features = np.concatenate(parts, axis=1)
+            expected = column_labels[np.argmin(features @ W[: features.shape[1]], axis=1)]
+            np.testing.assert_array_equal(decided, expected, err_msg=f"n={n} {snr_db} dB")
+            if snr_db == float("-inf"):
+                assert not decided.any()
+
+
 def _unmerged_coefficients(scheme: str, L: int, constellation) -> np.ndarray:
     """W with one column per label, from the README column formula: u^2 at row k1,
     v^2 added at row k2, -2u at Re row k1, +2v at Im row k2 and, for QSSM,
@@ -632,6 +684,24 @@ def test_table_build_peak_near_coefficients():
         tracemalloc.stop()
         _scheme_tables.cache_clear()
     assert peak < 1.5 * coefficients.nbytes
+
+
+def test_detector_builds_features_per_tile():
+    # a full ideal QSSM L=4 4QAM block: the (B, 3L + L(L-1)/2) feature matrix of
+    # the whole block, 2.36 MB, is never built; each tile builds its own
+    *_, W, column_labels = _scheme_tables("qssm", "qam", 4, 4)
+    n = TRIALS_PER_BLOCK
+    rng = np.random.default_rng(5)
+    gains = _complex_normals(rng, (n, 4))
+    y = _complex_normals(rng, (n, 1))
+    whole_block_features = n * len(W) * 8
+    tracemalloc.start()
+    try:
+        montecarlo._decide(y, gains, np.sqrt(100.0), W, column_labels)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < whole_block_features
 
 
 def test_detector_block_memory_within_budget():
