@@ -69,6 +69,10 @@ def _floats(values, path: str) -> list[float]:
         raise ConfigError(f"{path}: {exc}") from exc
 
 
+#: Most points a start/stop/step SNR grid may span; counted before it is built
+_SNR_GRID_POINTS = 4096
+
+
 def _snr_grid_from_spec(entry, path: str) -> tuple[float, ...]:
     if isinstance(entry, dict):
         missing = {"start", "stop", "step"} - set(entry)
@@ -77,7 +81,10 @@ def _snr_grid_from_spec(entry, path: str) -> tuple[float, ...]:
         start, stop, step = _floats((entry["start"], entry["stop"], entry["step"]), path)
         if step <= 0:
             raise ConfigError(f"{path}.step: must be > 0")
-        grid = np.arange(start, stop + step * 1e-9, step)
+        stop += step * 1e-9
+        if not (stop - start) / step <= _SNR_GRID_POINTS:  # NaN and inf fail too
+            raise ConfigError(f"{path}: spans more than {_SNR_GRID_POINTS} points")
+        grid = np.arange(start, stop, step)
         return tuple(float(s) for s in grid)
     if isinstance(entry, list) and entry:
         return tuple(_floats(entry, path))

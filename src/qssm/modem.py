@@ -11,6 +11,7 @@ circle, and the first PSK point sits at angle 0.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import log2
 
 import numpy as np
@@ -75,30 +76,36 @@ class QssmSymbol:
 
 @dataclass(frozen=True)
 class SymbolBook:
-    """All L^2 * M QSSM symbols in label order, with flat arrays for fast lookups.
-
-    ``k1_idx``/``k2_idx`` are 0-based scatterer indices and ``x_re``/``x_im``
-    the signal components, all indexed by integer label value.
+    """All L^2 * M QSSM labels as flat arrays indexed by integer label value:
+    0-based scatterer indices ``k1_idx``/``k2_idx`` and signal components
+    ``x_re``/``x_im``.  ``symbols`` renders them as QssmSymbol objects once.
     """
 
     L: int
     constellation: Constellation
-    symbols: tuple[QssmSymbol, ...]
     k1_idx: np.ndarray
     k2_idx: np.ndarray
     x_re: np.ndarray
     x_im: np.ndarray
 
     def __len__(self) -> int:
-        return len(self.symbols)
+        return len(self.k1_idx)
 
     @property
     def bits_per_symbol(self) -> int:
-        return int(log2(len(self.symbols)))
+        return int(log2(len(self)))
 
     @property
     def spatial_bits(self) -> int:
         return int(log2(self.L))
+
+    @cached_property
+    def symbols(self) -> tuple[QssmSymbol, ...]:
+        width, table = self.bits_per_symbol, (self.k1_idx, self.k2_idx, self.x_re, self.x_im)
+        return tuple(
+            QssmSymbol(i1 + 1, i2 + 1, u, v, format(value, f"0{width}b"))
+            for value, (i1, i2, u, v) in enumerate(zip(*(a.tolist() for a in table)))
+        )
 
 
 def _check_constellation(kind: str, order: int) -> None:
@@ -177,14 +184,9 @@ def _label_table(n_scatterers: int, constellation: Constellation, beams: int) ->
 
 
 def build_symbol_book(n_scatterers: int, constellation: Constellation) -> SymbolBook:
-    """Enumerate all L^2 * M symbols in label order."""
-    total_bits = spectral_efficiency(constellation.order, n_scatterers)
-    table = _label_table(n_scatterers, constellation, 2)
-    symbols = tuple(
-        QssmSymbol(k1=i1 + 1, k2=i2 + 1, x_re=u, x_im=v, label=format(value, f"0{total_bits}b"))
-        for value, (i1, i2, u, v) in enumerate(zip(*(array.tolist() for array in table)))
-    )
-    return SymbolBook(n_scatterers, constellation, symbols, *table)
+    """The label table of all L^2 * M symbols; no QssmSymbol is built until read."""
+    spectral_efficiency(constellation.order, n_scatterers)  # raises unless L is a power of two
+    return SymbolBook(n_scatterers, constellation, *_label_table(n_scatterers, constellation, 2))
 
 
 def ssm_hypotheses(n_scatterers: int, constellation: Constellation) -> tuple:

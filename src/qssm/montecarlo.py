@@ -14,6 +14,7 @@ from __future__ import annotations
 import atexit
 import hashlib
 import json
+import operator
 import os
 from collections import deque
 from dataclasses import dataclass, field, fields
@@ -79,6 +80,9 @@ _METRIC_ROWS = 256         # fewest trials per detection tile
 #: Default SNR grid (dB) of the standard error-rate sweeps.
 DEFAULT_SNR_GRID_DB = tuple(float(s) for s in range(0, 41, 2))
 
+#: SimConfig fields that hold counts, sizes or seeds: integers, never bool
+_INTEGER_FIELDS = ("L", "M", "n_t", "n_r", "trials", "seed", "redraw_block")
+
 
 @dataclass(frozen=True)
 class SimConfig:
@@ -101,6 +105,11 @@ class SimConfig:
     convention: PepConvention = analysis.DEFAULT_CONVENTION
 
     def __post_init__(self) -> None:
+        for name in _INTEGER_FIELDS:
+            value = getattr(self, name)
+            if isinstance(value, bool) or not hasattr(type(value), "__index__"):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, operator.index(value))
         if self.scheme not in (QSSM, SSM):
             raise ValueError(f"scheme must be '{QSSM}' or '{SSM}', got {self.scheme!r}")
         if not _is_pow2(self.L):

@@ -112,13 +112,11 @@ def _detect_one(scheme: str, constellation: Constellation, L: int, y, gains, rho
     return v, winner, float(np.sum(np.abs(y[0] - h) ** 2))
 
 
-def _detection(book: SymbolBook, decision: tuple) -> DetectionResult:
-    """The book's symbol for a (label, row, metric) decision of _detect_one."""
-    if len(book) == 0:
-        raise ValueError("symbol book is empty")
-    v, _, metric = decision
-    s = book.symbols[v]
-    return DetectionResult(k1_hat=s.k1, k2_hat=s.k2, x_hat=s.x, metric=metric, label_hat=s.label)
+def _detection(book: SymbolBook, y, gains, rho: float) -> DetectionResult:
+    """The _detect_one decision on row y among the book's hypotheses."""
+    v, (k1, k2, x_re, x_im), metric = _detect_one(mc.QSSM, book.constellation, book.L, y, gains, rho)
+    label = format(v, f"0{book.bits_per_symbol}b")
+    return DetectionResult(int(k1) + 1, int(k2) + 1, complex(x_re, x_im), metric, label)
 
 
 def qssm_observe_ideal(
@@ -158,8 +156,7 @@ def ml_detect_ideal(
     rho: float,
 ) -> DetectionResult:
     """Exhaustive minimum-distance search over all L^2 * M scalar hypotheses."""
-    y = np.array([[observation.y_r]])
-    return _detection(book, _detect_one(mc.QSSM, book.constellation, book.L, y, gains, rho))
+    return _detection(book, np.array([[observation.y_r]]), gains, rho)
 
 
 def ml_detect_physical(
@@ -174,8 +171,7 @@ def ml_detect_physical(
         raise ValueError(
             f"observation has {len(z)} beams, realization has {realization.n_paths}"
         )
-    decision = _detect_one(mc.QSSM, book.constellation, book.L, z[None], realization.gains, rho)
-    return _detection(book, decision)
+    return _detection(book, z[None], realization.gains, rho)
 
 
 # ---------------------------------------------------------------------------

@@ -142,6 +142,19 @@ def test_symbol_table_peak_memory():
     assert peak < 5 * len(text)
 
 
+def test_snr_grid_is_counted_before_it_is_built():
+    """A start/stop/step grid spans at most 4096 points; the count includes the
+    stop point's tolerance, as np.arange sees it."""
+    grid = {"start": 0, "stop": 4095, "step": 1}
+    assert parse_config(json.dumps({"configs": [
+        {"scheme": "qssm", "L": 2, "M": 4, "snr_db": grid}
+    ]})).configs[0][1].snr_db == tuple(float(s) for s in range(4096))
+    with pytest.raises(ConfigError, match="spans more than 4096 points"):
+        parse_config(json.dumps({"configs": [
+            {"scheme": "qssm", "L": 2, "M": 4, "snr_db": {**grid, "stop": 4096}}
+        ]}))
+
+
 def _tiny_spec_dict(trials=2000, seed=1):
     return {
         "configs": [
@@ -417,6 +430,26 @@ def test_main_exit_codes(tmp_path, capsys, monkeypatch):
     err = capsys.readouterr().err
     assert "Traceback" not in err and "MiB budget" in err
     assert main(["sweep", "--L", "2", "--M", "4", "--snr", "0:x:2"]) == 2
+    capsys.readouterr()
+    # a start/stop/step grid is counted before it is built: 10^15 points would ask
+    # NumPy for petabytes, and inf or NaN bounds span no countable grid
+    for grid in ("0:1e12:1e-3", "0:inf:1", "nan:1:1", "0:4096.5:1"):
+        assert main(["sweep", "--L", "2", "--M", "4", "--trials", "1", "--snr", grid]) == 2
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1 and "spans more than 4096 points" in err, grid
+    # counts, sizes and seeds must be integers: floats and bools are refused, in
+    # ideal and physical mode alike
+    base = {"scheme": "qssm", "L": 2, "M": 4, "snr_db": [0.0], "trials": 16}
+    physical = {**base, "channel_mode": "physical"}
+    for config in ({**base, "trials": 1e4}, {**base, "M": 4.0}, {**base, "seed": 1.5},
+                   {**base, "L": True}, {**base, "trials": True}, {**base, "redraw_block": 2.5},
+                   {**physical, "n_t": 32.0}, {**physical, "n_r": False}):
+        non_integer = tmp_path / "non_integer.json"
+        non_integer.write_text(json.dumps({"configs": [config]}))
+        assert main(["run", str(non_integer), "--out-dir", str(tmp_path / "ni")]) == 2, config
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1 and "must be an integer" in err, config
+    assert not (tmp_path / "ni").exists()
     # two grid points of one milli-dB substream key
     assert main(["sweep", "--L", "2", "--M", "4", "--trials", "1", "--snr", "0,0.0004"]) == 2
     assert "share one substream" in capsys.readouterr().err

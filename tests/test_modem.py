@@ -1,13 +1,18 @@
 """Constellation, bit-mapping, and label tests."""
 
+import dataclasses
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from qssm import analysis, montecarlo, transceiver
+from qssm.channel import ArrayGeometry, sample_channel
 from qssm.modem import (
     PSK,
     QAM,
+    SymbolBook,
     build_constellation,
     build_symbol_book,
     demap_symbol,
@@ -198,3 +203,86 @@ def test_hamming_is_a_metric():
     for a in labels8[::17]:
         for b in labels8[::13]:
             assert hamming_distance(a, b) == hamming_distance(b, a)
+
+
+def test_built_book_holds_its_label_table_only():
+    """An L=16 64QAM book (16384 labels) retains its four label-indexed arrays,
+    512 KiB; a tuple of 16384 QssmSymbol objects would retain about 4 MiB."""
+    constellation = build_constellation(QAM, 64)
+    tracemalloc.start()
+    try:
+        book = build_symbol_book(16, constellation)
+        retained, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(book) == 16384 and book.bits_per_symbol == 14
+    assert "symbols" not in vars(book)
+    assert retained < 1 << 20
+
+
+def test_simulation_and_bound_paths_never_render_symbols(monkeypatch):
+    """Tables, bounds, sweeps, the arbiter and the ML detectors read the label
+    arrays; only map_bits and callers of ``book.symbols`` render the objects."""
+
+    def refuse(book):
+        raise AssertionError("book.symbols was rendered")
+
+    monkeypatch.setattr(SymbolBook, "symbols", property(refuse))
+    montecarlo._scheme_tables.cache_clear()
+    try:
+        book = montecarlo._scheme_tables(montecarlo.QSSM, QAM, 16, 4)[1]
+        analysis.abep_point(book, 10.0)
+        config = montecarlo.SimConfig("qssm", 2, 4, snr_db=(0.0, 10.0), trials=64, seed=3)
+        montecarlo.sweep(config)
+        physical = dataclasses.replace(config, channel_mode="physical")
+        montecarlo.sweep(physical)
+        montecarlo.arbitrate_convention(trials=64)
+        rng = np.random.default_rng(5)
+        geometry = ArrayGeometry(16)
+        realization = sample_channel(4, geometry, geometry, rng)
+        symbol = QssmSymbol(k1=2, k2=3, x_re=book.x_re[7], x_im=book.x_im[7], label="0110" + "0111")
+        ideal = transceiver.qssm_observe_ideal(symbol, realization.gains, 10.0, rng)
+        transceiver.ml_detect_ideal(ideal, realization.gains, book, 10.0)
+        observed = transceiver.qssm_observe_physical(symbol, realization, 10.0, rng)
+        transceiver.ml_detect_physical(observed, realization, book, 10.0)
+    finally:
+        montecarlo._scheme_tables.cache_clear()
+
+
+def test_symbols_is_one_cached_tuple():
+    """The objects are built on first read, and every later read, map_bits
+    included, returns the same tuple and the same objects."""
+    book = build_symbol_book(4, build_constellation(PSK, 8))
+    assert "symbols" not in vars(book)
+    symbols = book.symbols
+    assert isinstance(symbols, tuple) and len(symbols) == len(book) == 128
+    assert book.symbols is symbols
+    assert map_bits([1, 0, 0, 1, 0, 1, 1], book) is symbols[0b1001011]
+
+
+def _eager_symbols(L: int, constellation) -> tuple:
+    """Every label rendered from its definition: [k1 bits | k2 bits | signal bits],
+    natural binary scatterer fields (1-based) and the constellation's point."""
+    lb, width = int(np.log2(L)), 2 * int(np.log2(L)) + constellation.bits
+    symbols = []
+    for v in range(L * L * constellation.order):
+        label = format(v, f"0{width}b")
+        k1 = int(label[:lb] or "0", 2) + 1
+        k2 = int(label[lb:2 * lb] or "0", 2) + 1
+        x = complex(constellation.points[int(label[2 * lb:], 2)])
+        symbols.append(QssmSymbol(k1=k1, k2=k2, x_re=x.real, x_im=x.imag, label=label))
+    return tuple(symbols)
+
+
+@pytest.mark.parametrize("L", [1, 4, 16])
+@pytest.mark.parametrize("kind,M", [(QAM, 16), (PSK, 8)])
+def test_symbols_equal_eager_rendering(L, kind, M):
+    """The lazily rendered tuple equals the eager one field for field and
+    type for type (int indices, float components, str labels)."""
+    constellation = build_constellation(kind, M)
+    got = build_symbol_book(L, constellation).symbols
+    expected = _eager_symbols(L, constellation)
+    assert got == expected
+    for s, e in zip(got, expected):
+        for f in dataclasses.fields(QssmSymbol):
+            assert type(getattr(s, f.name)) is type(getattr(e, f.name))
