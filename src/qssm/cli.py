@@ -247,14 +247,20 @@ def load_curve(csv_path: Path) -> AbepCurve:
     """Rebuild a curve from a result CSV and its sibling manifest.
 
     A manifest without ``stream_version`` predates the key: its curve was
-    drawn from stream version 1.
+    drawn from stream version 1.  A config with ``redraw`` predates the
+    removal of the per-block channel mode: a ``"per_trial"`` one loads
+    without it and its ``redraw_block``, a ``"per_block"`` one is refused.
     """
     manifest_path = csv_path.with_name(csv_path.name.removesuffix(".csv") + ".manifest.json")
     if not manifest_path.exists():
         raise ConfigError(f"manifest not found next to {csv_path} ({manifest_path.name})")
     try:
         record = json.loads(manifest_path.read_text())
-        config = SimConfig(**record["config"])
+        raw = dict(record["config"])
+        if raw.pop("redraw", "per_trial") != "per_trial":
+            raise ConfigError("the per-block channel redraw mode was removed")
+        raw.pop("redraw_block", None)
+        config = SimConfig(**raw)
         config_hash = record["config_hash"]
         stream_version = int(record.get("stream_version", 1))
     except (KeyError, TypeError, ValueError) as exc:
@@ -579,6 +585,7 @@ def _cmd_validate(args) -> int:
     if args.trials < 1:
         raise ConfigError(f"--trials: must be >= 1, got {args.trials}")
     _from_input(montecarlo._check_workers, args.workers)
+    _from_input(montecarlo._check_seed, args.seed)
     _emit(
         validate_analysis(trials=args.trials, seed=args.seed, workers=args.workers),
         args.out,

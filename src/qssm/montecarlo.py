@@ -60,10 +60,9 @@ TRIALS_PER_BLOCK = 1 << 14
 #: element normals; ideal QSSM and SSM draw as in version 1.
 STREAM_VERSION = 2
 
-_PURPOSE_CHANNEL = 0        # per-trial channel draws, keyed by trial block
+_PURPOSE_CHANNEL = 0
 _PURPOSE_LABELS = 1
 _PURPOSE_NOISE = 2
-_PURPOSE_CHANNEL_BLOCK = 3  # per-block channel redraw, keyed by channel block
 
 _WILSON_Z = 1.959963984540054  # two-sided 95%
 
@@ -81,7 +80,11 @@ _METRIC_ROWS = 256         # fewest trials per detection tile
 DEFAULT_SNR_GRID_DB = tuple(float(s) for s in range(0, 41, 2))
 
 #: SimConfig fields that hold counts, sizes or seeds: integers, never bool
-_INTEGER_FIELDS = ("L", "M", "n_t", "n_r", "trials", "seed", "redraw_block")
+_INTEGER_FIELDS = ("L", "M", "n_t", "n_r", "trials", "seed")
+
+#: Most elements per array side: a DFT-grid block argsorts N uniforms per
+#: trial, about 3.3 s per 16384-trial L=4 block at N = 4096
+_MAX_ELEMENTS = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -100,8 +103,6 @@ class SimConfig:
     snr_db: tuple[float, ...] = DEFAULT_SNR_GRID_DB
     trials: int = 1_000_000
     seed: int = 0
-    redraw: str = "per_trial"
-    redraw_block: int = 128
     convention: PepConvention = analysis.DEFAULT_CONVENTION
 
     def __post_init__(self) -> None:
@@ -121,6 +122,10 @@ class SimConfig:
             )
         if self.scheme == SSM and self.channel_mode == PHYSICAL:
             raise ValueError("the SSM baseline chain is defined for ideal mode only")
+        if max(self.n_t, self.n_r) > _MAX_ELEMENTS:
+            raise ValueError(
+                f"n_t and n_r must be <= {_MAX_ELEMENTS}, got {self.n_t} and {self.n_r}"
+            )
         sides = [ArrayGeometry(n, self.spacing) for n in (self.n_t, self.n_r)]
         if self.channel_mode == IDEAL:
             sides = []  # ideal mode draws no angles: only angle_mode is checked
@@ -133,15 +138,17 @@ class SimConfig:
             raise ValueError("snr_db grid values must be finite")
         if any(b <= a for a, b in zip(self.snr_db, self.snr_db[1:])):
             raise ValueError("snr_db grid must be strictly increasing")
+        try:  # the grid increases: its last point has the largest linear SNR
+            snr_db_to_rho(self.snr_db[-1])
+        except OverflowError:
+            raise ValueError(
+                f"snr_db {self.snr_db[-1]:g} has no finite linear SNR: "
+                "10^(snr_db/10) overflows above about 3082.5 dB"
+            ) from None
         _check_snr_tokens(self.snr_db)
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
-        if self.redraw not in ("per_trial", "per_block"):
-            raise ValueError(
-                f"redraw must be 'per_trial' or 'per_block', got {self.redraw!r}"
-            )
-        if self.redraw_block < 1:
-            raise ValueError(f"redraw_block must be >= 1, got {self.redraw_block}")
+        _check_seed(self.seed)
         if not isinstance(self.convention, PepConvention):
             object.__setattr__(
                 self, "convention", PepConvention(str(self.convention))
@@ -252,14 +259,15 @@ def _check_snr_tokens(snr_db: tuple) -> None:
             )
 
 
+def _check_seed(seed: int) -> None:
+    """Raise unless 0 <= seed < 2^64, the seeds _substream keys apart."""
+    if not 0 <= seed < 1 << 64:
+        raise ValueError(f"seed must be in [0, 2^64), got {seed}")
+
+
 def _substream(seed: int, snr_db: float, purpose: int, index: int) -> np.random.Generator:
     """Independent Philox stream for one (purpose, block) slot of one SNR point."""
-    entropy = (
-        seed & 0xFFFFFFFFFFFFFFFF,
-        _snr_token(snr_db) & 0xFFFFFFFFFFFFFFFF,
-        purpose,
-        index,
-    )
+    entropy = (seed, _snr_token(snr_db) & 0xFFFFFFFFFFFFFFFF, purpose, index)
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy)))
 
 
@@ -342,27 +350,14 @@ def _scheme_tables(scheme: str, kind: str, M: int, L: int):
 
 
 def _block_channel(config: SimConfig, snr_db: float, block_index: int, n_trials: int):
-    """Gains, and in physical mode each side's beams (_draw_beams), for each
-    trial of one block; ideal mode draws no beams and returns None for them."""
-
-    def draw(rng, n_rows):  # gains, then departure and arrival beams: stream order
-        gains = _complex_normals(rng, (n_rows, config.L))
-        if config.channel_mode == IDEAL:
-            return (gains,)
-        return gains, *(_draw_beams(rng, n_rows, config, n) for n in (config.n_t, config.n_r))
-
-    if config.redraw == "per_trial":
-        drawn = draw(_substream(config.seed, snr_db, _PURPOSE_CHANNEL, block_index), n_trials)
-    else:  # one draw per channel block, repeated over its trials
-        t0 = block_index * TRIALS_PER_BLOCK
-        channel_ids = (t0 + np.arange(n_trials)) // config.redraw_block
-        blocks, rows = np.unique(channel_ids, return_inverse=True)
-        draws = [
-            draw(_substream(config.seed, snr_db, _PURPOSE_CHANNEL_BLOCK, int(cb)), 1)
-            for cb in blocks
-        ]
-        drawn = tuple(np.concatenate(parts)[rows] for parts in zip(*draws))
-    return (drawn + (None, None))[:3]
+    """Gains, then in physical mode each side's beams (_draw_beams), for each
+    trial of one block, from the block's channel substream; ideal mode draws
+    no beams and returns None for them."""
+    rng = _substream(config.seed, snr_db, _PURPOSE_CHANNEL, block_index)
+    gains = _complex_normals(rng, (n_trials, config.L))
+    if config.channel_mode == IDEAL:
+        return gains, None, None
+    return gains, *(_draw_beams(rng, n_trials, config, n) for n in (config.n_t, config.n_r))
 
 
 def _draw_beams(rng, n_rows: int, config: SimConfig, n_elements: int) -> np.ndarray:

@@ -144,14 +144,15 @@ def test_symbol_table_peak_memory():
 
 def test_snr_grid_is_counted_before_it_is_built():
     """A start/stop/step grid spans at most 4096 points; the count includes the
-    stop point's tolerance, as np.arange sees it."""
-    grid = {"start": 0, "stop": 4095, "step": 1}
+    stop point's tolerance, as np.arange sees it.  (The grid stays below the
+    3082.5 dB where the linear SNR overflows.)"""
+    grid = {"start": -2000, "stop": 2095, "step": 1}
     assert parse_config(json.dumps({"configs": [
         {"scheme": "qssm", "L": 2, "M": 4, "snr_db": grid}
-    ]})).configs[0][1].snr_db == tuple(float(s) for s in range(4096))
+    ]})).configs[0][1].snr_db == tuple(float(s) for s in range(-2000, 2096))
     with pytest.raises(ConfigError, match="spans more than 4096 points"):
         parse_config(json.dumps({"configs": [
-            {"scheme": "qssm", "L": 2, "M": 4, "snr_db": {**grid, "stop": 4096}}
+            {"scheme": "qssm", "L": 2, "M": 4, "snr_db": {**grid, "stop": 2096}}
         ]}))
 
 
@@ -307,6 +308,78 @@ def test_load_curve_reads_manifests_without_stream_version(tmp_path):
     assert curve_csv(loaded) == curve_csv(curve) == written["c.csv"].read_text()
 
 
+#: The result of ``qssm sweep --L 2 --M 4 --snr 0,10,20 --trials 2000 --seed 3
+#: --name old`` as written while SimConfig still had the per-block channel redraw
+#: mode: its manifest config holds "redraw" and "redraw_block"
+_REDRAW_ERA_CSV = """\
+snr_db,abep_sim,ci_low,ci_high,abep_analytic,abep_asymptotic,trials,bit_errors
+0,0.38174999999999998,0.37116344674955815,0.39245006187199161,1.6591330486115783,2.2170138888888893,2000,3054
+10,0.17749999999999999,0.16928257245791825,0.18602699650994489,0.35607398980082472,0.22795138888888891,2000,1420
+20,0.026624999999999999,0.023318063072628632,0.030386331377486829,0.041297910721654001,0.022795138888888893,2000,213
+"""
+_REDRAW_ERA_MANIFEST = """\
+{
+  "config": {
+    "L": 2,
+    "M": 4,
+    "angle_mode": "dft_grid",
+    "channel_mode": "ideal",
+    "convention": "exact_model",
+    "kind": "qam",
+    "n_r": 32,
+    "n_t": 32,
+    "redraw": "per_trial",
+    "redraw_block": 128,
+    "scheme": "qssm",
+    "seed": 3,
+    "snr_db": [
+      0.0,
+      10.0,
+      20.0
+    ],
+    "spacing": 0.5,
+    "trials": 2000
+  },
+  "config_hash": "24fefddfdfd40be33fa1fde2a3c4a91e2f685b596f159fdc4a6414c6d1f9e8de",
+  "csv": "old.csv",
+  "name": "old",
+  "seed": 3,
+  "stream_version": 2,
+  "version": "0.1.0"
+}
+"""
+
+
+def _write_redraw_era_result(tmp_path, redraw: str):
+    (tmp_path / "old.csv").write_text(_REDRAW_ERA_CSV)
+    manifest = _REDRAW_ERA_MANIFEST.replace('"per_trial"', json.dumps(redraw))
+    (tmp_path / "old.manifest.json").write_text(manifest)
+    return str(tmp_path / "old.csv")
+
+
+def test_load_curve_reads_per_trial_manifests_with_redraw_keys(tmp_path, capsys):
+    # the keys are dropped; the curve keeps its recorded hash, and the config
+    # without them redraws the CSV byte for byte
+    csv = _write_redraw_era_result(tmp_path, "per_trial")
+    loaded = load_curve(tmp_path / "old.csv")
+    config = SimConfig(scheme="qssm", L=2, M=4, snr_db=(0.0, 10.0, 20.0), trials=2000, seed=3)
+    assert loaded.config == config
+    recorded = json.loads(_REDRAW_ERA_MANIFEST)["config_hash"]
+    assert loaded.config_hash == recorded != config.config_hash()
+    assert curve_csv(loaded) == curve_csv(sweep(config)) == _REDRAW_ERA_CSV
+    assert main(["compare", csv, csv, "--levels", "0.05"]) == 0
+    assert "+0.000" in capsys.readouterr().out
+
+
+def test_load_curve_refuses_per_block_manifests(tmp_path, capsys):
+    csv = _write_redraw_era_result(tmp_path, "per_block")
+    with pytest.raises(ConfigError, match="per-block channel redraw mode was removed"):
+        load_curve(tmp_path / "old.csv")
+    assert main(["compare", csv, csv, "--levels", "0.05"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("error:") == 1 and "redraw mode was removed" in err, err
+
+
 def test_csv_serialises_17_significant_digits():
     config = SimConfig(scheme="qssm", L=2, M=4, snr_db=(0.0,), trials=3, seed=0)
     curve = sweep(config)
@@ -437,19 +510,38 @@ def test_main_exit_codes(tmp_path, capsys, monkeypatch):
         assert main(["sweep", "--L", "2", "--M", "4", "--trials", "1", "--snr", grid]) == 2
         err = capsys.readouterr().err
         assert err.count("error:") == 1 and "spans more than 4096 points" in err, grid
+    # a grid point needs a finite linear SNR: 10^(snr/10) overflows near 3082.5 dB
+    assert main(["sweep", "--L", "2", "--M", "4", "--trials", "64", "--snr", "4000"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("error:") == 1 and "no finite linear SNR" in err
     # counts, sizes and seeds must be integers: floats and bools are refused, in
     # ideal and physical mode alike
     base = {"scheme": "qssm", "L": 2, "M": 4, "snr_db": [0.0], "trials": 16}
     physical = {**base, "channel_mode": "physical"}
-    for config in ({**base, "trials": 1e4}, {**base, "M": 4.0}, {**base, "seed": 1.5},
-                   {**base, "L": True}, {**base, "trials": True}, {**base, "redraw_block": 2.5},
-                   {**physical, "n_t": 32.0}, {**physical, "n_r": False}):
-        non_integer = tmp_path / "non_integer.json"
-        non_integer.write_text(json.dumps({"configs": [config]}))
-        assert main(["run", str(non_integer), "--out-dir", str(tmp_path / "ni")]) == 2, config
+    rejected = [({**base, "trials": 1e4}, "must be an integer"),
+                ({**base, "M": 4.0}, "must be an integer"),
+                ({**base, "seed": 1.5}, "must be an integer"),
+                ({**base, "L": True}, "must be an integer"),
+                ({**base, "trials": True}, "must be an integer"),
+                ({**physical, "n_t": 32.0}, "must be an integer"),
+                ({**physical, "n_r": False}, "must be an integer"),
+                # array sides and seeds are bounded
+                ({**physical, "n_t": 10**20}, "n_t and n_r must be <= 4096"),
+                ({**base, "n_r": 4097}, "n_t and n_r must be <= 4096"),
+                ({**base, "seed": -1}, "seed must be in [0, 2^64)"),
+                ({**base, "seed": 2**64}, "seed must be in [0, 2^64)"),
+                # the per-block channel redraw mode was removed
+                ({**base, "redraw": "per_trial"}, "unknown keys ['redraw']"),
+                ({**base, "redraw_block": 2}, "unknown keys ['redraw_block']")]
+    for config, message in rejected:
+        refused = tmp_path / "refused.json"
+        refused.write_text(json.dumps({"configs": [config]}))
+        assert main(["run", str(refused), "--out-dir", str(tmp_path / "ni")]) == 2, config
         err = capsys.readouterr().err
-        assert err.count("error:") == 1 and "must be an integer" in err, config
+        assert err.count("error:") == 1 and message in err, config
     assert not (tmp_path / "ni").exists()
+    assert main(["validate", "--trials", "1", "--seed", "-1"]) == 2
+    assert "seed must be in [0, 2^64)" in capsys.readouterr().err
     # two grid points of one milli-dB substream key
     assert main(["sweep", "--L", "2", "--M", "4", "--trials", "1", "--snr", "0,0.0004"]) == 2
     assert "share one substream" in capsys.readouterr().err

@@ -103,8 +103,6 @@ class _ParentConfigRules:
     snr_db: tuple[float, ...] = DEFAULT_SNR_GRID_DB
     trials: int = 1_000_000
     seed: int = 0
-    redraw: str = "per_trial"
-    redraw_block: int = 128
     convention: PepConvention = DEFAULT_CONVENTION
 
     def __post_init__(self) -> None:
@@ -157,12 +155,6 @@ class _ParentConfigRules:
             raise ValueError("snr_db grid must be strictly increasing")
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
-        if self.redraw not in ("per_trial", "per_block"):
-            raise ValueError(
-                f"redraw must be 'per_trial' or 'per_block', got {self.redraw!r}"
-            )
-        if self.redraw_block < 1:
-            raise ValueError(f"redraw_block must be >= 1, got {self.redraw_block}")
         if not isinstance(self.convention, PepConvention):
             object.__setattr__(
                 self, "convention", PepConvention(str(self.convention))
@@ -222,6 +214,22 @@ def test_config_validation():
         SimConfig(scheme="qssm", L=4, M=2, kind="qam")
     with pytest.raises(ValueError):
         SimConfig(scheme="qssm", L=4, M=4, trials=0)
+    # the substreams key a seed as 64 bits: seeds outside [0, 2^64) would alias
+    for seed in (-1, 1 << 64):
+        with pytest.raises(ValueError, match="seed must be in"):
+            SimConfig(scheme="qssm", L=4, M=4, seed=seed)
+    assert SimConfig(scheme="qssm", L=4, M=4, seed=(1 << 64) - 1).seed == (1 << 64) - 1
+    # every grid point needs a finite linear SNR: 10^(snr/10) overflows near 3082.5 dB
+    with pytest.raises(ValueError, match="no finite linear SNR"):
+        SimConfig(scheme="qssm", L=4, M=4, snr_db=(0.0, 3083.0))
+    SimConfig(scheme="qssm", L=4, M=4, snr_db=(3082.0,))
+    # array sides are bounded, in either channel mode
+    for mode in ("ideal", "physical"):
+        with pytest.raises(ValueError, match="n_t and n_r must be <= 4096"):
+            SimConfig(scheme="qssm", L=4, M=4, channel_mode=mode, n_t=4097)
+        with pytest.raises(ValueError, match="n_t and n_r must be <= 4096"):
+            SimConfig(scheme="qssm", L=4, M=4, channel_mode=mode, n_r=10**20)
+        SimConfig(scheme="qssm", L=4, M=4, channel_mode=mode, n_t=4096, n_r=4096)
     with pytest.raises(ValueError):
         SimConfig(scheme="ssm", L=4, M=4, channel_mode="physical")
     with pytest.raises(ValueError):
@@ -462,19 +470,6 @@ def test_max_errors_early_stop():
     assert est.bit_errors >= 1000
     again = run_point(cfg, 0.0, max_errors=1000)
     assert est == again
-
-
-def test_per_block_redraw_statistically_consistent():
-    snr = 16.0
-    base = SimConfig(scheme="qssm", L=4, M=4, snr_db=(snr,), trials=100_000, seed=5)
-    per_block = SimConfig(
-        scheme="qssm", L=4, M=4, snr_db=(snr,), trials=100_000, seed=5,
-        redraw="per_block", redraw_block=64,
-    )
-    a = run_point(base, snr)
-    b = run_point(per_block, snr)
-    assert b.abep == pytest.approx(a.abep, rel=0.05)
-    assert run_point(per_block, snr) == b
 
 
 def test_block_tables_built_once_and_read_only(monkeypatch):
@@ -783,15 +778,15 @@ def _dense_observe_physical(tx, rx, sin_aod, sin_aoa, gains, symbols, root_rho, 
 
 def _physical_draws(rng, n, L, mode, spacing, n_t, n_r, beams):
     """(gains, aod, aoa, picks) of n trials.  With ``beams`` "sines" the sines come
-    from _draw_sines and picks is None; with a redraw mode they are the DFT-grid
-    points of the picks _block_channel draws for a block in that mode."""
+    from _draw_sines and picks is None; with "picks" they are the DFT-grid points
+    of the picks _block_channel draws for a block."""
     if beams == "sines":
         sin_aod = _draw_sines(rng, n, L, n_t, mode, spacing)
         sin_aoa = _draw_sines(rng, n, L, n_r, mode, spacing)
         return _complex_normals(rng, (n, L)), sin_aod, sin_aoa, None
     cfg = SimConfig(
         scheme="qssm", L=L, M=4, channel_mode="physical", angle_mode=mode, n_t=n_t, n_r=n_r,
-        spacing=spacing, trials=n, seed=int(rng.integers(1 << 30)), redraw=beams,
+        spacing=spacing, trials=n, seed=int(rng.integers(1 << 30)),
     )
     gains, pick_aod, pick_aoa = _block_channel(cfg, 20.0, 0, n)
     assert pick_aod.dtype.kind == pick_aoa.dtype.kind == "i"
@@ -801,7 +796,7 @@ def _physical_draws(rng, n, L, mode, spacing, n_t, n_r, beams):
 
 def _beam_cases(*rows):
     """Params (L, mode, spacing, n_t, n_r, beams): a "sines" case is named by its
-    first five values, a grid-pick case also by its redraw mode."""
+    first five values, a "picks" case by all six."""
     return [pytest.param(*row, id="-".join(map(str, row[:-1] if row[-1] == "sines" else row)))
             for row in rows]
 
@@ -816,12 +811,12 @@ def _beam_cases(*rows):
         (1, "dft_grid", 0.5, 32, 32, "sines"),
         (8, "dft_grid", 0.5, 8, 8, "sines"),  # L = N: every grid beam is used
         # grid picks: the Gram entries come from the cached (N, N) tables
-        (4, "dft_grid", 0.5, 32, 32, "per_trial"),
-        (4, "dft_grid", 0.25, 16, 12, "per_block"),
-        (4, "dft_grid", 1.0, 32, 32, "per_trial"),
-        (1, "dft_grid", 0.5, 32, 32, "per_block"),
-        (8, "dft_grid", 0.5, 8, 8, "per_trial"),
-        (32, "dft_grid", 0.5, 32, 32, "per_block"),
+        (4, "dft_grid", 0.5, 32, 32, "picks"),
+        (4, "dft_grid", 0.25, 16, 12, "picks"),
+        (4, "dft_grid", 1.0, 32, 32, "picks"),
+        (1, "dft_grid", 0.5, 32, 32, "picks"),
+        (8, "dft_grid", 0.5, 8, 8, "picks"),
+        (32, "dft_grid", 0.5, 32, 32, "picks"),
     ),
 )
 def test_observe_physical_matches_dense_steering(L, mode, spacing, n_t, n_r, beams):
@@ -859,12 +854,12 @@ def test_observe_physical_matches_dense_steering(L, mode, spacing, n_t, n_r, bea
         (1, "dft_grid", 0.5, 32, 32, "sines"),
         (32, "dft_grid", 0.5, 32, 32, "sines"),
         # grid picks: the pairs l < m come from the cached (N, N) table
-        (4, "dft_grid", 0.5, 32, 32, "per_block"),
-        (4, "dft_grid", 0.25, 16, 12, "per_trial"),
-        (4, "dft_grid", 1.0, 32, 32, "per_block"),
-        (1, "dft_grid", 0.5, 32, 32, "per_trial"),
-        (8, "dft_grid", 0.5, 8, 8, "per_block"),
-        (32, "dft_grid", 0.5, 32, 32, "per_trial"),
+        (4, "dft_grid", 0.5, 32, 32, "picks"),
+        (4, "dft_grid", 0.25, 16, 12, "picks"),
+        (4, "dft_grid", 1.0, 32, 32, "picks"),
+        (1, "dft_grid", 0.5, 32, 32, "picks"),
+        (8, "dft_grid", 0.5, 8, 8, "picks"),
+        (32, "dft_grid", 0.5, 32, 32, "picks"),
     ),
 )
 def test_receive_gram_upper_triangle_equals_full_evaluation(
@@ -921,12 +916,10 @@ def test_grid_blocks_evaluate_the_kernel_only_to_build_tables(monkeypatch, n_t, 
     monkeypatch.setattr(montecarlo, "_dirichlet_gram", counted)
     montecarlo._grid_gram.cache_clear()
     n = 1000
-    for redraw in ("per_trial", "per_block"):
-        cfg = SimConfig(
-            scheme="qssm", L=4, M=4, channel_mode="physical", n_t=n_t, n_r=n_r,
-            trials=n, seed=3, redraw=redraw,
-        )
-        _block_bit_errors(cfg, 20.0, 0, n)
+    cfg = SimConfig(
+        scheme="qssm", L=4, M=4, channel_mode="physical", n_t=n_t, n_r=n_r, trials=n, seed=3
+    )
+    _block_bit_errors(cfg, 20.0, 0, n)
     table_shapes = [shape for shape in shapes if shape in ((n_t, n_t), (n_r, n_r))]
     assert table_shapes == tables
     kernel_calls = len(shapes) - len(tables)
