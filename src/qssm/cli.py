@@ -156,13 +156,16 @@ def parse_config(text: str) -> ExperimentSpec:
         configs.append((name, config))
     by_name = dict(configs)
 
+    pairs = raw.get("comparisons", [])
+    if not isinstance(pairs, list):
+        raise ConfigError("comparisons: expected a list")
     comparisons = []
-    for i, pair in enumerate(raw.get("comparisons", [])):
+    for i, pair in enumerate(pairs):
         path = f"comparisons[{i}]"
         if not isinstance(pair, dict) or set(pair) != {"a", "b"}:
             raise ConfigError(f"{path}: expected an object with keys 'a' and 'b'")
         for side in ("a", "b"):
-            if pair[side] not in by_name:
+            if not isinstance(pair[side], str) or pair[side] not in by_name:
                 raise ConfigError(f"{path}.{side}: unknown config name {pair[side]!r}")
         a, b = pair["a"], pair["b"]
         _check_equal_rate(f"{path}: ", (a, by_name[a]), (b, by_name[b]))
@@ -170,9 +173,9 @@ def parse_config(text: str) -> ExperimentSpec:
 
     levels = raw.get("levels", [1e-3, 1e-4])
     if not isinstance(levels, list) or not all(
-        isinstance(v, (int, float)) and v > 0 for v in levels
+        isinstance(v, (int, float)) and not isinstance(v, bool) and 0 < v < 1 for v in levels
     ):
-        raise ConfigError("levels: expected a list of positive numbers")
+        raise ConfigError("levels: expected a list of numbers in (0, 1)")
     output_dir = raw.get("output_dir")
     if output_dir is not None and not isinstance(output_dir, str):
         raise ConfigError("output_dir: expected a string")
@@ -250,6 +253,9 @@ def load_curve(csv_path: Path) -> AbepCurve:
     drawn from stream version 1.  A config with ``redraw`` predates the
     removal of the per-block channel mode: a ``"per_trial"`` one loads
     without it and its ``redraw_block``, a ``"per_block"`` one is refused.
+    A config with ``convention`` predates the removal of that field: an
+    ``"exact_model"`` one loads without it, a ``"paper_eq21"`` one is
+    refused, as its ``abep_analytic`` column is not the package's bound.
     """
     manifest_path = csv_path.with_name(csv_path.name.removesuffix(".csv") + ".manifest.json")
     if not manifest_path.exists():
@@ -260,6 +266,12 @@ def load_curve(csv_path: Path) -> AbepCurve:
         if raw.pop("redraw", "per_trial") != "per_trial":
             raise ConfigError("the per-block channel redraw mode was removed")
         raw.pop("redraw_block", None)
+        convention = raw.pop("convention", "exact_model")
+        if convention != "exact_model":
+            raise ConfigError(
+                f"convention {convention!r}: its abep_analytic column is not the "
+                "package's exact_model bound, and the loaded curve would present it as one"
+            )
         config = SimConfig(**raw)
         config_hash = record["config_hash"]
         stream_version = int(record.get("stream_version", 1))
@@ -477,12 +489,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--out-dir", default=None)
     p_run.add_argument("--seed", type=int, default=None, help="override every config seed")
     p_run.add_argument("--trials", type=int, default=None, help="override every trial count")
-    p_run.add_argument(
-        "--convention",
-        choices=[c.value for c in PepConvention],
-        default=None,
-        help="override the analysis convention",
-    )
     p_run.add_argument("--workers", type=int, default=1, help=_WORKERS_HELP)
 
     p_sweep = sub.add_parser("sweep", help="sweep a single config given by flags")
@@ -495,11 +501,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--seed", type=int, default=0)
     p_sweep.add_argument("--channel-mode", choices=["ideal", "physical"], default="ideal")
     p_sweep.add_argument("--angle-mode", choices=["dft_grid", "min_sep"], default="dft_grid")
-    p_sweep.add_argument(
-        "--convention",
-        choices=[c.value for c in PepConvention],
-        default=analysis.DEFAULT_CONVENTION.value,
-    )
     p_sweep.add_argument("--name", default=None)
     p_sweep.add_argument("--out-dir", default=None)
     p_sweep.add_argument("--workers", type=int, default=1, help=_WORKERS_HELP)
@@ -535,9 +536,9 @@ def _emit(text: str, out: Path | None) -> None:
 
 def _cmd_run(args) -> int:
     spec = parse_config(args.config.read_text())
-    given = {"seed": args.seed, "trials": args.trials, "convention": args.convention}
+    given = {"seed": args.seed, "trials": args.trials}
     overrides = {key: value for key, value in given.items() if value is not None}
-    if overrides:  # SimConfig turns a convention name into its PepConvention
+    if overrides:
         spec = dataclasses.replace(
             spec,
             configs=tuple(
@@ -569,7 +570,6 @@ def _cmd_sweep(args) -> int:
         snr_db=_parse_snr_arg(args.snr),
         trials=args.trials,
         seed=args.seed,
-        convention=PepConvention(args.convention),
     )
     name = args.name or _default_name(config)
     spec = ExperimentSpec(configs=((name, config),), output_dir=None, comparisons=(), levels=())

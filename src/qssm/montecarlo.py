@@ -86,6 +86,10 @@ _INTEGER_FIELDS = ("L", "M", "n_t", "n_r", "trials", "seed")
 #: trial, about 3.3 s per 16384-trial L=4 block at N = 4096
 _MAX_ELEMENTS = 1 << 12
 
+#: Highest SNR grid point (dB), rho = 1e300: the detector's features
+#: rho * |beta|^2 * x^2 and the union bounds overflow from about 3060 dB
+_MAX_SNR_DB = 3000.0
+
 
 @dataclass(frozen=True)
 class SimConfig:
@@ -103,7 +107,6 @@ class SimConfig:
     snr_db: tuple[float, ...] = DEFAULT_SNR_GRID_DB
     trials: int = 1_000_000
     seed: int = 0
-    convention: PepConvention = analysis.DEFAULT_CONVENTION
 
     def __post_init__(self) -> None:
         for name in _INTEGER_FIELDS:
@@ -138,21 +141,15 @@ class SimConfig:
             raise ValueError("snr_db grid values must be finite")
         if any(b <= a for a, b in zip(self.snr_db, self.snr_db[1:])):
             raise ValueError("snr_db grid must be strictly increasing")
-        try:  # the grid increases: its last point has the largest linear SNR
-            snr_db_to_rho(self.snr_db[-1])
-        except OverflowError:
+        if self.snr_db[-1] > _MAX_SNR_DB:  # the grid increases: its last point is its top
             raise ValueError(
-                f"snr_db {self.snr_db[-1]:g} has no finite linear SNR: "
-                "10^(snr_db/10) overflows above about 3082.5 dB"
-            ) from None
+                f"snr_db {self.snr_db[-1]:g} is above the {_MAX_SNR_DB:g} dB ceiling "
+                "(rho = 1e300), past which the detector's metrics and the bounds overflow"
+            )
         _check_snr_tokens(self.snr_db)
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
         _check_seed(self.seed)
-        if not isinstance(self.convention, PepConvention):
-            object.__setattr__(
-                self, "convention", PepConvention(str(self.convention))
-            )
 
     def spectral_efficiency(self) -> int:
         if self.scheme == QSSM:
@@ -165,7 +162,7 @@ class SimConfig:
 
     def to_dict(self) -> dict:
         out = {f.name: getattr(self, f.name) for f in fields(self)}
-        out.update(snr_db=list(self.snr_db), convention=self.convention.value)
+        out["snr_db"] = list(self.snr_db)
         return out
 
     def config_hash(self) -> str:
@@ -660,11 +657,9 @@ def sweep(
     for snr_db in config.snr_db:
         estimate = run_point(config, snr_db, workers=workers, max_errors=max_errors)
         if config.scheme == QSSM:
-            bound = analysis.abep_point(book, snr_db, config.convention)
+            bound = analysis.abep_point(book, snr_db)
         else:
-            bound = analysis.abep_point_ssm(
-                config.L, constellation, snr_db, config.convention
-            )
+            bound = analysis.abep_point_ssm(config.L, constellation, snr_db)
         points.append(
             CurvePoint(
                 estimate=estimate,
@@ -752,7 +747,7 @@ def arbitrate_convention(
     satisfying both, or None.
     """
     book = _scheme_tables(QSSM, QAM, 4, 4)[1]
-    candidates = []  # (snr_db, paper bound) where the exact bound is at most the threshold
+    candidates = []  # (snr_db, paper bound, exact bound) where exact <= the threshold
     for snr_db in _ARBITER_SNR_GRID_DB:
         rho = snr_db_to_rho(snr_db)
         exact = analysis.abep_union_bound(
@@ -762,21 +757,20 @@ def arbitrate_convention(
             paper = analysis.abep_union_bound(
                 book, rho, "closed_form", PepConvention.PAPER_EQ21
             )
-            candidates.append((snr_db, paper))
+            candidates.append((snr_db, paper, exact))
     config = SimConfig(
         scheme=QSSM,
         L=4,
         M=4,
         kind=QAM,
         channel_mode=IDEAL,
-        snr_db=tuple(s for s, _ in candidates),
+        snr_db=tuple(s for s, _, _ in candidates),
         trials=trials,
         seed=seed,
-        convention=PepConvention.EXACT_MODEL,
     )
-    points = [  # the curve's analytic bound is the exact_model one
-        ArbiterPoint(snr_db, p.estimate.abep, paper, p.abep_analytic)
-        for (snr_db, paper), p in zip(candidates, sweep(config, workers).points)
+    points = [
+        ArbiterPoint(snr_db, run_point(config, snr_db, workers).abep, paper, exact)
+        for snr_db, paper, exact in candidates
     ]
 
     def _within_factor_two(bound: float, simulated: float) -> bool:

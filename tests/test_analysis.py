@@ -182,6 +182,27 @@ def test_asymptotic_over_closed_form_ratio():
     assert ratio == pytest.approx(13.0 / 12.0, abs=1e-3)
 
 
+def test_paper_eq21_bound_is_the_exact_bound_at_twice_the_snr():
+    """The paper_eq21 bound is the exact_model bound at 2 rho, bit for bit, for
+    QSSM and SSM alike: the paper's curve is the package's moved by 10 log10 2 dB.
+    So a result file needs no convention of its own; the paper values stay in
+    the analysis functions and in ``qssm validate``."""
+    for kind, order in ((QAM, 4), (QAM, 16), (QAM, 64), (PSK, 2), (PSK, 8)):
+        constellation = build_constellation(kind, order)
+        for L in (1, 2, 4, 8, 16):
+            book = build_symbol_book(L, constellation)
+            bounds = {
+                "qssm": lambda rho, c: abep_union_bound(book, rho, "closed_form", c),
+                "ssm": lambda rho, c: abep_union_bound_ssm(L, constellation, rho, "closed_form", c),
+            }
+            for rho in (1e-2, 0.37, 1.0, 10.0, 1e3, 1e6, 1e9):
+                for scheme, bound in bounds.items():
+                    paper = bound(rho, PepConvention.PAPER_EQ21)
+                    assert paper == bound(2 * rho, PepConvention.EXACT_MODEL), (
+                        scheme, kind, order, L, rho,
+                    )
+
+
 def test_union_bound_vanishes_at_extreme_snr():
     book = build_symbol_book(4, build_constellation(QAM, 4))
     for convention in BOTH:

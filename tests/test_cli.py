@@ -10,7 +10,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from qssm.analysis import DEFAULT_CONVENTION
+from qssm.analysis import DEFAULT_CONVENTION, abep_point
 from qssm.cli import (
     CSV_HEADER,
     ConfigError,
@@ -42,7 +42,7 @@ def test_parse_minimal_config_fills_defaults():
     assert config.spacing == 0.5
     assert config.angle_mode == "dft_grid"
     assert config.trials == 1_000_000
-    assert config.convention is DEFAULT_CONVENTION
+    assert "convention" not in config.to_dict()
     assert config.snr_db == tuple(float(s) for s in range(0, 25, 2))
     assert spec.levels == (1e-3, 1e-4)
 
@@ -58,6 +58,16 @@ def test_parse_rejects_bad_documents():
         parse_config(
             json.dumps({"configs": [{"scheme": "qssm", "L": 4, "M": 4, "trails": 5}]})
         )
+    # comparisons are a list, and levels are finite numbers in (0, 1), not bools
+    one = {"configs": [{"name": "a", "scheme": "qssm", "L": 4, "M": 4}]}
+    for comparisons in (5, None, {"a": "a", "b": "a"}, [{"a": ["a"], "b": "a"}]):
+        with pytest.raises(ConfigError, match="comparisons"):
+            parse_config(json.dumps({**one, "comparisons": comparisons}))
+    for levels in ([True, float("inf")], [True], [float("inf")], [float("nan")], [1.0],
+                   [0.0], [-1e-3], ["1e-3"], 1e-3, None):
+        with pytest.raises(ConfigError, match="levels"):
+            parse_config(json.dumps({**one, "levels": levels}))
+    assert parse_config(json.dumps({**one, "levels": [0.5, 1e-300]})).levels == (0.5, 1e-300)
     with pytest.raises(ConfigError, match="configs\\[1\\]"):
         parse_config(
             json.dumps(
@@ -145,7 +155,7 @@ def test_symbol_table_peak_memory():
 def test_snr_grid_is_counted_before_it_is_built():
     """A start/stop/step grid spans at most 4096 points; the count includes the
     stop point's tolerance, as np.arange sees it.  (The grid stays below the
-    3082.5 dB where the linear SNR overflows.)"""
+    3000 dB ceiling of SimConfig.)"""
     grid = {"start": -2000, "stop": 2095, "step": 1}
     assert parse_config(json.dumps({"configs": [
         {"scheme": "qssm", "L": 2, "M": 4, "snr_db": grid}
@@ -380,6 +390,19 @@ def test_load_curve_refuses_per_block_manifests(tmp_path, capsys):
     assert err.count("error:") == 1 and "redraw mode was removed" in err, err
 
 
+def test_load_curve_refuses_paper_eq21_manifests(tmp_path, capsys):
+    # the curve's abep_analytic column would hold the paper_eq21 bound, which
+    # values("analytic") would present as the package's
+    csv = _write_redraw_era_result(tmp_path, "per_trial")
+    manifest = tmp_path / "old.manifest.json"
+    manifest.write_text(manifest.read_text().replace('"exact_model"', '"paper_eq21"'))
+    with pytest.raises(ConfigError, match="not the package's exact_model bound"):
+        load_curve(tmp_path / "old.csv")
+    assert main(["compare", csv, csv, "--levels", "0.05"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("error:") == 1 and "'paper_eq21'" in err, err
+
+
 def test_csv_serialises_17_significant_digits():
     config = SimConfig(scheme="qssm", L=2, M=4, snr_db=(0.0,), trials=3, seed=0)
     curve = sweep(config)
@@ -510,10 +533,12 @@ def test_main_exit_codes(tmp_path, capsys, monkeypatch):
         assert main(["sweep", "--L", "2", "--M", "4", "--trials", "1", "--snr", grid]) == 2
         err = capsys.readouterr().err
         assert err.count("error:") == 1 and "spans more than 4096 points" in err, grid
-    # a grid point needs a finite linear SNR: 10^(snr/10) overflows near 3082.5 dB
-    assert main(["sweep", "--L", "2", "--M", "4", "--trials", "64", "--snr", "4000"]) == 2
-    err = capsys.readouterr().err
-    assert err.count("error:") == 1 and "no finite linear SNR" in err
+    # grid points lie at or below the 3000 dB ceiling, past which the detector's
+    # metrics and the bounds overflow (10^(snr/10) itself overflows near 3082.5 dB)
+    for snr in ("4000", "3001", "3075"):
+        assert main(["sweep", "--L", "2", "--M", "4", "--trials", "64", "--snr", snr]) == 2
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1 and "above the 3000 dB ceiling" in err, snr
     # counts, sizes and seeds must be integers: floats and bools are refused, in
     # ideal and physical mode alike
     base = {"scheme": "qssm", "L": 2, "M": 4, "snr_db": [0.0], "trials": 16}
@@ -530,15 +555,27 @@ def test_main_exit_codes(tmp_path, capsys, monkeypatch):
                 ({**base, "n_r": 4097}, "n_t and n_r must be <= 4096"),
                 ({**base, "seed": -1}, "seed must be in [0, 2^64)"),
                 ({**base, "seed": 2**64}, "seed must be in [0, 2^64)"),
-                # the per-block channel redraw mode was removed
+                # the per-block channel redraw mode and the convention were removed
                 ({**base, "redraw": "per_trial"}, "unknown keys ['redraw']"),
-                ({**base, "redraw_block": 2}, "unknown keys ['redraw_block']")]
+                ({**base, "redraw_block": 2}, "unknown keys ['redraw_block']"),
+                ({**base, "convention": "exact_model"}, "unknown keys ['convention']")]
     for config, message in rejected:
         refused = tmp_path / "refused.json"
         refused.write_text(json.dumps({"configs": [config]}))
         assert main(["run", str(refused), "--out-dir", str(tmp_path / "ni")]) == 2, config
         err = capsys.readouterr().err
         assert err.count("error:") == 1 and message in err, config
+    # bad comparisons and levels are refused before any config runs
+    two = {"configs": [{**base, "name": "a"}, {**base, "name": "b"}]}
+    for document, message in [({**two, "comparisons": 5}, "comparisons: expected a list"),
+                              ({**two, "comparisons": None}, "comparisons: expected a list"),
+                              ({**two, "levels": [True, float("inf")]}, "levels: expected"),
+                              ({**two, "levels": [1e-3, 2.0]}, "levels: expected")]:
+        refused = tmp_path / "refused.json"
+        refused.write_text(json.dumps(document))
+        assert main(["run", str(refused), "--out-dir", str(tmp_path / "ni")]) == 2, document
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1 and message in err, document
     assert not (tmp_path / "ni").exists()
     assert main(["validate", "--trials", "1", "--seed", "-1"]) == 2
     assert "seed must be in [0, 2^64)" in capsys.readouterr().err
@@ -588,28 +625,33 @@ def test_main_sweep_and_compare(tmp_path, capsys):
     assert main(["compare", str(out_dir / "qb.csv"), str(out_dir / "sa.csv")]) == 2
 
 
-def test_convention_override_changes_bound(tmp_path):
-    base = {
-        "configs": [
-            {"name": "c", "scheme": "qssm", "L": 2, "M": 4, "snr_db": [20.0], "trials": 100, "seed": 0}
-        ]
-    }
+def test_convention_is_not_an_input(tmp_path, capsys):
+    """A result file carries the exact_model bound, the one the arbiter validates:
+    no flag or config key selects another, and a sweep's abep_analytic column is
+    analysis.abep_point's bound, bit for bit."""
+    config = {"name": "c", "scheme": "qssm", "L": 2, "M": 4, "snr_db": [20.0], "trials": 100}
     path = tmp_path / "cfg.json"
-    path.write_text(json.dumps(base))
-    assert main(["run", str(path), "--out-dir", str(tmp_path / "a")]) == 0
-    assert (
-        main(
-            [
-                "run",
-                str(path),
-                "--out-dir",
-                str(tmp_path / "b"),
-                "--convention",
-                "paper_eq21",
-            ]
-        )
-        == 0
-    )
-    bound_a = float((tmp_path / "a" / "c.csv").read_text().splitlines()[1].split(",")[4])
-    bound_b = float((tmp_path / "b" / "c.csv").read_text().splitlines()[1].split(",")[4])
-    assert bound_b < bound_a  # the 3 dB-optimistic normalisation gives a lower bound
+    path.write_text(json.dumps({"configs": [config]}))
+    keyed = tmp_path / "keyed.json"
+    keyed.write_text(json.dumps({"configs": [{**config, "convention": "paper_eq21"}]}))
+    out = ["--out-dir", str(tmp_path / "out")]
+    for argv in (["run", str(path), "--convention", "paper_eq21", *out],
+                 ["sweep", "--L", "2", "--M", "4", "--trials", "1", "--convention",
+                  "exact_model", *out],
+                 ["run", str(keyed), *out]):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse refuses an unknown flag
+            code = exc.code
+        assert code == 2, argv
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and "convention" in err, argv
+    assert not (tmp_path / "out").exists()
+
+    snr_db = (0.0, 10.0, 20.0, 30.0)
+    assert main(["sweep", "--L", "2", "--M", "4", "--snr", "0,10,20,30", "--trials", "100",
+                 "--name", "c", *out]) == 0
+    rows = (tmp_path / "out" / "c.csv").read_text().splitlines()[1:]
+    book = build_symbol_book(2, build_constellation("qam", 4))
+    for row, snr in zip(rows, snr_db, strict=True):
+        assert float(row.split(",")[4]) == abep_point(book, snr).abep_analytical

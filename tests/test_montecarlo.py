@@ -12,13 +12,13 @@ import time
 import tracemalloc
 from concurrent.futures import Future
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from qssm.analysis import DEFAULT_CONVENTION, PepConvention, abep_union_bound, snr_db_to_rho
+from qssm.analysis import abep_union_bound, snr_db_to_rho
 from qssm.channel import (
     DFT_GRID,
     MIN_SEP,
@@ -103,7 +103,6 @@ class _ParentConfigRules:
     snr_db: tuple[float, ...] = DEFAULT_SNR_GRID_DB
     trials: int = 1_000_000
     seed: int = 0
-    convention: PepConvention = DEFAULT_CONVENTION
 
     def __post_init__(self) -> None:
         if self.scheme not in (QSSM, SSM):
@@ -155,10 +154,6 @@ class _ParentConfigRules:
             raise ValueError("snr_db grid must be strictly increasing")
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
-        if not isinstance(self.convention, PepConvention):
-            object.__setattr__(
-                self, "convention", PepConvention(str(self.convention))
-            )
 
 
 def _accepts(build, **kwargs) -> bool:
@@ -219,10 +214,13 @@ def test_config_validation():
         with pytest.raises(ValueError, match="seed must be in"):
             SimConfig(scheme="qssm", L=4, M=4, seed=seed)
     assert SimConfig(scheme="qssm", L=4, M=4, seed=(1 << 64) - 1).seed == (1 << 64) - 1
-    # every grid point needs a finite linear SNR: 10^(snr/10) overflows near 3082.5 dB
-    with pytest.raises(ValueError, match="no finite linear SNR"):
+    # grid points lie at or below the 3000 dB ceiling (rho = 1e300), past which the
+    # detector's metrics and the bounds overflow
+    with pytest.raises(ValueError, match="above the 3000 dB ceiling"):
         SimConfig(scheme="qssm", L=4, M=4, snr_db=(0.0, 3083.0))
-    SimConfig(scheme="qssm", L=4, M=4, snr_db=(3082.0,))
+    with pytest.raises(ValueError, match="above the 3000 dB ceiling"):
+        SimConfig(scheme="qssm", L=4, M=4, snr_db=(float(np.nextafter(3000.0, 4000.0)),))
+    SimConfig(scheme="qssm", L=4, M=4, snr_db=(3000.0,))
     # array sides are bounded, in either channel mode
     for mode in ("ideal", "physical"):
         with pytest.raises(ValueError, match="n_t and n_r must be <= 4096"):
@@ -255,10 +253,33 @@ def test_config_validation():
         **physical, L=4, n_t=32, n_r=32, spacing=0.25, angle_mode="min_sep", trials=64
     )
     assert run_point(feasible, 10.0).trials == 64
-    cfg = SimConfig(scheme="qssm", L=4, M=4, convention="paper_eq21")
-    assert cfg.convention.value == "paper_eq21"
+    # a result file carries the exact_model bound only: convention is no field
+    with pytest.raises(TypeError, match="convention"):
+        SimConfig(scheme="qssm", L=4, M=4, convention="paper_eq21")
+    assert len(fields(SimConfig)) == 12
+    cfg = SimConfig(scheme="qssm", L=4, M=4)
     assert cfg.spectral_efficiency() == 6
     assert SimConfig(scheme="ssm", L=4, M=4).spectral_efficiency() == 4
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        dict(scheme="qssm", L=16, M=64),
+        dict(scheme="ssm", L=16, M=64),
+        dict(scheme="qssm", L=4, M=4, channel_mode="physical", angle_mode="dft_grid"),
+        dict(scheme="qssm", L=4, M=4, channel_mode="physical", angle_mode="min_sep"),
+    ],
+    ids=["qssm-L16-64qam", "ssm-L16-64qam", "physical-L4-dft_grid", "physical-L4-min_sep"],
+)
+def test_snr_ceiling_runs_without_overflow(config):
+    """A point at the 3000 dB ceiling runs without a RuntimeWarning (the suite
+    makes them errors) and with finite bounds; 3060 dB overflowed the detector's
+    metrics of the 64QAM books in 4096 trials."""
+    curve = sweep(SimConfig(**config, snr_db=(3000.0,), trials=4096, seed=1))
+    point = curve.points[0]
+    assert point.estimate.trials == 4096
+    assert np.isfinite(point.abep_analytic) and np.isfinite(point.abep_asymptotic)
 
 
 def test_run_point_deterministic():
