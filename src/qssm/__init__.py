@@ -4,12 +4,10 @@ scattering modulation (QSSM) over geometric mmWave channels."""
 __version__ = "0.1.0"
 
 from .analysis import (
-    DEFAULT_CONVENTION,
     AbepPoint,
     EtaBar,
     EtaCase,
     NumericalError,
-    PepConvention,
     abep_point,
     abep_point_ssm,
     abep_union_bound,

@@ -4,20 +4,19 @@ For a wrong hypothesis at SNR rho, the conditional pairwise error
 probability is Q(sqrt(rho*eta/2)) where sqrt(eta) is the complex
 hypothesis-difference term.  Its expected squared modulus eta_bar depends
 only on which scatterer indices coincide and on the signal points (see
-:func:`eta_bar`).  Averaging over the fading admits a closed form, and two
-normalisations of that average are supported:
+:func:`eta_bar`).  sqrt(eta) is circularly symmetric complex Gaussian with
+total variance eta_bar, so eta/eta_bar is a unit-mean exponential and the
+fading average has the closed form 0.5*(1 - sqrt(1/(1 + 4/(rho*eta_bar)))),
+which Monte Carlo runs of the scalar chain match.
 
-* ``EXACT_MODEL``: sqrt(eta) is circularly symmetric complex Gaussian with
-  total variance eta_bar, so eta/eta_bar is a unit-mean exponential.  The
-  average PEP is 0.5*(1 - sqrt(1/(1 + 4/(rho*eta_bar)))).  Monte Carlo
-  runs of the scalar chain match this normalisation, so it is the package
-  default.
-* ``PAPER_EQ21``: treats eta/eta_bar as chi-square with two degrees of
-  freedom (density 0.5*exp(-g/2), i.e. mean 2), which yields
-  0.5*(1 - sqrt(1/(1 + 2/(rho*eta_bar)))) - the same curve shifted 3 dB.
+The paper's eq. 21 takes eta/eta_bar as chi-square with two degrees of
+freedom (mean 2), which gives 0.5*(1 - sqrt(1/(1 + 2/(rho*eta_bar)))): the
+same function at 2*rho, bit for bit.  So every paper value is this module's
+value at twice the SNR (3.01 dB to the left), and no function here takes a
+normalisation switch.
 
 :func:`pep_quadrature` integrates the fading average numerically and acts
-as the independent oracle for the closed forms.  It and :func:`q_function`
+as the independent oracle for the closed form.  It and :func:`q_function`
 (behind :func:`pep_conditional`) import SciPy on their first call; nothing
 else here needs it, so importing the package loads NumPy only.
 """
@@ -37,20 +36,6 @@ from .modem import Constellation, SymbolBook
 class NumericalError(RuntimeError):
     """A numerical routine failed to reach its accuracy target."""
 
-
-class PepConvention(enum.Enum):
-    """Normalisation of the fading average inside the closed-form PEP."""
-
-    PAPER_EQ21 = "paper_eq21"
-    EXACT_MODEL = "exact_model"
-
-
-#: Convention whose union bound tracks the simulated error rate from above
-#: (selected by the Monte Carlo arbiter; see montecarlo.arbitrate_convention).
-DEFAULT_CONVENTION = PepConvention.EXACT_MODEL
-
-#: rho*eta_bar factor in the closed form: 2 for PAPER_EQ21, 4 for EXACT_MODEL.
-_CLOSED_FORM_FACTOR = {PepConvention.PAPER_EQ21: 2.0, PepConvention.EXACT_MODEL: 4.0}
 
 #: Relative accuracy that pep_quadrature asks of the adaptive quadrature.
 _QUADRATURE_REL_TOL = 1e-10
@@ -123,26 +108,23 @@ def pep_conditional(rho: float, eta: float) -> float:
     return float(q_function(np.sqrt(rho * eta / 2.0)))
 
 
-def pep_closed_form(rho, eta_bar_value, convention: PepConvention = DEFAULT_CONVENTION):
-    """Fading-averaged PEP, 0.5*(1 - sqrt(1/(1 + c/(rho*eta_bar)))).
+def pep_closed_form(rho, eta_bar_value):
+    """Fading-averaged PEP, 0.5*(1 - sqrt(1/(1 + 4/(rho*eta_bar)))).
 
     Accepts scalars or arrays; evaluated through log1p/expm1 so that the
     small-PEP regime keeps full relative precision.  rho*eta_bar = 0 gives
-    0.5 in both conventions.
+    0.5.
     """
-    factor = _CLOSED_FORM_FACTOR[convention]
     product = np.asarray(rho, dtype=float) * np.asarray(eta_bar_value, dtype=float)
     if not np.all(product >= 0):  # NaN fails too
         raise ValueError("rho and eta_bar must be >= 0")
     with np.errstate(divide="ignore"):
-        eps = factor / product
+        eps = 4.0 / product
     result = 0.5 * (-np.expm1(-0.5 * np.log1p(eps)))
     return float(result) if np.isscalar(rho) and np.isscalar(eta_bar_value) else result
 
 
-def pep_quadrature(
-    rho: float, eta_bar_value: float, convention: PepConvention = DEFAULT_CONVENTION
-) -> float:
+def pep_quadrature(rho: float, eta_bar_value: float) -> float:
     """Numerical fading average of Q(sqrt(rho*eta_bar*g/2)); oracle for the closed form.
 
     The integral runs over u = max(rho*eta_bar, 1)*g, where the faster-decaying
@@ -157,13 +139,11 @@ def pep_quadrature(
     product = rho * eta_bar_value
     if product == 0.0:
         return 0.5
-    # fading density of g: rate*exp(-rate*g), i.e. mean 2 (paper_eq21) or 1
-    rate = 0.5 if convention is PepConvention.PAPER_EQ21 else 1.0
     scale = max(product, 1.0)
 
     def integrand(t):
         u = t / (1.0 - t)
-        density = rate * np.exp(-rate * u / scale) / scale
+        density = np.exp(-u / scale) / scale  # unit-mean exponential fading g
         q = 0.5 * erfc(np.sqrt(product / scale * u / 2.0) / np.sqrt(2.0))  # q_function
         return density * q / (1.0 - t) ** 2
 
@@ -172,8 +152,7 @@ def pep_quadrature(
     )
     if message:
         raise NumericalError(
-            f"PEP quadrature did not converge for rho*eta_bar={product:g} "
-            f"({convention.value}): {message[0]}"
+            f"PEP quadrature did not converge for rho*eta_bar={product:g}: {message[0]}"
         )
     if value > 0 and abserr / value > 10 * _QUADRATURE_REL_TOL:
         raise NumericalError(
@@ -196,7 +175,11 @@ def _clamped_asymptotic(rho: float, eta_bar_value):
 
 
 def pep_asymptotic(rho: float, eta_bar_value: float) -> float:
-    """High-SNR PEP 13/(24*rho*eta_bar), clamped to the 0.5 probability cap."""
+    """High-SNR PEP 13/(24*rho*eta_bar), clamped to the 0.5 probability cap.
+
+    This is the paper's asymptote: 13/12 of :func:`pep_closed_form` at
+    2*rho, hence 13/24 of it at rho once rho*eta_bar is large.
+    """
     _check_asymptotic_rho(rho)
     if eta_bar_value <= 0:
         raise ValueError(
@@ -214,7 +197,7 @@ def _popcount_matrix(size: int) -> np.ndarray:
     return np.bitwise_count(values[:, None] ^ values[None, :]).astype(float)
 
 
-def _union_bound(L: int, beams: tuple, rho: float, convention: PepConvention) -> tuple:
+def _union_bound(L: int, beams: tuple, rho: float) -> tuple:
     """(closed form, asymptotic) union bounds over the L^B * M symbols
     (k_1, ..., k_B, s), B = len(beams), in one pass over the index classes.
 
@@ -224,7 +207,8 @@ def _union_bound(L: int, beams: tuple, rho: float, convention: PepConvention) ->
     index-coincidence class is one M x M sum weighted n*ham_M + mass: equal
     indices give n = L pairs and mass 0, distinct ones n = L(L-1) and mass
     L^2*log2(L)/2.  The true symbol gets weight 0 on the all-equal diagonal.
-    The callers check rho for the asymptotic kernel.
+    The asymptotic value is meaningful only for rho > 0, which
+    :func:`_abep_point` checks.
     """
     order = len(beams[0])
     ham = _popcount_matrix(order)
@@ -239,48 +223,28 @@ def _union_bound(L: int, beams: tuple, rho: float, convention: PepConvention) ->
         )
         mass = sum(index_mass * (n // count) for count, index_mass in classes)
         weight = n * ham + mass
-        closed += float(np.sum(weight * pep_closed_form(rho, eta, convention)))
+        closed += float(np.sum(weight * pep_closed_form(rho, eta)))
         asymptotic += float(np.sum(weight * _clamped_asymptotic(rho, eta)))
     scale = L ** len(beams) * order * (len(beams) * log2(L) + log2(order))  # symbols * bits
     return closed / scale, asymptotic / scale
 
 
-def _kernel_bound(L: int, beams: tuple, rho: float, kernel: str, convention) -> float:
-    """The union bound of one kernel, 'closed_form' or 'asymptotic'."""
-    if kernel == "asymptotic":
-        _check_asymptotic_rho(rho)
-    elif kernel != "closed_form":
-        raise ValueError(f"kernel must be 'closed_form' or 'asymptotic', got {kernel!r}")
-    return _union_bound(L, beams, rho, convention)[kernel == "asymptotic"]
-
-
-def _abep_point(L: int, beams: tuple, snr_db: float, convention) -> AbepPoint:
+def _abep_point(L: int, beams: tuple, snr_db: float) -> AbepPoint:
     """Both union bounds at one SNR point, from one _union_bound pass."""
     rho = snr_db_to_rho(snr_db)
     _check_asymptotic_rho(rho)
-    return AbepPoint(float(snr_db), *_union_bound(L, beams, rho, convention))
+    return AbepPoint(float(snr_db), *_union_bound(L, beams, rho))
 
 
-def abep_union_bound(
-    book: SymbolBook,
-    rho: float,
-    kernel: str = "closed_form",
-    convention: PepConvention = DEFAULT_CONVENTION,
-) -> float:
+def abep_union_bound(book: SymbolBook, rho: float) -> float:
     """Hamming-weighted PEP sum over ordered pairs, / (L^2*M * log2(L^2*M)), in O(M^2)."""
     x = book.constellation.points
-    return _kernel_bound(book.L, (x.real, x.imag), rho, kernel, convention)
+    return _union_bound(book.L, (x.real, x.imag), rho)[0]
 
 
-def abep_union_bound_ssm(
-    n_scatterers: int,
-    constellation: Constellation,
-    rho: float,
-    kernel: str = "closed_form",
-    convention: PepConvention = DEFAULT_CONVENTION,
-) -> float:
+def abep_union_bound_ssm(n_scatterers: int, constellation: Constellation, rho: float) -> float:
     """Union bound of the single-beam baseline over its L * M symbols."""
-    return _kernel_bound(n_scatterers, (constellation.points,), rho, kernel, convention)
+    return _union_bound(n_scatterers, (constellation.points,), rho)[0]
 
 
 def snr_db_to_rho(snr_db: float) -> float:
@@ -290,19 +254,12 @@ def snr_db_to_rho(snr_db: float) -> float:
     return float(10.0 ** (snr_db / 10.0))
 
 
-def abep_point(
-    book: SymbolBook, snr_db: float, convention: PepConvention = DEFAULT_CONVENTION
-) -> AbepPoint:
+def abep_point(book: SymbolBook, snr_db: float) -> AbepPoint:
     """Closed-form and asymptotic union bounds at one SNR point."""
     x = book.constellation.points
-    return _abep_point(book.L, (x.real, x.imag), snr_db, convention)
+    return _abep_point(book.L, (x.real, x.imag), snr_db)
 
 
-def abep_point_ssm(
-    n_scatterers: int,
-    constellation: Constellation,
-    snr_db: float,
-    convention: PepConvention = DEFAULT_CONVENTION,
-) -> AbepPoint:
+def abep_point_ssm(n_scatterers: int, constellation: Constellation, snr_db: float) -> AbepPoint:
     """Baseline analogue of :func:`abep_point`."""
-    return _abep_point(n_scatterers, (constellation.points,), snr_db, convention)
+    return _abep_point(n_scatterers, (constellation.points,), snr_db)

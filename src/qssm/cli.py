@@ -14,14 +14,13 @@ import dataclasses
 import json
 import os
 import sys
-import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__, analysis, montecarlo
-from .analysis import NumericalError, PepConvention
+from .analysis import NumericalError
 from .channel import SamplingError
 from .modem import _label_table, build_constellation, spectral_efficiency
 from .montecarlo import AbepCurve, BerEstimate, CurvePoint, SimConfig
@@ -63,6 +62,8 @@ def _fmt(x: float) -> str:
 
 
 def _floats(values, path: str) -> list[float]:
+    if any(isinstance(v, bool) for v in values):
+        raise ConfigError(f"{path}: expected numbers, not bools")
     try:
         return [float(v) for v in values]
     except (TypeError, ValueError) as exc:
@@ -95,6 +96,15 @@ def _default_name(config: SimConfig) -> str:
     return f"{config.scheme}_L{config.L}_{config.M}{config.kind}"
 
 
+def _check_name(name, where: str) -> None:
+    """A config name is the stem of its result files: it must name a file
+    inside the output directory, not a path out of it."""
+    if not isinstance(name, str) or not name:
+        raise ConfigError(f"{where}: must be a non-empty string")
+    if "\0" in name or Path(name).name != name:
+        raise ConfigError(f"{where}: must be a file name with no directory part, got {name!r}")
+
+
 def _config_from_dict(raw: dict, path: str) -> tuple[str, SimConfig]:
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: expected an object")
@@ -115,9 +125,8 @@ def _config_from_dict(raw: dict, path: str) -> tuple[str, SimConfig]:
         config = SimConfig(**kwargs)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{path}: {exc}") from exc
-    name = raw.get("name") or _default_name(config)
-    if not isinstance(name, str) or not name:
-        raise ConfigError(f"{path}.name: must be a non-empty string")
+    name = raw["name"] if "name" in raw else _default_name(config)
+    _check_name(name, f"{path}.name")
     return name, config
 
 
@@ -192,7 +201,11 @@ def parse_config(text: str) -> ExperimentSpec:
 # ---------------------------------------------------------------------------
 
 def _write_atomic(path: Path, content: str) -> None:
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".tmp")
+    """Write ``path`` through a sibling temp file renamed over it.  The temp
+    file is created with mode 0o666 less the umask, as a plain open would,
+    where mkstemp would give 0o600."""
+    tmp = path.with_name(f"{path.name}.tmp{os.urandom(8).hex()}")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w") as handle:
             handle.write(content)
@@ -392,9 +405,9 @@ def validate_analysis(trials: int = 1_000_000, seed: int = 0, workers: int = 1) 
     worst = 0.0
     for product in _VALIDATION_GRID:
         errs = []
-        for convention in PepConvention:
-            closed = analysis.pep_closed_form(product, 1.0, convention)
-            quadrature = analysis.pep_quadrature(product, 1.0, convention)
+        for rho in (2.0 * product, product):  # paper_eq21 is the PEP at 2*rho
+            closed = analysis.pep_closed_form(rho, 1.0)
+            quadrature = analysis.pep_quadrature(rho, 1.0)
             errs.append(abs(quadrature - closed) / closed)
         worst = max(worst, *errs)
         lines.append(f"{product:>12.1e} {errs[0]:>12.2e} {errs[1]:>12.2e}")
@@ -405,7 +418,7 @@ def validate_analysis(trials: int = 1_000_000, seed: int = 0, workers: int = 1) 
     lines.append(f"{'rho*etabar':>12s} {'ratio':>12s}")
     for product in (1e2, 1e3, 1e4, 1e5, 1e6):
         ratio = analysis.pep_asymptotic(product, 1.0) / analysis.pep_closed_form(
-            product, 1.0, PepConvention.PAPER_EQ21
+            2 * product, 1.0
         )
         lines.append(f"{product:>12.1e} {ratio:>12.7f}")
 
@@ -428,8 +441,7 @@ def validate_analysis(trials: int = 1_000_000, seed: int = 0, workers: int = 1) 
         f"bound within factor 2 at the two highest SNRs: paper_eq21={report.tracks_paper} "
         f"exact_model={report.tracks_exact}"
     )
-    verdict = report.verdict.value if report.verdict else "inconclusive"
-    lines.append(f"verdict: {verdict} (package default: {analysis.DEFAULT_CONVENTION.value})")
+    lines.append(f"verdict: {report.verdict or 'inconclusive'} (package default: exact_model)")
     return "\n".join(lines) + "\n"
 
 
@@ -572,6 +584,7 @@ def _cmd_sweep(args) -> int:
         seed=args.seed,
     )
     name = args.name or _default_name(config)
+    _check_name(name, "--name")
     spec = ExperimentSpec(configs=((name, config),), output_dir=None, comparisons=(), levels=())
     return _run_and_list(spec, args)
 

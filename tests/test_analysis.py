@@ -1,5 +1,6 @@
 """PEP formulas, quadrature oracle, and union-bound tests."""
 
+import itertools
 import json
 import os
 import subprocess
@@ -15,9 +16,8 @@ from scipy.integrate import quad
 import qssm
 from qssm import analysis
 from qssm.analysis import (
-    DEFAULT_CONVENTION,
     EtaCase,
-    PepConvention,
+    _union_bound,
     abep_union_bound,
     abep_union_bound_ssm,
     abep_point,
@@ -34,7 +34,59 @@ from qssm.analysis import (
 from qssm.modem import PSK, QAM, SymbolBook, build_constellation, build_symbol_book
 
 INV_SQRT2 = 1.0 / np.sqrt(2.0)
-BOTH = (PepConvention.PAPER_EQ21, PepConvention.EXACT_MODEL)
+
+
+def eq21(product):
+    """The paper's eq. 21, 0.5*(1 - sqrt(1/(1 + 2/(rho*eta_bar)))), through
+    log1p/expm1 so that the small-PEP regime keeps full relative precision."""
+    with np.errstate(divide="ignore"):
+        return 0.5 * -np.expm1(-0.5 * np.log1p(2.0 / np.asarray(product, dtype=float)))
+
+
+def eq21_quadrature(product):
+    """Fading average of Q(sqrt(rho*eta_bar*g/2)) with the paper's fading: g
+    chi-square with two degrees of freedom, density 0.5*exp(-g/2) (mean 2).
+
+    Integrates over u = max(product, 1)*g mapped onto (0, 1) by t = u/(1+u)."""
+    scale = max(product, 1.0)
+
+    def integrand(t):
+        g = t / (1.0 - t) / scale
+        density = 0.5 * np.exp(-g / 2.0) / scale
+        return density * float(q_function(np.sqrt(product * g / 2.0))) / (1.0 - t) ** 2
+
+    value, _ = quad(integrand, 0.0, 1.0, epsabs=0.0, epsrel=1e-11, limit=200)
+    return value
+
+
+def eq21_union_bound(L, beams, rho):
+    """Union bound with eq. 21 PEPs over the L^B * M symbols (k_1, ..., k_B, s).
+
+    Beam b carries ``beams[b][s]`` from scatterer k_b.  Sums every ordered
+    pair of index tuples and signal points, grouped by which indices
+    coincide; the index pairs and their Hamming distances are enumerated,
+    not counted by formula.  The true symbol has Hamming weight 0."""
+    index_ham = _popcount_matrix(L)
+    equal = np.eye(L, dtype=bool)
+    order = len(beams[0])
+    signal_ham = _popcount_matrix(order)
+    total = 0.0
+    for classes in itertools.product((True, False), repeat=len(beams)):
+        pairs = [equal == same for same in classes]
+        counts = [int(np.sum(mask)) for mask in pairs]
+        if 0 in counts:
+            continue
+        index_bits = [float(np.sum(index_ham[mask])) for mask in pairs]
+        eta = sum(
+            np.abs(c[:, None] - c[None, :]) ** 2 if same
+            else np.abs(c[:, None]) ** 2 + np.abs(c[None, :]) ** 2
+            for c, same in zip(beams, classes)
+        )
+        weight = np.prod(counts) * signal_ham + sum(
+            bits * np.prod(counts) / count for bits, count in zip(index_bits, counts)
+        )
+        total += float(np.sum(weight * eq21(rho * eta)))
+    return total / (L ** len(beams) * order * (len(beams) * log2(L) + log2(order)))
 
 
 def qssm_pair_tables(book: SymbolBook) -> tuple[np.ndarray, np.ndarray]:
@@ -113,16 +165,22 @@ def test_pep_conditional():
 
 
 def test_pep_closed_form_values():
-    assert pep_closed_form(2.0, 1.0, PepConvention.PAPER_EQ21) == pytest.approx(
-        0.5 * (1 - np.sqrt(0.5)), rel=1e-12
-    )
-    # 3 dB shift between conventions: exact at 2x the product matches eq21
-    assert pep_closed_form(4.0, 1.0, PepConvention.EXACT_MODEL) == pytest.approx(
-        pep_closed_form(2.0, 1.0, PepConvention.PAPER_EQ21), rel=1e-12
-    )
-    for convention in BOTH:
-        assert pep_closed_form(1.0, 0.0, convention) == 0.5
-        assert pep_closed_form(0.0, 1.0, convention) == 0.5
+    assert pep_closed_form(4.0, 1.0) == pytest.approx(0.5 * (1 - np.sqrt(0.5)), rel=1e-12)
+    assert eq21(2.0) == pytest.approx(0.5 * (1 - np.sqrt(0.5)), rel=1e-12)
+    # the stable eq21 is the textbook expression where the latter does not cancel
+    for product in np.logspace(-3, 4, 50):
+        textbook = 0.5 * (1 - np.sqrt(1 / (1 + 2 / product)))
+        assert eq21(product) == pytest.approx(textbook, rel=1e-9)
+    assert pep_closed_form(1.0, 0.0) == 0.5
+    assert pep_closed_form(0.0, 1.0) == 0.5
+    assert eq21(0.0) == 0.5
+
+
+def test_paper_eq21_is_the_closed_form_at_twice_the_product():
+    """eq. 21 at rho*eta_bar equals the package's PEP at 2*rho*eta_bar bit for
+    bit: 2/p and 4/(2p) are the same double."""
+    for product in np.logspace(-6, 12, 2001):
+        assert eq21(product) == pep_closed_form(2.0 * product, 1.0), product
 
 
 def test_pep_closed_form_monte_carlo_oracle():
@@ -138,25 +196,26 @@ def test_pep_closed_form_monte_carlo_oracle():
     samples = q_function(np.sqrt(rho * eta / 2.0))
     estimate = samples.mean()
     se = samples.std() / np.sqrt(n)
-    closed = pep_closed_form(rho, eta_bar_value, PepConvention.EXACT_MODEL)
+    closed = pep_closed_form(rho, eta_bar_value)
     assert abs(estimate - closed) < 3 * se
 
 
 def test_pep_quadrature_is_the_oracle():
     for product in (1e-3, 1.0, 10.0, 1e4):
-        for convention in BOTH:
-            closed = pep_closed_form(product, 1.0, convention)
-            numeric = pep_quadrature(product, 1.0, convention)
-            assert abs(numeric - closed) / closed < 1e-8
+        closed = pep_closed_form(product, 1.0)
+        assert abs(pep_quadrature(product, 1.0) - closed) / closed < 1e-8
+        # the paper's mean-2 fading at rho*eta_bar is the package's PEP at twice it
+        closed = pep_closed_form(2.0 * product, 1.0)
+        assert abs(eq21_quadrature(product) - closed) / closed < 1e-8
 
 
 def test_pep_quadrature_scans_large_products():
     # the Q-function scale shrinks as 1/(rho*eta_bar); the quadrature must follow it
-    for convention in BOTH:
-        for product in np.logspace(-2, 7, 500):
-            closed = pep_closed_form(product, 1.0, convention)
-            numeric = pep_quadrature(product, 1.0, convention)
-            assert abs(numeric - closed) <= 1e-8 * closed
+    for product in np.logspace(-2, 7, 500):
+        closed = pep_closed_form(product, 1.0)
+        assert abs(pep_quadrature(product, 1.0) - closed) <= 1e-8 * closed
+        closed = pep_closed_form(2.0 * product, 1.0)
+        assert abs(eq21_quadrature(product) - closed) <= 1e-8 * closed
 
 
 def test_pep_quadrature_edges():
@@ -176,52 +235,49 @@ def test_pep_asymptotic():
 
 
 def test_asymptotic_over_closed_form_ratio():
-    ratio = pep_asymptotic(1e6, 1.0) / pep_closed_form(
-        1e6, 1.0, PepConvention.PAPER_EQ21
-    )
+    # the asymptote is the paper's: 13/12 of eq. 21, the closed form at 2 rho
+    ratio = pep_asymptotic(1e6, 1.0) / pep_closed_form(2e6, 1.0)
     assert ratio == pytest.approx(13.0 / 12.0, abs=1e-3)
 
 
 def test_paper_eq21_bound_is_the_exact_bound_at_twice_the_snr():
-    """The paper_eq21 bound is the exact_model bound at 2 rho, bit for bit, for
-    QSSM and SSM alike: the paper's curve is the package's moved by 10 log10 2 dB.
-    So a result file needs no convention of its own; the paper values stay in
-    the analysis functions and in ``qssm validate``."""
+    """The union bound with the paper's eq. 21 PEPs at rho is the package's bound
+    at 2 rho, for QSSM and SSM alike: the paper's curve is the package's moved by
+    10 log10 2 dB.  The two sums add their terms in different orders, hence
+    the 1e-12 tolerance."""
     for kind, order in ((QAM, 4), (QAM, 16), (QAM, 64), (PSK, 2), (PSK, 8)):
         constellation = build_constellation(kind, order)
+        x = constellation.points
         for L in (1, 2, 4, 8, 16):
             book = build_symbol_book(L, constellation)
-            bounds = {
-                "qssm": lambda rho, c: abep_union_bound(book, rho, "closed_form", c),
-                "ssm": lambda rho, c: abep_union_bound_ssm(L, constellation, rho, "closed_form", c),
-            }
             for rho in (1e-2, 0.37, 1.0, 10.0, 1e3, 1e6, 1e9):
-                for scheme, bound in bounds.items():
-                    paper = bound(rho, PepConvention.PAPER_EQ21)
-                    assert paper == bound(2 * rho, PepConvention.EXACT_MODEL), (
-                        scheme, kind, order, L, rho,
-                    )
+                case = (kind, order, L, rho)
+                assert eq21_union_bound(L, (x.real, x.imag), rho) == pytest.approx(
+                    abep_union_bound(book, 2 * rho), rel=1e-12, abs=0
+                ), case
+                assert eq21_union_bound(L, (x,), rho) == pytest.approx(
+                    abep_union_bound_ssm(L, constellation, 2 * rho), rel=1e-12, abs=0
+                ), case
 
 
 def test_union_bound_vanishes_at_extreme_snr():
     book = build_symbol_book(4, build_constellation(QAM, 4))
-    for convention in BOTH:
-        assert abep_union_bound(book, 1e12, "closed_form", convention) < 1e-9
+    assert abep_union_bound(book, 1e12) < 1e-9
 
 
 def test_union_bound_two_symbol_hand_enumeration():
     # L=1, BPSK: single ordered pair each way, eta_bar = 4, one bit
     book = build_symbol_book(1, build_constellation(PSK, 2))
     for rho in (0.5, 2.0, 20.0):
-        expected = 0.5 * (1 - np.sqrt(1.0 / (1.0 + 2.0 / (4.0 * rho))))
-        got = abep_union_bound(book, rho, "closed_form", PepConvention.PAPER_EQ21)
+        expected = 0.5 * (1 - np.sqrt(1.0 / (1.0 + 2.0 / (4.0 * rho))))  # eq. 21
+        got = abep_union_bound(book, 2 * rho)
         assert got == pytest.approx(expected, rel=1e-12)
 
 
 def test_union_bound_monotone_in_snr():
     book = build_symbol_book(4, build_constellation(QAM, 4))
     values = [
-        abep_union_bound(book, snr_db_to_rho(s), "closed_form", DEFAULT_CONVENTION)
+        abep_union_bound(book, snr_db_to_rho(s))
         for s in range(0, 31, 2)
     ]
     assert all(a > b for a, b in zip(values, values[1:]))
@@ -246,7 +302,8 @@ def test_union_bound_asymptotic_clamp_at_low_snr():
     off = ~np.eye(len(book), dtype=bool)
     expected = 0.5 * hamming[off].sum() / (len(book) * book.bits_per_symbol)
     tiny_rho = 1e-12  # every per-pair term hits the 0.5 cap
-    assert abep_union_bound(book, tiny_rho, "asymptotic") == pytest.approx(expected)
+    x = book.constellation.points
+    assert _union_bound(2, (x.real, x.imag), tiny_rho)[1] == pytest.approx(expected)
 
 
 _NAN = float("nan")
@@ -277,22 +334,36 @@ def test_pep_and_closed_form_bounds_reject_nan(call):
         call()
 
 
-def test_union_bound_rejects_unknown_kernel():
-    book = build_symbol_book(1, build_constellation(PSK, 2))
-    with pytest.raises(ValueError):
-        abep_union_bound(book, 1.0, "conditional")
+def test_union_bound_takes_no_kernel_or_convention():
+    # one normalisation: the asymptotic value comes from abep_point, the
+    # paper's values from the same functions at 2 rho
+    constellation = build_constellation(PSK, 2)
+    book = build_symbol_book(1, constellation)
+    calls = (
+        lambda *extra, **kw: abep_union_bound(book, 1.0, *extra, **kw),
+        lambda *extra, **kw: abep_union_bound_ssm(1, constellation, 1.0, *extra, **kw),
+        lambda *extra, **kw: abep_point(book, 10.0, *extra, **kw),
+        lambda *extra, **kw: abep_point_ssm(1, constellation, 10.0, *extra, **kw),
+        lambda *extra, **kw: pep_closed_form(1.0, 1.0, *extra, **kw),
+        lambda *extra, **kw: pep_quadrature(1.0, 1.0, *extra, **kw),
+    )
+    for call in calls:
+        with pytest.raises(TypeError):
+            call("asymptotic")
+        with pytest.raises(TypeError):
+            call(kernel="asymptotic")
+        with pytest.raises(TypeError):
+            call(convention="paper_eq21")
+    assert not hasattr(qssm, "PepConvention") and not hasattr(analysis, "PepConvention")
 
 
 def test_ssm_bound_coincides_with_qssm_for_single_path_bpsk():
     constellation = build_constellation(PSK, 2)
     book = build_symbol_book(1, constellation)
     for rho in (0.1, 1.0, 10.0):
-        for convention in BOTH:
-            assert abep_union_bound_ssm(
-                1, constellation, rho, "closed_form", convention
-            ) == pytest.approx(
-                abep_union_bound(book, rho, "closed_form", convention), rel=1e-12
-            )
+        assert abep_union_bound_ssm(1, constellation, rho) == pytest.approx(
+            abep_union_bound(book, rho), rel=1e-12
+        )
 
 
 def test_ssm_bound_decreasing():
@@ -320,26 +391,18 @@ def test_abep_point_fields():
     assert point.abep_asymptotic > 0
     rho = snr_db_to_rho(30.0)
     assert point.abep_analytical == pytest.approx(abep_union_bound(book, rho))
-    # both fields come from one pass and equal each kernel's own bound bit for bit
+    # both fields come from one pass and equal the class sums bit for bit
     for constellation, L in ((build_constellation(QAM, 16), 4), (build_constellation(PSK, 8), 2)):
         book = build_symbol_book(L, constellation)
+        x = constellation.points
         for snr_db in (0.0, 17.5, 40.0):
             rho = snr_db_to_rho(snr_db)
-            for convention in BOTH:
-                point = abep_point(book, snr_db, convention)
-                assert point.abep_analytical == abep_union_bound(
-                    book, rho, "closed_form", convention
-                )
-                assert point.abep_asymptotic == abep_union_bound(
-                    book, rho, "asymptotic", convention
-                )
-                point = abep_point_ssm(L, constellation, snr_db, convention)
-                assert point.abep_analytical == abep_union_bound_ssm(
-                    L, constellation, rho, "closed_form", convention
-                )
-                assert point.abep_asymptotic == abep_union_bound_ssm(
-                    L, constellation, rho, "asymptotic", convention
-                )
+            point = abep_point(book, snr_db)
+            assert point.abep_analytical == abep_union_bound(book, rho)
+            assert point.abep_asymptotic == _union_bound(L, (x.real, x.imag), rho)[1]
+            point = abep_point_ssm(L, constellation, snr_db)
+            assert point.abep_analytical == abep_union_bound_ssm(L, constellation, rho)
+            assert point.abep_asymptotic == _union_bound(L, (x,), rho)[1]
     # the asymptotic form needs rho > 0: SNR -inf (rho = 0) still raises
     constellation = build_constellation(QAM, 4)
     book = build_symbol_book(4, constellation)
@@ -347,11 +410,7 @@ def test_abep_point_fields():
         abep_point(book, float("-inf"))
     with pytest.raises(ValueError):
         abep_point_ssm(4, constellation, float("-inf"))
-    with pytest.raises(ValueError):
-        abep_union_bound(book, 0.0, "asymptotic")
-    with pytest.raises(ValueError):
-        abep_union_bound_ssm(4, constellation, 0.0, "asymptotic")
-    assert abep_union_bound(book, 0.0, "closed_form") > 0
+    assert abep_union_bound(book, 0.0) > 0
 
 
 def test_abep_point_runs_one_class_loop(monkeypatch):
@@ -370,11 +429,11 @@ def test_abep_point_runs_one_class_loop(monkeypatch):
     assert calls == [4, 4]
 
 
-def _dense_union_bound(eta, hamming, bits, rho, kernel, convention):
+def _dense_union_bound(eta, hamming, bits, rho, kernel):
     """Explicit S x S sum over ordered pairs of distinct symbols."""
     off = ~np.eye(len(eta), dtype=bool)
     if kernel == "closed_form":
-        pep = pep_closed_form(rho, np.where(off, eta, 1.0), convention)
+        pep = pep_closed_form(rho, np.where(off, eta, 1.0))
     else:
         with np.errstate(divide="ignore"):
             pep = np.minimum(0.5, 13.0 / (24.0 * rho * eta))
@@ -403,19 +462,18 @@ def test_union_bounds_equal_dense_pair_sums(kind, order, L):
     qssm_tables = qssm_pair_tables(book)
     ssm_tables = _ssm_pair_tables(L, constellation)
     ssm_bits = int(log2(L * order))
+    x = constellation.points
     for rho in (1e-2, 1.0, 1e2, 1e4):
-        for kernel in ("closed_form", "asymptotic"):
-            for convention in BOTH:
-                expected = _dense_union_bound(
-                    *qssm_tables, book.bits_per_symbol, rho, kernel, convention
-                )
-                got = abep_union_bound(book, rho, kernel, convention)
-                assert got == pytest.approx(expected, rel=1e-12, abs=0)
-                expected = _dense_union_bound(
-                    *ssm_tables, ssm_bits, rho, kernel, convention
-                )
-                got = abep_union_bound_ssm(L, constellation, rho, kernel, convention)
-                assert got == pytest.approx(expected, rel=1e-12, abs=0)
+        qssm_bounds = _union_bound(L, (x.real, x.imag), rho)
+        ssm_bounds = _union_bound(L, (x,), rho)
+        assert qssm_bounds[0] == abep_union_bound(book, rho)
+        assert ssm_bounds[0] == abep_union_bound_ssm(L, constellation, rho)
+        for got, kernel in zip(qssm_bounds, ("closed_form", "asymptotic")):
+            expected = _dense_union_bound(*qssm_tables, book.bits_per_symbol, rho, kernel)
+            assert got == pytest.approx(expected, rel=1e-12, abs=0)
+        for got, kernel in zip(ssm_bounds, ("closed_form", "asymptotic")):
+            expected = _dense_union_bound(*ssm_tables, ssm_bits, rho, kernel)
+            assert got == pytest.approx(expected, rel=1e-12, abs=0)
 
 
 def test_union_bound_memory_independent_of_book_size():
@@ -434,13 +492,13 @@ def test_union_bound_memory_independent_of_book_size():
 def test_union_bound_psk_floor():
     # PSK points on an axis leave one beam's scatterer undetectable (eta_bar = 0):
     # each such symbol has L-1 partners at PEP 0.5, one index bit away
-    rho = 1e8
-    for kernel in ("closed_form", "asymptotic"):
-        for order, floor in ((8, 0.05), (4, 0.125)):
-            book = build_symbol_book(2, build_constellation(PSK, order))
-            assert abep_union_bound(book, rho, kernel) == pytest.approx(floor, abs=1e-6)
-        book = build_symbol_book(4, build_constellation(QAM, 16))
-        assert abep_union_bound(book, rho, kernel) < 1e-5
+    snr_db = 80.0  # rho = 1e8
+    for order, floor in ((8, 0.05), (4, 0.125)):
+        point = abep_point(build_symbol_book(2, build_constellation(PSK, order)), snr_db)
+        assert point.abep_analytical == pytest.approx(floor, abs=1e-6)
+        assert point.abep_asymptotic == pytest.approx(floor, abs=1e-6)
+    point = abep_point(build_symbol_book(4, build_constellation(QAM, 16)), snr_db)
+    assert point.abep_analytical < 1e-5 and point.abep_asymptotic < 1e-5
 
 
 _IMPORT_CONTRACT = """

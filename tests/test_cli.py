@@ -6,11 +6,12 @@ import os
 import signal
 import time
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
-from qssm.analysis import DEFAULT_CONVENTION, abep_point
+from qssm.analysis import abep_point
 from qssm.cli import (
     CSV_HEADER,
     ConfigError,
@@ -68,6 +69,23 @@ def test_parse_rejects_bad_documents():
         with pytest.raises(ConfigError, match="levels"):
             parse_config(json.dumps({**one, "levels": levels}))
     assert parse_config(json.dumps({**one, "levels": [0.5, 1e-300]})).levels == (0.5, 1e-300)
+    # a name is the stem of the result files: a non-empty string with no
+    # directory part and no NUL
+    entry = one["configs"][0]
+    for name in ("/tmp/x", "../escaped", "a/b", "a/", ".", "a\0b"):
+        with pytest.raises(ConfigError, match="name: must be a file name"):
+            parse_config(json.dumps({"configs": [{**entry, "name": name}]}))
+    for name in ("", False, 0, None, ["a"]):
+        with pytest.raises(ConfigError, match="name: must be a non-empty string"):
+            parse_config(json.dumps({"configs": [{**entry, "name": name}]}))
+    # spacing is a finite real number in (0, 2^20] wavelengths; numbers are not bools
+    physical = {**entry, "channel_mode": "physical"}
+    for spacing in (float("inf"), float("nan"), 1e308, True, "0.5", 0.0, -0.5):
+        with pytest.raises(ConfigError, match="spacing must be a real number"):
+            parse_config(json.dumps({"configs": [{**physical, "spacing": spacing}]}))
+    for snr in ([True], [0.0, True], {"start": True, "stop": 4, "step": 2}):
+        with pytest.raises(ConfigError, match="not bools"):
+            parse_config(json.dumps({"configs": [{**entry, "snr_db": snr}]}))
     with pytest.raises(ConfigError, match="configs\\[1\\]"):
         parse_config(
             json.dumps(
@@ -455,7 +473,7 @@ def test_validate_verdict_stable_across_seeds():
         report = validate_analysis(trials=400_000, seed=seed)
         verdicts.add(report.splitlines()[-1].split()[1])
     assert len(verdicts) == 1
-    assert verdicts.pop() == DEFAULT_CONVENTION.value
+    assert verdicts.pop() == "exact_model"
 
 
 def test_main_exit_codes(tmp_path, capsys, monkeypatch):
@@ -577,6 +595,32 @@ def test_main_exit_codes(tmp_path, capsys, monkeypatch):
         err = capsys.readouterr().err
         assert err.count("error:") == 1 and message in err, document
     assert not (tmp_path / "ni").exists()
+    # a name with a directory part would write outside --out-dir, and bad real
+    # inputs would run on NaN Grams or bools as 1.0: each is refused before any
+    # run, and no file is written
+    out = ["--out-dir", str(tmp_path / "ni")]
+    names = (str(tmp_path / "absolute"), "../escaped", "a/b", "a\0b")
+    cases = [(name, {"configs": [{**base, "name": name}]}, "name: must be a file name")
+             for name in names]
+    cases += [(spacing, {"configs": [{**physical, "spacing": spacing}]},
+               "spacing must be a real number")
+              for spacing in (float("inf"), float("nan"), 1e308, True, "0.5")]
+    cases.append((True, {"configs": [{**base, "snr_db": [True]}]}, "not bools"))
+    named = tmp_path / "named.json"
+    named.write_text("{}")
+    listing = sorted(tmp_path.rglob("*"))
+    for value, document, message in cases:
+        named.write_text(json.dumps(document))
+        assert main(["run", str(named), *out]) == 2, value
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1 and message in err, value
+        assert sorted(tmp_path.rglob("*")) == listing, value
+    for name in names:
+        argv = ["sweep", "--L", "2", "--M", "4", "--trials", "1", "--snr", "0", "--name", name]
+        assert main([*argv, *out]) == 2, name
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1 and "--name: must be a file name" in err, name
+        assert sorted(tmp_path.rglob("*")) == listing, name
     assert main(["validate", "--trials", "1", "--seed", "-1"]) == 2
     assert "seed must be in [0, 2^64)" in capsys.readouterr().err
     # two grid points of one milli-dB substream key
@@ -605,6 +649,37 @@ def test_main_exit_codes(tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(montecarlo, "_block_bit_errors", _kill_worker)
         assert main([*args, "--workers", "2"]) == 5
         assert capsys.readouterr().err.startswith("internal error: BrokenProcessPool")
+
+
+def test_physical_spacings_run_without_warnings(tmp_path):
+    """Spacings from below half a wavelength up to 1e6 wavelengths run cleanly."""
+    config = {"scheme": "qssm", "L": 2, "M": 4, "channel_mode": "physical", "n_t": 8,
+              "n_r": 8, "snr_db": [10.0], "trials": 64}
+    for spacing in (0.25, 0.5, 1.0, 1e6):
+        path = tmp_path / "spacing.json"
+        path.write_text(json.dumps({"configs": [{**config, "spacing": spacing}]}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["run", str(path), "--out-dir", str(tmp_path / str(spacing))]) == 0
+        manifest = json.loads((tmp_path / str(spacing) / "qssm_L2_4qam.manifest.json").read_text())
+        assert manifest["config"]["spacing"] == spacing
+
+
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)])
+def test_result_files_honour_the_umask(tmp_path, umask, mode):
+    """Result files get the mode a plain write gives, 0o666 less the umask."""
+    previous = os.umask(umask)
+    try:
+        argv = ["sweep", "--L", "2", "--M", "4", "--trials", "1", "--snr", "0",
+                "--out-dir", str(tmp_path)]
+        assert main(argv) == 0
+        assert main(["table", "--L", "2", "--M", "4", "--out", str(tmp_path / "t.csv")]) == 0
+    finally:
+        os.umask(previous)
+    files = sorted(tmp_path.iterdir())
+    assert [f.name for f in files] == ["qssm_L2_4qam.csv", "qssm_L2_4qam.manifest.json", "t.csv"]
+    for path in files:
+        assert path.stat().st_mode & 0o777 == mode, path
 
 
 def test_main_sweep_and_compare(tmp_path, capsys):

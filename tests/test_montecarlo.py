@@ -249,6 +249,16 @@ def test_config_validation():
     SimConfig(**physical, L=4, n_t=7, n_r=7, spacing=0.25, angle_mode="min_sep")
     with pytest.raises(ValueError):
         SimConfig(**physical, L=4, n_t=12, n_r=12, spacing=0.0)
+    # spacing is a finite real number up to 2^20 wavelengths, past which the Gram
+    # kernel's reduced angle loses its fraction bits (1e308 overflows to NaN)
+    for spacing in (float("inf"), float("nan"), 1e308, True, "0.5", np.nextafter(2.0**20, 3e6)):
+        with pytest.raises(ValueError, match="spacing must be a real number"):
+            SimConfig(**physical, L=4, spacing=spacing)
+    assert SimConfig(**physical, L=4, spacing=2.0**20).spacing == 2**20
+    # SNR points are numbers, not bools
+    for grid in ((True,), (0.0, np.True_)):
+        with pytest.raises(ValueError, match="not bools"):
+            SimConfig(scheme="qssm", L=4, M=4, snr_db=grid)
     feasible = SimConfig(
         **physical, L=4, n_t=32, n_r=32, spacing=0.25, angle_mode="min_sep", trials=64
     )
