@@ -82,8 +82,9 @@ def _dirichlet_gram(
     angle -= np.rint(angle)
     angle *= np.pi
     den = n_elements * np.sin(angle)
-    ratio = np.divide(np.sin(n_elements * angle), den, out=np.ones(angle.shape), where=den != 0)
-    return ratio * np.exp((1j * (n_elements - 1)) * angle)
+    zero = den == 0
+    ratio = np.sin(n_elements * angle) / np.where(zero, 1.0, den)
+    return np.where(zero, 1.0, ratio) * np.exp((1j * (n_elements - 1)) * angle)
 
 
 def array_response(geometry: ArrayGeometry, theta: float) -> np.ndarray:
@@ -127,7 +128,8 @@ def _complex_normals(rng: np.random.Generator, shape) -> np.ndarray:
 def _sines_separated(sines: np.ndarray, n_elements: int, spacing: float) -> np.ndarray:
     """Per row of (..., L) sines: every gap on the alias circle is >= period/N."""
     period = 1.0 / spacing
-    folded = np.sort(np.mod(sines, period), axis=-1)
+    folded = np.fmod(sines, period)  # exact: adding the period below 0 gives np.mod's values
+    folded = np.sort(np.where(folded < 0, folded + period, folded), axis=-1)
     gaps = np.diff(folded, axis=-1, append=folded[..., :1] + period)
     return gaps.min(axis=-1) >= period / n_elements
 

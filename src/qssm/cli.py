@@ -62,11 +62,23 @@ def _fmt(x: float) -> str:
 
 
 def _floats(values, path: str) -> list[float]:
-    if any(isinstance(v, bool) for v in values):
-        raise ConfigError(f"{path}: expected numbers, not bools")
+    """Command-line text values as floats."""
     try:
         return [float(v) for v in values]
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
+
+
+def _numbers(values, path: str) -> list[float]:
+    """Experiment-file values as floats: JSON numbers only, not bools or strings."""
+    for v in values:
+        if isinstance(v, bool):
+            raise ConfigError(f"{path}: expected numbers, not bools")
+        if not isinstance(v, (int, float)):
+            raise ConfigError(f"{path}: expected numbers, got {v!r}")
+    try:
+        return [float(v) for v in values]
+    except OverflowError as exc:  # an integer beyond the float range
         raise ConfigError(f"{path}: {exc}") from exc
 
 
@@ -75,11 +87,12 @@ _SNR_GRID_POINTS = 4096
 
 
 def _snr_grid_from_spec(entry, path: str) -> tuple[float, ...]:
+    """SNR grid of a list of numbers or a start/stop/step object of numbers."""
     if isinstance(entry, dict):
         missing = {"start", "stop", "step"} - set(entry)
         if missing:
             raise ConfigError(f"{path}: missing {sorted(missing)}")
-        start, stop, step = _floats((entry["start"], entry["stop"], entry["step"]), path)
+        start, stop, step = _numbers((entry["start"], entry["stop"], entry["step"]), path)
         if step <= 0:
             raise ConfigError(f"{path}.step: must be > 0")
         stop += step * 1e-9
@@ -88,7 +101,7 @@ def _snr_grid_from_spec(entry, path: str) -> tuple[float, ...]:
         grid = np.arange(start, stop, step)
         return tuple(float(s) for s in grid)
     if isinstance(entry, list) and entry:
-        return tuple(_floats(entry, path))
+        return tuple(_numbers(entry, path))
     raise ConfigError(f"{path}: expected a non-empty list or a start/stop/step object")
 
 
@@ -471,11 +484,12 @@ def symbol_table_csv(L: int, M: int, kind: str) -> str:
 
 def _parse_snr_arg(text: str) -> tuple[float, ...]:
     if ":" not in text:
-        return _snr_grid_from_spec(text.split(","), "--snr")
+        return _snr_grid_from_spec(_floats(text.split(","), "--snr"), "--snr")
     parts = text.split(":")
     if len(parts) != 3:
         raise ConfigError(f"--snr: expected start:stop:step, got {text!r}")
-    return _snr_grid_from_spec(dict(zip(("start", "stop", "step"), parts)), "--snr")
+    bounds = _floats(parts, "--snr")
+    return _snr_grid_from_spec(dict(zip(("start", "stop", "step"), bounds)), "--snr")
 
 
 _WORKERS_HELP = (

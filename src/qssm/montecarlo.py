@@ -398,25 +398,35 @@ def _observe_physical(tx, rx, aod, aoa, gains, symbols, root_rho, white):
     beams: sines, or integer DFT-grid picks whose entries come from the
     side's cached table (_pair_gram).  The projected noise A_r^H n of unit
     element noise is CN(0, G_r), so it is drawn as F @ white with F F^H = G_r
-    (_gram_factor).  Trials run in tiles whose Gram and factor each take
-    _METRIC_TILE float64, so the temporaries stay cache-sized.
+    (_gram_factor).
+
+    Trials run in tiles, trial-contiguous: a side's beams are (L, T) and a
+    Gram or factor is (L, L, T) by columns, so each step is one vector op
+    over the T trials of the tile.  A product G v is the sum over axis 0 of
+    the columns times the entries of v; NumPy adds those slabs in column
+    order for any T, so a row's z does not depend on its tile, a batch of
+    one included.  A tile's Gram and factor each take _METRIC_TILE float64,
+    so the temporaries stay cache-sized.
     """
     k1, k2, x_re, x_im = symbols
     n_trials, L = gains.shape
-    rows = np.arange(n_trials)[:, None]
-    aimed = aod[rows, np.array((k1, k2)).T, None]  # (B, 2, 1) beams k1, k2
-    weights = np.zeros((n_trials, 1, 2), dtype=complex)  # x_re and j*x_im on beams k1, k2
-    weights.real[:, 0, 0] = x_re
-    weights.imag[:, 0, 1] = x_im
+    aimed = aod[np.arange(n_trials), np.array((k1, k2))][:, None]  # (2, 1, B) beams k1, k2
+    weights = np.zeros((2, 1, n_trials), dtype=complex)  # x_re and j*x_im on beams k1, k2
+    weights.real[0, 0] = x_re
+    weights.imag[1, 0] = x_im
+    aod, aoa, gains, white = aod.T, aoa.T, gains.T, white.T  # (L, B) views: trials last
     z = np.empty((n_trials, L), dtype=complex)
     tile = max(1, _METRIC_TILE // (2 * L * L))
     for a0 in range(0, n_trials, tile):
         sl = slice(a0, a0 + tile)
-        g_t = _pair_gram(aod[sl, None, :], aimed[sl], tx.n_elements, tx.spacing_over_lambda)
-        g_r = _receive_gram(aoa[sl], rx.n_elements, rx.spacing_over_lambda)
-        beams = (weights[sl] @ g_t)[:, 0]
-        signal = g_r @ (gains[sl] * beams)[..., None]
-        z[sl] = (root_rho * signal + _gram_factor(g_r) @ white[sl, :, None])[..., 0]
+        g_t = _pair_gram(aod[None, :, sl], aimed[..., sl], tx.n_elements, tx.spacing_over_lambda)
+        g_t *= weights[..., sl]
+        beams = g_t.sum(axis=0)  # x_re and j*x_im times columns k1 and k2 of G_t
+        g_r = _receive_gram(aoa[:, sl], rx.n_elements, rx.spacing_over_lambda)
+        factor = _gram_factor(g_r)
+        g_r *= (gains[:, sl] * beams)[:, None]
+        factor *= white[:, None, sl]
+        z[sl] = (root_rho * g_r.sum(axis=0) + factor.sum(axis=0)).T
     return z
 
 
@@ -443,45 +453,48 @@ _pairs = lru_cache(maxsize=16)(np.triu_indices)
 
 
 def _receive_gram(beams: np.ndarray, n_elements: int, spacing: float) -> np.ndarray:
-    """(B, L, L) Gram a^H(s_l) a(s_m) of (B, L) ``beams`` (sines or grid picks),
-    Hermitian with a unit diagonal.
+    """(L, L, T) Gram of (L, T) ``beams`` (sines or grid picks) by columns: entry
+    [m, l] is a^H(s_l) a(s_m), so slab m is column m.  Hermitian with a unit
+    diagonal.
 
     Only the pairs l < m go through _pair_gram; the mirror is their
     conjugate and the diagonal is exactly 1, as the kernel gives at f = 0.
     (The lower triangle of _grid_gram holds the same values, but at spacing
     1 its aliased entries carry zero imaginary parts of the other sign.)
     """
-    n_trials, L = beams.shape
+    L = len(beams)
     lo, hi = _pairs(L, 1)
-    upper = _pair_gram(beams[:, lo], beams[:, hi], n_elements, spacing)
-    gram = np.empty((n_trials, L, L), dtype=complex)
-    gram[:, lo, hi] = upper
-    gram[:, hi, lo] = upper.conj()
+    upper = _pair_gram(beams[lo], beams[hi], n_elements, spacing)
+    gram = np.empty((L, *beams.shape), dtype=complex)
+    gram[hi, lo] = upper
+    gram[lo, hi] = upper.conj()
     diagonal = np.arange(L)
-    gram[:, diagonal, diagonal] = 1.0
+    gram[diagonal, diagonal] = 1.0
     return gram
 
 
 def _gram_factor(gram: np.ndarray) -> np.ndarray:
-    """(B, L, L) lower-triangular F with F F^H = ``gram``, per Hermitian PSD Gram of unit diagonal.
+    """(L, L, T) lower-triangular F with F F^H = ``gram`` for each trial's Hermitian
+    PSD Gram of unit diagonal; both are held by columns (slab j is column j).
 
     Outer-product LDL^H: column 0 is column 0 of the Gram (pivot 1); each
     later pivot is the corner of the Schur complement the earlier columns
-    leave, and F = L sqrt(D).  A beam that is an exact alias of an earlier
-    one repeats that beam's row and column, so its pivot rounds to 0 or
-    below; such a pivot leaves its column zero, with no threshold.
+    leave, also held by columns, and F = L sqrt(D).  A beam that is an exact
+    alias of an earlier one repeats that beam's row and column, so its pivot
+    rounds to 0 or below; such a pivot leaves its column zero, with no
+    threshold.
     """
-    unit = np.zeros(gram.shape, dtype=complex)
-    unit[:, :, 0] = gram[:, :, 0]
-    pivots = [gram[:, :1, 0].real]  # the unit diagonal: pivot 1 for column 0
+    factor = np.zeros(gram.shape, dtype=complex)
+    factor[0] = gram[0]
+    pivots = [gram[0, :1].real]  # the unit diagonal: pivot 1 for column 0
     rest = gram
-    for j in range(1, gram.shape[1]):
-        rest = rest[:, 1:, 1:] - unit[:, j:, j - 1, None] * rest[:, None, 1:, 0].conj()
-        pivot = rest[:, :1, 0].real
+    for j in range(1, len(gram)):
+        rest = rest[1:, 1:] - factor[None, j - 1, j:] * rest[0, 1:, None].conj()
+        pivot = rest[0, :1].real
         pivots.append(pivot)
-        np.divide(rest[:, :, 0], pivot, out=unit[:, j:, j], where=pivot > 0.0)
-    unit *= np.sqrt(np.maximum(np.concatenate(pivots, axis=1), 0.0))[:, None, :]
-    return unit
+        np.divide(rest[0], pivot, out=factor[j, j:], where=pivot > 0.0)
+    factor *= np.sqrt(np.maximum(np.concatenate(pivots), 0.0))[:, None]
+    return factor
 
 
 def _decide(y: np.ndarray, gains: np.ndarray, root_rho, W, column_labels) -> np.ndarray:

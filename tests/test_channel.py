@@ -21,6 +21,7 @@ from qssm.channel import (
     sine_separation_ok,
     steering_bank,
     _complex_normals,
+    _dirichlet_gram,
     _draw_sines,
     _sines_separated,
 )
@@ -154,6 +155,60 @@ def _full_recheck_sines(rng, n_rows, L, n_elements, spacing):
         f"{1.0 / (spacing * n_elements):g} on N={n_elements} elements in "
         f"{channel._MAX_REJECTION_ROUNDS} rounds; use angle_mode='{DFT_GRID}' or larger arrays"
     )
+
+
+def _masked_dirichlet(sines_l, sines_m, n_elements, spacing):
+    """The Dirichlet kernel with a masked divide, kept as the reference."""
+    angle = spacing * (sines_m - sines_l)
+    angle -= np.rint(angle)
+    angle *= np.pi
+    den = n_elements * np.sin(angle)
+    ratio = np.divide(np.sin(n_elements * angle), den, out=np.ones(angle.shape), where=den != 0)
+    return ratio * np.exp((1j * (n_elements - 1)) * angle)
+
+
+@pytest.mark.parametrize("spacing", [0.25, 0.5, 1.0])
+@pytest.mark.parametrize("n_elements", [4, 32, 4096])
+def test_dirichlet_gram_equals_masked_divide(spacing, n_elements):
+    """The unmasked divide gives the masked one's bytes, f = 0 (a beam with itself,
+    and at spacing 1 sines one alias period apart) included, for arrays and 0-d."""
+    grid = dft_grid_sines(min(n_elements, 256))
+    sines = np.concatenate([grid, np.sin(np.random.default_rng(n_elements).uniform(0, 7, 256))])
+    pairs = (sines[:, None], sines[None, :])
+    gram = _dirichlet_gram(*pairs, n_elements, spacing)
+    assert gram.tobytes() == _masked_dirichlet(*pairs, n_elements, spacing).tobytes()
+    assert (gram == 1.0).sum() >= len(sines)  # the diagonal, and aliases
+    for s_l, s_m in ((0.3, 0.3), (-0.5, 0.5), (-1.0, 1.0), (0.1, 0.7)):
+        one = _dirichlet_gram(np.array(s_l), np.array(s_m), n_elements, spacing)
+        assert one.shape == ()
+        assert one.tobytes() == _masked_dirichlet(
+            np.array(s_l), np.array(s_m), n_elements, spacing
+        ).tobytes()
+    if spacing == 1.0:
+        assert _dirichlet_gram(np.array(-0.5), np.array(0.5), n_elements, spacing) == 1.0
+
+
+@pytest.mark.parametrize("spacing", [0.25, 0.5, 1.0, 2.0])
+def test_sines_separated_equals_mod_folding(spacing):
+    """Folding with fmod gives np.mod's gaps, so every row gets np.mod's verdict,
+    rows of one sine (one gap of a full period) and exact multiples included."""
+
+    def with_mod(sines, n_elements):
+        period = 1.0 / spacing
+        folded = np.sort(np.mod(sines, period), axis=-1)
+        gaps = np.diff(folded, axis=-1, append=folded[..., :1] + period)
+        return gaps.min(axis=-1) >= period / n_elements
+
+    rng = np.random.default_rng(int(8 * spacing))
+    edges = np.array([-1.0, -0.5, -0.0, 0.0, 0.5, 1.0, -1.0 / spacing, 1e-17, -1e-17])
+    for L in (1, 2, 4):
+        rows = np.concatenate([np.sin(rng.uniform(0, 2 * np.pi, (4096, L))),
+                               rng.choice(edges, (512, L))])
+        for n_elements in (4, 32):
+            verdict = _sines_separated(rows, n_elements, spacing)
+            np.testing.assert_array_equal(verdict, with_mod(rows, n_elements))
+            if L == 1:
+                assert verdict.all()
 
 
 def test_min_sep_sampler_matches_full_recheck(monkeypatch):

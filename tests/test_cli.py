@@ -86,6 +86,17 @@ def test_parse_rejects_bad_documents():
     for snr in ([True], [0.0, True], {"start": True, "stop": 4, "step": 2}):
         with pytest.raises(ConfigError, match="not bools"):
             parse_config(json.dumps({"configs": [{**entry, "snr_db": snr}]}))
+    # SNR points are JSON numbers, as levels are: strings and nulls are refused, in
+    # both spellings and both grid forms (the --snr text of the command line parses)
+    for key, snr in (("snr_db", ["10", " 20 "]), ("snr_db", [0, "4"]), ("snr", [None]),
+                     ("snr", {"start": "0", "stop": 4, "step": 2}),
+                     ("snr_db", {"start": 0, "stop": "4", "step": 2})):
+        with pytest.raises(ConfigError, match=f"{key}: expected numbers, got"):
+            parse_config(json.dumps({"configs": [{**entry, key: snr}]}))
+    with pytest.raises(ConfigError, match="snr_db: int too large to convert to float"):
+        parse_config(json.dumps({"configs": [{**entry, "snr_db": [10**400]}]}))
+    spec = parse_config(json.dumps({"configs": [{**entry, "snr": [0, 2.5]}]}))
+    assert spec.configs[0][1].snr_db == (0.0, 2.5)
     with pytest.raises(ConfigError, match="configs\\[1\\]"):
         parse_config(
             json.dumps(
@@ -606,6 +617,8 @@ def test_main_exit_codes(tmp_path, capsys, monkeypatch):
                "spacing must be a real number")
               for spacing in (float("inf"), float("nan"), 1e308, True, "0.5")]
     cases.append((True, {"configs": [{**base, "snr_db": [True]}]}, "not bools"))
+    cases += [(snr, {"configs": [{**base, "snr_db": snr}]}, "expected numbers, got")
+              for snr in (["10", " 20 "], {"start": "0", "stop": "4", "step": "2"})]
     named = tmp_path / "named.json"
     named.write_text("{}")
     listing = sorted(tmp_path.rglob("*"))

@@ -899,8 +899,8 @@ def test_receive_gram_upper_triangle_equals_full_evaluation(
     """Mirroring the pairs l < m changes no entry of g_r and no byte of z, and
     neither does reading the pairs of grid picks from the table."""
 
-    def full_gram(sines, n_elements, spacing):
-        return _dirichlet_gram(sines[:, :, None], sines[:, None, :], n_elements, spacing)
+    def full_gram(sines, n_elements, spacing):  # (L, T) sines -> (L, L, T) columns
+        return _dirichlet_gram(sines[None], sines[:, None], n_elements, spacing)
 
     n = 1500  # several tiles of the kernel, the last one partial
     tx, rx = ArrayGeometry(n_t, spacing), ArrayGeometry(n_r, spacing)
@@ -911,19 +911,57 @@ def test_receive_gram_upper_triangle_equals_full_evaluation(
         rng.integers(0, L, n), rng.integers(0, L, n),
         rng.choice([-3.0, -1.0, 1.0, 3.0], n), rng.choice([-3.0, -1.0, 1.0, 3.0], n),
     )
-    expected = full_gram(sin_aoa, n_r, spacing)
-    assert np.array_equal(_receive_gram(sin_aoa, n_r, spacing), expected)
+    expected = full_gram(sin_aoa.T, n_r, spacing)
+    assert np.array_equal(_receive_gram(sin_aoa.T, n_r, spacing), expected)
     if spacing == 1.0:
-        assert (expected[:, ~np.eye(L, dtype=bool)] == 1.0).any()
+        assert (expected[~np.eye(L, dtype=bool)] == 1.0).any()
     args = (tx, rx, sin_aod, sin_aoa, gains, symbols, 10.0, white)
     z = _observe_physical(*args)
     if picks is not None:
-        table_gram = _receive_gram(picks[1], n_r, spacing)
-        assert table_gram.tobytes() == _receive_gram(sin_aoa, n_r, spacing).tobytes()
+        table_gram = _receive_gram(picks[1].T, n_r, spacing)
+        assert table_gram.tobytes() == _receive_gram(sin_aoa.T, n_r, spacing).tobytes()
         table_args = (tx, rx, *picks, gains, symbols, 10.0, white)
         assert _observe_physical(*table_args).tobytes() == z.tobytes()
     monkeypatch.setattr(montecarlo, "_receive_gram", full_gram)
     assert z.tobytes() == _observe_physical(*args).tobytes()
+
+
+@pytest.mark.parametrize(
+    "L,mode,spacing,n_t,n_r,beams",
+    _beam_cases(
+        (4, "dft_grid", 0.5, 32, 32, "picks"),
+        (4, "min_sep", 0.5, 32, 32, "sines"),
+        (4, "dft_grid", 0.25, 16, 12, "sines"),
+        (4, "dft_grid", 1.0, 32, 32, "picks"),  # zero pivots in the factor
+        (1, "dft_grid", 0.5, 32, 32, "picks"),
+        (8, "min_sep", 0.5, 32, 32, "sines"),  # eight terms per beam sum
+        (32, "dft_grid", 0.5, 32, 32, "picks"),
+    ),
+)
+def test_observe_physical_rows_do_not_depend_on_tiles(L, mode, spacing, n_t, n_r, beams):
+    """A row's z is the same bytes as a batch of one, inside a partial tile and in
+    a full block: each beam sum adds its terms in beam order whatever the tile."""
+    n = TRIALS_PER_BLOCK
+    tx, rx = ArrayGeometry(n_t, spacing), ArrayGeometry(n_r, spacing)
+    rng = np.random.default_rng(29 + L)
+    gains, sin_aod, sin_aoa, picks = _physical_draws(rng, n, L, mode, spacing, n_t, n_r, beams)
+    aod, aoa = (sin_aod, sin_aoa) if picks is None else picks
+    symbols = (
+        rng.integers(0, L, n), rng.integers(0, L, n),
+        rng.choice([-3.0, -1.0, 1.0, 3.0], n), rng.choice([-3.0, -1.0, 1.0, 3.0], n),
+    )
+    white = _complex_normals(rng, (n, L))
+
+    def z_of(rows):
+        arrays = (aod[rows], aoa[rows], gains[rows], tuple(s[rows] for s in symbols))
+        return _observe_physical(tx, rx, *arrays, np.sqrt(300.0), white[rows])
+
+    block = z_of(slice(None))
+    tile = max(1, montecarlo._METRIC_TILE // (2 * L * L))
+    partial = slice(7, min(n, 7 + tile + tile // 3))  # a full tile, then a partial one
+    assert z_of(partial).tobytes() == block[partial].tobytes()
+    for row in {0, 1, min(tile, n) - 1, tile % n, (7 + tile + 1) % n, n // 2, n - 1}:
+        assert z_of(slice(row, row + 1)).tobytes() == block[row].tobytes(), row
 
 
 @pytest.mark.parametrize(
@@ -970,10 +1008,11 @@ def test_grid_blocks_evaluate_the_kernel_only_to_build_tables(monkeypatch, n_t, 
     ],
 )
 def test_gram_factor_reproduces_receive_gram(L, mode, spacing, n_r):
-    """F is lower-triangular and F F^H = G_r to 1e-12, rank-deficient Grams included."""
+    """F is lower-triangular and F F^H = G_r to 1e-12, rank-deficient Grams included.
+    Both come by columns, (L, L, T); the checks read them as (T, L, L) matrices."""
     rng = np.random.default_rng(L + n_r)
-    gram = _receive_gram(_draw_sines(rng, 4096, L, n_r, mode, spacing), n_r, spacing)
-    factor = _gram_factor(gram)
+    columns = _receive_gram(_draw_sines(rng, 4096, L, n_r, mode, spacing).T, n_r, spacing)
+    gram, factor = (a.transpose(2, 1, 0) for a in (columns, _gram_factor(columns)))
     assert not np.triu(factor, 1).any()
     assert np.abs(factor @ factor.conj().transpose(0, 2, 1) - gram).max() <= 1e-12
     if spacing == 1.0:
@@ -1028,6 +1067,9 @@ def test_stream_version_pins_counts():
         (dict(scheme="ssm", L=4, M=16), 16.0),
         (dict(scheme="qssm", L=4, M=4, channel_mode="physical", angle_mode="dft_grid"), 10.0),
         (dict(scheme="qssm", L=4, M=4, channel_mode="physical", angle_mode="min_sep"), 10.0),
+        (dict(scheme="qssm", L=4, M=4, channel_mode="physical", spacing=0.25, n_t=16, n_r=12),
+         10.0),
+        (dict(scheme="qssm", L=4, M=4, channel_mode="physical", spacing=1.0), 10.0),
     ]
     counts = [
         _block_bit_errors(SimConfig(trials=1, seed=9, **kw), snr_db, 1, TRIALS_PER_BLOCK)
@@ -1035,7 +1077,12 @@ def test_stream_version_pins_counts():
     ]
     assert STREAM_VERSION == 2
     assert counts[:3] == [31454, 63870, 18758]  # as in stream version 1
-    assert counts[3:] == [10321, 10561]  # version 1 drew 10323 and 10567
+    assert counts[3:5] == [10321, 10561]  # version 1 drew 10323 and 10567
+    # DFT-grid blocks off half-wavelength spacing: coupled beams at 0.25, and
+    # beams one alias period apart at 1.0, whose Grams have zero pivots
+    assert counts[5:] == [17151, 12872]
+    aoa = _block_channel(SimConfig(trials=1, seed=9, **cases[6][0]), 10.0, 1, TRIALS_PER_BLOCK)[2]
+    assert (np.abs(aoa[:, :, None] - aoa[:, None, :]) == 16).any()  # picks N/2 apart alias
 
 
 def test_ideal_block_matches_one_shot_chain():
