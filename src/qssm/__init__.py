@@ -49,12 +49,12 @@ from .modem import (
 )
 from .montecarlo import (
     AbepCurve,
-    ArbiterReport,
     BerEstimate,
+    BoundCheck,
     CurvePoint,
     SimConfig,
-    arbitrate_convention,
     binomial_ci,
+    check_bound,
     crossing_snr_db,
     gain_at_level,
     run_point,

@@ -18,7 +18,7 @@ import numbers
 import operator
 import os
 from collections import deque
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from functools import lru_cache
 from math import isinf
 
@@ -90,6 +90,10 @@ _MAX_ELEMENTS = 1 << 12
 #: Highest SNR grid point (dB), rho = 1e300: the detector's features
 #: rho * |beta|^2 * x^2 and the union bounds overflow from about 3060 dB
 _MAX_SNR_DB = 3000.0
+
+#: Most trials per SNR point: 2^26 blocks, about 2.5 days on one core at the
+#: fastest config (QSSM L=1 BPSK, 3.2 ms per 16384-trial block, x86-64)
+_MAX_TRIALS = 1 << 40
 
 #: Widest element spacing (wavelengths).  The Gram kernel keeps only the
 #: fraction of d * (s_m - s_l), |s_m - s_l| <= 2: up to 2^20 wavelengths it has
@@ -163,8 +167,8 @@ class SimConfig:
                 "(rho = 1e300), past which the detector's metrics and the bounds overflow"
             )
         _check_snr_tokens(self.snr_db)
-        if self.trials < 1:
-            raise ValueError(f"trials must be >= 1, got {self.trials}")
+        if not 1 <= self.trials <= _MAX_TRIALS:
+            raise ValueError(f"trials must be in [1, 2^40], got {self.trials}")
         _check_seed(self.seed)
 
     def spectral_efficiency(self) -> int:
@@ -556,9 +560,11 @@ def _block_bit_errors(
     return int(popcounts[labels ^ decided].sum())
 
 
-def _block_layout(trials: int) -> list[tuple[int, int]]:
-    starts = range(0, trials, TRIALS_PER_BLOCK)
-    return [(b, min(TRIALS_PER_BLOCK, trials - t0)) for b, t0 in enumerate(starts)]
+def _block_layout(trials: int):
+    """(index, trials) of each block in order, made as they are asked for:
+    block b covers trials [TRIALS_PER_BLOCK * b, min(TRIALS_PER_BLOCK * (b + 1), trials))."""
+    for b, t0 in enumerate(range(0, trials, TRIALS_PER_BLOCK)):
+        yield b, min(TRIALS_PER_BLOCK, trials - t0)
 
 
 def _check_workers(workers: int) -> None:
@@ -631,15 +637,14 @@ def run_point(
     dropped; blocks still queued when the call ends are cancelled.
     """
     _check_workers(workers)
-    blocks = _block_layout(config.trials)
     bits = config.bits_per_trial
     errors = trials_done = 0
     size = _pool_size(workers)
     pool = _process_pool(size) if size > 1 else None
     in_flight: deque = deque()
-    queued = iter(blocks)
+    queued = _block_layout(config.trials)  # the pool's submissions, ``size`` ahead
     try:
-        for b, count in blocks:
+        for b, count in _block_layout(config.trials):
             if pool is None:
                 block_errors = _block_bit_errors(config, snr_db, b, count)
             else:
@@ -733,92 +738,42 @@ def gain_at_level(
     return cross_b - cross_a
 
 
-# ---------------------------------------------------------------------------
-# convention arbiter
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class ArbiterPoint:
-    snr_db: float
-    simulated: float
-    bound_paper: float
-    bound_exact: float
+#: check_bound judges the points whose bound is at most this ABEP
+_JUDGED_BOUND = 1e-2
 
 
 @dataclass(frozen=True)
-class ArbiterReport:
-    """Which union bound upper-bounds and tracks the simulation: the package's
-    (``"exact_model"``) or the paper's eq. 21 bound, which is the package's at
-    2 rho (``"paper_eq21"``)."""
+class BoundCheck:
+    """How a bound sits on a simulated curve: bound / simulated ABEP per point
+    (inf where the simulation saw no error), whether the bound lies above the
+    simulation at every judged point, and whether it is within a factor of two
+    of it at the two highest judged points."""
 
-    points: tuple[ArbiterPoint, ...]
-    above_paper: bool
-    above_exact: bool
-    tracks_paper: bool
-    tracks_exact: bool
-    verdict: str | None = field(default=None)
+    ratio: tuple[float, ...]
+    above: bool
+    tracks: bool
 
 
-#: The arbiter simulates the points of this grid (dB) where the exact_model
-#: union bound is at most _ARBITER_BOUND_THRESHOLD.
-_ARBITER_SNR_GRID_DB = DEFAULT_SNR_GRID_DB
-_ARBITER_BOUND_THRESHOLD = 1e-2
+def check_bound(curve: AbepCurve, bound=None) -> BoundCheck:
+    """Check ``bound`` (default: the curve's ``abep_analytic`` column), one value
+    per point, against the curve's simulated ABEP.
 
-
-def arbitrate_convention(
-    trials: int = 1_000_000, seed: int = 0, workers: int = 1
-) -> ArbiterReport:
-    """Decide the PEP normalisation empirically on the L=4, 4QAM chain.
-
-    Simulates the ideal-mode chain at every point of _ARBITER_SNR_GRID_DB
-    whose union bound is at most _ARBITER_BOUND_THRESHOLD (34 to 40 dB),
-    then checks for that bound and for the paper's (the bound at 2 rho)
-    whether it (a) lies above the simulated ABEP at every such point and
-    (b) stays within a factor of two at the two highest SNRs.  The verdict
-    is the label of the unique bound satisfying both, or None.
+    The judged points are those whose bound is at most 1e-2, where a union
+    bound is tight.  With fewer than two judged points both verdicts are
+    False: a check that judged nothing has not passed.
     """
-    book = _scheme_tables(QSSM, QAM, 4, 4)[1]
-    candidates = []  # (snr_db, paper bound, exact bound) where exact <= the threshold
-    for snr_db in _ARBITER_SNR_GRID_DB:
-        rho = snr_db_to_rho(snr_db)
-        exact = analysis.abep_union_bound(book, rho)
-        if exact <= _ARBITER_BOUND_THRESHOLD:
-            paper = analysis.abep_union_bound(book, 2.0 * rho)
-            candidates.append((snr_db, paper, exact))
-    config = SimConfig(
-        scheme=QSSM,
-        L=4,
-        M=4,
-        kind=QAM,
-        channel_mode=IDEAL,
-        snr_db=tuple(s for s, _, _ in candidates),
-        trials=trials,
-        seed=seed,
-    )
-    points = [
-        ArbiterPoint(snr_db, run_point(config, snr_db, workers).abep, paper, exact)
-        for snr_db, paper, exact in candidates
-    ]
-
-    def _within_factor_two(bound: float, simulated: float) -> bool:
-        return simulated / 2.0 <= bound <= simulated * 2.0
-
-    above_paper = all(p.bound_paper >= p.simulated for p in points)
-    above_exact = all(p.bound_exact >= p.simulated for p in points)
-    top_two = sorted(points, key=lambda p: p.snr_db)[-2:]
-    tracks_paper = all(_within_factor_two(p.bound_paper, p.simulated) for p in top_two)
-    tracks_exact = all(_within_factor_two(p.bound_exact, p.simulated) for p in top_two)
-    qualifies = {
-        "paper_eq21": above_paper and tracks_paper,
-        "exact_model": above_exact and tracks_exact,
-    }
-    winners = [c for c, ok in qualifies.items() if ok]
-    verdict = winners[0] if len(winners) == 1 else None
-    return ArbiterReport(
-        points=tuple(points),
-        above_paper=above_paper,
-        above_exact=above_exact,
-        tracks_paper=tracks_paper,
-        tracks_exact=tracks_exact,
-        verdict=verdict,
+    simulated = curve.values("sim")
+    bound = curve.values("analytic") if bound is None else np.asarray(bound, dtype=float)
+    if bound.shape != simulated.shape:
+        raise ValueError(f"bound has {bound.size} values for {simulated.size} curve points")
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = bound / simulated
+    judged = np.flatnonzero(bound <= _JUDGED_BOUND)
+    enough = judged.size >= 2
+    last = judged[-2:]  # the grid increases: its last points are its highest
+    sim, top = simulated[last], bound[last]
+    return BoundCheck(
+        tuple(ratio.tolist()),
+        above=enough and bool(np.all(bound[judged] >= simulated[judged])),
+        tracks=enough and bool(np.all((sim / 2.0 <= top) & (top <= sim * 2.0))),
     )

@@ -484,7 +484,7 @@ def test_validate_verdict_stable_across_seeds():
         report = validate_analysis(trials=400_000, seed=seed)
         verdicts.add(report.splitlines()[-1].split()[1])
     assert len(verdicts) == 1
-    assert verdicts.pop() == "exact_model"
+    assert verdicts.pop() == "pass"
 
 
 def test_main_exit_codes(tmp_path, capsys, monkeypatch):
@@ -641,6 +641,21 @@ def test_main_exit_codes(tmp_path, capsys, monkeypatch):
     assert "share one substream" in capsys.readouterr().err
     assert main(["validate", "--trials", "0"]) == 2
     assert "Traceback" not in capsys.readouterr().err
+    # trials above the 2^40 ceiling are refused while the config is built, by
+    # validate as by sweep and experiment files
+    start = time.perf_counter()
+    for argv in (["validate", "--trials", str(2**63)],
+                 ["sweep", "--L", "2", "--M", "4", "--trials", str(2**63), "--snr", "0", *out]):
+        assert main(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1 and "trials must be in [1, 2^40]" in err, argv
+    for trials in (2**40 + 1, 10**400):
+        refused = tmp_path / "refused.json"
+        refused.write_text(json.dumps({"configs": [{**base, "trials": trials}]}))
+        assert main(["run", str(refused), *out]) == 2
+        assert "trials must be in [1, 2^40]" in capsys.readouterr().err
+    assert time.perf_counter() - start < 5.0
+    assert not (tmp_path / "ni").exists()
     # a worker count below one is refused before any run
     assert main(["sweep", "--L", "2", "--M", "4", "--trials", "1", "--workers", "0"]) == 2
     assert main(["validate", "--trials", "1", "--workers", "-1"]) == 2
@@ -714,7 +729,7 @@ def test_main_sweep_and_compare(tmp_path, capsys):
 
 
 def test_convention_is_not_an_input(tmp_path, capsys):
-    """A result file carries the exact_model bound, the one the arbiter validates:
+    """A result file carries the exact_model bound, the one `qssm validate` checks:
     no flag or config key selects another, and a sweep's abep_analytic column is
     analysis.abep_point's bound, bit for bit."""
     config = {"name": "c", "scheme": "qssm", "L": 2, "M": 4, "snr_db": [20.0], "trials": 100}

@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from qssm import analysis, montecarlo, transceiver
+from qssm import analysis, cli, montecarlo, transceiver
 from qssm.channel import ArrayGeometry, sample_channel
 from qssm.modem import (
     PSK,
@@ -221,7 +221,7 @@ def test_built_book_holds_its_label_table_only():
 
 
 def test_simulation_and_bound_paths_never_render_symbols(monkeypatch):
-    """Tables, bounds, sweeps, the arbiter and the ML detectors read the label
+    """Tables, bounds, sweeps, the validate report and the ML detectors read the label
     arrays; only map_bits and callers of ``book.symbols`` render the objects."""
 
     def refuse(book):
@@ -236,7 +236,7 @@ def test_simulation_and_bound_paths_never_render_symbols(monkeypatch):
         montecarlo.sweep(config)
         physical = dataclasses.replace(config, channel_mode="physical")
         montecarlo.sweep(physical)
-        montecarlo.arbitrate_convention(trials=64)
+        cli.validate_analysis(trials=64)
         rng = np.random.default_rng(5)
         geometry = ArrayGeometry(16)
         realization = sample_channel(4, geometry, geometry, rng)

@@ -56,6 +56,7 @@ from qssm.montecarlo import (
     _observe_physical,
     _receive_gram,
     binomial_ci,
+    check_bound,
     crossing_snr_db,
     gain_at_level,
     run_point,
@@ -209,6 +210,11 @@ def test_config_validation():
         SimConfig(scheme="qssm", L=4, M=2, kind="qam")
     with pytest.raises(ValueError):
         SimConfig(scheme="qssm", L=4, M=4, trials=0)
+    # a point of 2^40 trials runs for days even at the fastest config
+    for trials in (2**40 + 1, 10**400):
+        with pytest.raises(ValueError, match=r"trials must be in \[1, 2\^40\]"):
+            SimConfig(scheme="qssm", L=4, M=4, trials=trials)
+    assert SimConfig(scheme="qssm", L=4, M=4, trials=2**40).trials == 2**40
     # the substreams key a seed as 64 bits: seeds outside [0, 2^64) would alias
     for seed in (-1, 1 << 64):
         with pytest.raises(ValueError, match="seed must be in"):
@@ -501,6 +507,21 @@ def test_max_errors_early_stop():
     assert est.bit_errors >= 1000
     again = run_point(cfg, 0.0, max_errors=1000)
     assert est == again
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_run_point_lays_out_blocks_as_it_runs_them(workers):
+    """A point at the 2^40-trial ceiling has 2^26 blocks; with an early stop it
+    returns after its first one, without listing the others up front."""
+    cfg = SimConfig(scheme="qssm", L=4, M=4, snr_db=(0.0,), trials=2**40, seed=2)
+    tracemalloc.start()
+    try:
+        est = run_point(cfg, 0.0, workers=workers, max_errors=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert est.trials == TRIALS_PER_BLOCK and est.bit_errors >= 1
+    assert peak < 64 << 20
 
 
 def test_block_tables_built_once_and_read_only(monkeypatch):
@@ -1210,6 +1231,69 @@ def test_gain_at_level_constructed_curves():
         gain_at_level(a, shifted, 1e-9)
     with pytest.raises(ValueError):
         crossing_snr_db(np.array(snrs), np.array(values), -1.0)
+
+
+def _bound_curve(simulated, bounds):
+    """A hand-built curve, one point per dB: simulated ABEP and abep_analytic."""
+    cfg = SimConfig(scheme="qssm", L=2, M=4, snr_db=(0.0,), trials=10, seed=0)
+    points = tuple(
+        CurvePoint(
+            estimate=BerEstimate(
+                snr_db=float(snr), trials=10**6, bit_errors=round(4e6 * sim),
+                bits_per_trial=4, abep=sim, ci_low=sim, ci_high=sim,
+            ),
+            abep_analytic=bound,
+            abep_asymptotic=bound,
+        )
+        for snr, (sim, bound) in enumerate(zip(simulated, bounds, strict=True))
+    )
+    return AbepCurve(config=cfg, config_hash="x", points=points)
+
+
+def test_check_bound_judged_points():
+    sims = [5e-3, 1e-3, 1e-4]
+    check = check_bound(_bound_curve(sims, [6e-3, 1.2e-3, 1.5e-4]))
+    assert check.above and check.tracks
+    assert check.ratio == pytest.approx((1.2, 1.2, 1.5))
+    # a point whose bound is above 1e-2 is not judged, however far below it lies
+    check = check_bound(_bound_curve([0.3, *sims[1:]], [0.011, 1.2e-3, 1.5e-4]))
+    assert check.above and check.tracks
+    assert check.ratio[0] == pytest.approx(0.011 / 0.3)
+    # one judged point below the simulation
+    check = check_bound(_bound_curve(sims, [4e-3, 1.2e-3, 1.5e-4]))
+    assert not check.above and check.tracks
+    # a point of the top two outside a factor of two, above or below
+    for top in (2.5e-4, 4e-5):
+        check = check_bound(_bound_curve(sims, [6e-3, 1.2e-3, top]))
+        assert not check.tracks and check.above == (top >= 1e-4)
+    # below the top two a bound may be loose and still track
+    check = check_bound(_bound_curve([2e-3, *sims[1:]], [9e-3, 1.2e-3, 1.5e-4]))
+    assert check.above and check.tracks
+    assert check.ratio[0] == pytest.approx(4.5)
+    # a point without errors: any bound lies above it, none tracks it
+    check = check_bound(_bound_curve([5e-3, 1e-3, 0.0], [6e-3, 1.2e-3, 1e-5]))
+    assert check.above and not check.tracks
+    assert check.ratio[-1] == np.inf
+
+
+def test_check_bound_needs_two_judged_points():
+    # one or no point with a bound at most 1e-2: a check that judged nothing fails
+    for bounds in ([0.2, 6e-3], [0.2, 0.02]):
+        check = check_bound(_bound_curve([0.1, 5e-3], bounds))
+        assert not check.above and not check.tracks
+    check = check_bound(_bound_curve([0.1, 5e-3, 1e-3], [0.2, 6e-3, 1.2e-3]))
+    assert check.above and check.tracks
+
+
+def test_check_bound_takes_another_bound():
+    curve = _bound_curve([5e-3, 1e-3, 1e-4], [6e-3, 1.2e-3, 1.5e-4])
+    assert check_bound(curve, curve.values("analytic")) == check_bound(curve)
+    # the bound at half the curve's: judged at every point, above at none
+    check = check_bound(curve, [3e-3, 6e-4, 7.5e-5])
+    assert not check.above and check.tracks
+    assert check.ratio == pytest.approx((0.6, 0.6, 0.75))
+    with pytest.raises(ValueError, match="2 values for 3 curve points"):
+        check_bound(curve, [3e-3, 6e-4])
 
 
 def test_substreams_are_purpose_disjoint():
