@@ -1,11 +1,11 @@
 """Command-line front end: experiment configs, sweeps, reports, validation.
 
-Subcommands: ``run`` (JSON experiment file), ``sweep`` (single config from
-flags), ``table`` (symbol-book dump), ``validate`` (analysis self-checks
-and the union bound checked against a simulated curve), ``compare`` (gain
-report between two result CSVs).  Exit codes: 0 success, 2 configuration
-error, 3 numerical error, 4 I/O error, 5 internal error (a fault in the
-program, not in its input).
+Subcommands: ``run`` (JSON experiment file), ``sweep`` (one config from
+flags, built as a file's config is), ``table`` (symbol-book dump),
+``validate`` (analysis self-checks and the union bound checked against a
+simulated curve), ``compare`` (gain report between two result CSVs).  Exit
+codes: 0 success, 2 configuration error, 3 numerical error, 4 I/O error, 5
+internal error (a fault in the program, not in its input).
 """
 
 from __future__ import annotations
@@ -106,20 +106,25 @@ def _snr_grid_from_spec(entry, path: str) -> tuple[float, ...]:
     raise ConfigError(f"{path}: expected a non-empty list or a start/stop/step object")
 
 
-def _default_name(config: SimConfig) -> str:
-    return f"{config.scheme}_L{config.L}_{config.M}{config.kind}"
+#: Longest config name (bytes), so compare_<a>_vs_<b>.txt.tmp<hex> fits in 255
+_MAX_NAME_BYTES = 100
 
 
 def _check_name(name, where: str) -> None:
-    """A config name is the stem of its result files: it must name a file
-    inside the output directory, not a path out of it."""
+    """A config name is the stem of its result files: it must name a file inside
+    the output directory, and be printable, as ``run`` lists paths one per line."""
     if not isinstance(name, str) or not name:
         raise ConfigError(f"{where}: must be a non-empty string")
-    if "\0" in name or Path(name).name != name:
-        raise ConfigError(f"{where}: must be a file name with no directory part, got {name!r}")
+    if not name.isprintable() or Path(name).name != name:  # NUL, newline, lone surrogate
+        raise ConfigError(f"{where}: must be a file name, printable, with no directory part")
+    if len(os.fsencode(name)) > _MAX_NAME_BYTES:
+        raise ConfigError(f"{where}: must encode to at most {_MAX_NAME_BYTES} bytes")
 
 
-def _config_from_dict(raw: dict, path: str) -> tuple[str, SimConfig]:
+def _config_from_dict(raw: dict, path: str, label=None) -> tuple[str, SimConfig]:
+    """(name, config) of an experiment-file config or the ``sweep`` flags; a key
+    left out takes SimConfig's default.  Messages name a key ``label(key)``."""
+    label = label or (lambda key: f"{path}.{key}")
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: expected an object")
     unknown = set(raw) - _CONFIG_KEYS
@@ -127,20 +132,19 @@ def _config_from_dict(raw: dict, path: str) -> tuple[str, SimConfig]:
         raise ConfigError(f"{path}: unknown keys {sorted(unknown)}")
     for key in ("scheme", "L", "M"):
         if key not in raw:
-            raise ConfigError(f"{path}.{key}: required")
+            raise ConfigError(f"{label(key)}: required")
     kwargs = {k: raw[k] for k in raw if k not in ("name", "snr", "snr_db")}
     if "snr_db" in raw and "snr" in raw:
         raise ConfigError(f"{path}: give either 'snr_db' or 'snr', not both")
-    if "snr_db" in raw:
-        kwargs["snr_db"] = _snr_grid_from_spec(raw["snr_db"], f"{path}.snr_db")
-    elif "snr" in raw:
-        kwargs["snr_db"] = _snr_grid_from_spec(raw["snr"], f"{path}.snr")
+    for key in ("snr_db", "snr"):
+        if key in raw:
+            kwargs["snr_db"] = _snr_grid_from_spec(raw[key], label(key))
     try:
         config = SimConfig(**kwargs)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{path}: {exc}") from exc
-    name = raw["name"] if "name" in raw else _default_name(config)
-    _check_name(name, f"{path}.name")
+    name = raw.get("name", f"{config.scheme}_L{config.L}_{config.M}{config.kind}")
+    _check_name(name, label("name"))
     return name, config
 
 
@@ -153,6 +157,15 @@ def _check_equal_rate(where: str, a: tuple[str, SimConfig], b: tuple[str, SimCon
             f"{where}spectral efficiencies differ "
             f"({name_a}: {rate_a} b/s/Hz, {name_b}: {rate_b} b/s/Hz)"
         )
+
+
+def _check_levels(levels, where: str) -> tuple[float, ...]:
+    """Levels of a file or ``compare --levels``: numbers in (0, 1), not bools."""
+    if not isinstance(levels, list) or not all(
+        isinstance(v, (int, float)) and not isinstance(v, bool) and 0 < v < 1 for v in levels
+    ):
+        raise ConfigError(f"{where}: expected a list of numbers in (0, 1)")
+    return tuple(float(v) for v in levels)
 
 
 def parse_config(text: str) -> ExperimentSpec:
@@ -169,15 +182,12 @@ def parse_config(text: str) -> ExperimentSpec:
     entries = raw.get("configs")
     if not isinstance(entries, list) or not entries:
         raise ConfigError("configs: expected a non-empty list")
-    configs = []
-    names = set()
+    by_name = {}
     for i, entry in enumerate(entries):
         name, config = _config_from_dict(entry, f"configs[{i}]")
-        if name in names:
+        if name in by_name:
             raise ConfigError(f"configs[{i}].name: duplicate name {name!r}")
-        names.add(name)
-        configs.append((name, config))
-    by_name = dict(configs)
+        by_name[name] = config
 
     pairs = raw.get("comparisons", [])
     if not isinstance(pairs, list):
@@ -194,19 +204,15 @@ def parse_config(text: str) -> ExperimentSpec:
         _check_equal_rate(f"{path}: ", (a, by_name[a]), (b, by_name[b]))
         comparisons.append((a, b))
 
-    levels = raw.get("levels", [1e-3, 1e-4])
-    if not isinstance(levels, list) or not all(
-        isinstance(v, (int, float)) and not isinstance(v, bool) and 0 < v < 1 for v in levels
-    ):
-        raise ConfigError("levels: expected a list of numbers in (0, 1)")
+    levels = _check_levels(raw.get("levels", [1e-3, 1e-4]), "levels")
     output_dir = raw.get("output_dir")
     if output_dir is not None and not isinstance(output_dir, str):
         raise ConfigError("output_dir: expected a string")
     return ExperimentSpec(
-        configs=tuple(configs),
+        configs=tuple(by_name.items()),
         output_dir=output_dir,
         comparisons=tuple(comparisons),
-        levels=tuple(float(v) for v in levels),
+        levels=levels,
     )
 
 
@@ -498,14 +504,14 @@ def symbol_table_csv(L: int, M: int, kind: str) -> str:
 # argument parsing
 # ---------------------------------------------------------------------------
 
-def _parse_snr_arg(text: str) -> tuple[float, ...]:
+def _parse_snr_arg(text: str) -> list[float] | dict[str, float]:
+    """``--snr`` text as the list or start/stop/step object of an experiment file."""
     if ":" not in text:
-        return _snr_grid_from_spec(_floats(text.split(","), "--snr"), "--snr")
+        return _floats(text.split(","), "--snr")
     parts = text.split(":")
     if len(parts) != 3:
         raise ConfigError(f"--snr: expected start:stop:step, got {text!r}")
-    bounds = _floats(parts, "--snr")
-    return _snr_grid_from_spec(dict(zip(("start", "stop", "step"), bounds)), "--snr")
+    return dict(zip(("start", "stop", "step"), _floats(parts, "--snr")))
 
 
 _WORKERS_HELP = (
@@ -529,21 +535,25 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="run a JSON experiment file")
     p_run.add_argument("config", type=Path)
     p_run.add_argument("--out-dir", default=None)
-    p_run.add_argument("--seed", type=int, default=None, help="override every config seed")
-    p_run.add_argument("--trials", type=int, default=None, help="override every trial count")
+    given = {"type": int, "default": argparse.SUPPRESS}  # absent unless given
+    p_run.add_argument("--seed", **given, help="override every config seed")
+    p_run.add_argument("--trials", **given, help="override every trial count")
     p_run.add_argument("--workers", type=int, default=1, help=_WORKERS_HELP)
 
-    p_sweep = sub.add_parser("sweep", help="sweep a single config given by flags")
-    p_sweep.add_argument("--scheme", choices=["qssm", "ssm"], default="qssm")
+    # a config flag left out takes SimConfig's default, as an omitted file key does
+    p_sweep = sub.add_parser(
+        "sweep", help="sweep a single config given by flags", argument_default=argparse.SUPPRESS
+    )
+    p_sweep.add_argument("--scheme", default="qssm")
     p_sweep.add_argument("--L", type=int, required=True)
     p_sweep.add_argument("--M", type=int, required=True)
-    p_sweep.add_argument("--kind", choices=["psk", "qam"], default="qam")
-    p_sweep.add_argument("--snr", default="0:40:2", help="start:stop:step or comma list (dB)")
-    p_sweep.add_argument("--trials", type=int, default=1_000_000)
-    p_sweep.add_argument("--seed", type=int, default=0)
-    p_sweep.add_argument("--channel-mode", choices=["ideal", "physical"], default="ideal")
-    p_sweep.add_argument("--angle-mode", choices=["dft_grid", "min_sep"], default="dft_grid")
-    p_sweep.add_argument("--name", default=None)
+    p_sweep.add_argument("--kind")
+    p_sweep.add_argument("--snr", help="start:stop:step or comma list (dB)")
+    p_sweep.add_argument("--trials", type=int)
+    p_sweep.add_argument("--seed", type=int)
+    p_sweep.add_argument("--channel-mode")
+    p_sweep.add_argument("--angle-mode")
+    p_sweep.add_argument("--name")
     p_sweep.add_argument("--out-dir", default=None)
     p_sweep.add_argument("--workers", type=int, default=1, help=_WORKERS_HELP)
 
@@ -580,8 +590,7 @@ def _emit(text: str, out: Path | None) -> None:
 
 def _cmd_run(args) -> int:
     spec = parse_config(args.config.read_text())
-    given = {"seed": args.seed, "trials": args.trials}
-    overrides = {key: value for key, value in given.items() if value is not None}
+    overrides = {key: value for key, value in vars(args).items() if key in ("seed", "trials")}
     if overrides:
         spec = dataclasses.replace(
             spec,
@@ -603,21 +612,11 @@ def _run_and_list(spec: ExperimentSpec, args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    config = _from_input(
-        SimConfig,
-        scheme=args.scheme,
-        L=args.L,
-        M=args.M,
-        kind=args.kind,
-        channel_mode=args.channel_mode,
-        angle_mode=args.angle_mode,
-        snr_db=_parse_snr_arg(args.snr),
-        trials=args.trials,
-        seed=args.seed,
-    )
-    name = args.name or _default_name(config)
-    _check_name(name, "--name")
-    spec = ExperimentSpec(configs=((name, config),), output_dir=None, comparisons=(), levels=())
+    raw = {key: value for key, value in vars(args).items() if key in _CONFIG_KEYS}
+    if "snr" in raw:
+        raw["snr"] = _parse_snr_arg(raw["snr"])
+    named = _config_from_dict(raw, "sweep", lambda key: "--" + key.replace("_", "-"))
+    spec = ExperimentSpec(configs=(named,), output_dir=None, comparisons=(), levels=())
     return _run_and_list(spec, args)
 
 
@@ -636,10 +635,10 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_compare(args) -> int:
+    levels = _check_levels(_floats(args.levels.split(","), "--levels"), "--levels")
     curve_a = load_curve(args.csv_a)
     curve_b = load_curve(args.csv_b)
     _check_equal_rate("", (args.csv_a.name, curve_a.config), (args.csv_b.name, curve_b.config))
-    levels = _floats(args.levels.split(","), "--levels")
     report = compare_report(
         curve_a, curve_b, levels, args.csv_a.stem, args.csv_b.stem
     )

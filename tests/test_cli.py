@@ -7,6 +7,7 @@ import signal
 import time
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,7 +25,7 @@ from qssm.cli import (
     symbol_table_csv,
     validate_analysis,
 )
-from qssm import montecarlo
+from qssm import cli, montecarlo
 from qssm.modem import build_constellation, build_symbol_book
 from qssm.montecarlo import SimConfig, sweep
 
@@ -634,6 +635,14 @@ def test_main_exit_codes(tmp_path, capsys, monkeypatch):
         err = capsys.readouterr().err
         assert err.count("error:") == 1 and "--name: must be a file name" in err, name
         assert sorted(tmp_path.rglob("*")) == listing, name
+    # an empty name is refused from a file and from --name alike
+    named.write_text(json.dumps({"configs": [{**base, "name": ""}]}))
+    for argv in (["run", str(named)],
+                 ["sweep", "--L", "2", "--M", "4", "--trials", "1", "--snr", "0", "--name", ""]):
+        assert main([*argv, *out]) == 2, argv
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1 and "name: must be a non-empty string" in err, argv
+        assert sorted(tmp_path.rglob("*")) == listing, argv
     assert main(["validate", "--trials", "1", "--seed", "-1"]) == 2
     assert "seed must be in [0, 2^64)" in capsys.readouterr().err
     # two grid points of one milli-dB substream key
@@ -758,3 +767,191 @@ def test_convention_is_not_an_input(tmp_path, capsys):
     book = build_symbol_book(2, build_constellation("qam", 4))
     for row, snr in zip(rows, snr_db, strict=True):
         assert float(row.split(",")[4]) == abep_point(book, snr).abep_analytical
+
+
+def test_names_fit_a_file_name(tmp_path):
+    """A name is printable and encodes to at most 100 bytes, so that a comparison
+    report of two such names, with its temp-file suffix, fits the 255 bytes of a
+    file name.  Both are checked before any config runs: a 401-character name used
+    to run every config and then fail to write (exit 4), a lone surrogate to fail
+    to encode (exit 5)."""
+    entry = {"scheme": "qssm", "L": 2, "M": 4}
+    for name in ("n" * 101, "\u00e9" * 51):
+        with pytest.raises(ConfigError, match="name: must encode to at most 100 bytes"):
+            parse_config(json.dumps({"configs": [{**entry, "name": name}]}))
+    for name in ("\ud800", "a\nb", "a\tb"):
+        with pytest.raises(ConfigError, match="name: must be a file name, printable"):
+            parse_config(json.dumps({"configs": [{**entry, "name": name}]}))
+    a, b = "a" * 100, "\u00e9" * 50
+    document = {"configs": [{**entry, "name": a}, {**entry, "name": b, "scheme": "ssm", "L": 4}],
+                "comparisons": [{"a": a, "b": b}], "levels": [0.05]}
+    for config in document["configs"]:
+        config.update(snr_db=[0.0, 10.0, 20.0, 30.0], trials=2000)
+    written = run_experiment(parse_config(json.dumps(document)), out_dir=str(tmp_path))
+    assert written[f"compare_{a}_vs_{b}.txt"].exists()
+
+
+def test_compare_levels_follow_the_file_rule(tmp_path, capsys):
+    """`compare --levels` takes the rule of a file's levels, numbers in (0, 1),
+    checked before any curve is loaded: the result files here do not exist."""
+    missing = [str(tmp_path / "a.csv"), str(tmp_path / "b.csv")]
+    for levels in ("2", "nan", "0", "-1", "1", "inf", "1e-3,2"):
+        assert main(["compare", *missing, "--levels", levels]) == 2, levels
+        err = capsys.readouterr().err
+        assert err == "error: --levels: expected a list of numbers in (0, 1)\n", levels
+    assert main(["compare", *missing, "--levels", "0.5"]) == 2
+    assert "manifest not found" in capsys.readouterr().err
+
+
+def test_sweep_flags_build_the_file_config(monkeypatch):
+    """`sweep` flags and experiment-file keys take one path to a config: a flag
+    left out takes SimConfig's default, as an omitted key does."""
+    specs = []
+    monkeypatch.setattr(cli, "run_experiment", lambda spec, **kwargs: specs.append(spec) or {})
+    assert main(["sweep", "--L", "4", "--M", "4"]) == 0
+    [(name, config)] = specs.pop().configs
+    assert name == "qssm_L4_4qam"
+    assert config == SimConfig("qssm", 4, 4)
+    assert config.config_hash() == SimConfig("qssm", 4, 4).config_hash()
+
+    keys = {"scheme": "qssm", "L": 4, "M": 16, "kind": "psk", "channel_mode": "physical",
+            "angle_mode": "min_sep", "trials": 500, "seed": 7, "name": "x"}
+    flags = [text for key, value in keys.items()
+             for text in ("--" + key.replace("_", "-"), str(value))]
+    for text, snr in (("0:10:5", {"start": 0, "stop": 10, "step": 5}), ("0,2.5,30", [0, 2.5, 30])):
+        assert main(["sweep", *flags, "--snr", text]) == 0
+        expected = parse_config(json.dumps({"configs": [{**keys, "snr": snr}]}))
+        assert specs.pop().configs == expected.configs
+
+
+def test_run_overrides_only_the_given_flags(tmp_path, monkeypatch):
+    """`run --seed` and `--trials` replace a file's values only when given."""
+    specs = []
+    monkeypatch.setattr(cli, "run_experiment", lambda spec, **kwargs: specs.append(spec) or {})
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"configs": [{"scheme": "qssm", "L": 2, "M": 4, "trials": 4,
+                                             "seed": 2}]}))
+    for flags, trials, seed in (([], 4, 2), (["--seed", "5"], 4, 5), (["--trials", "3"], 3, 2),
+                                (["--trials", "3", "--seed", "0"], 3, 0)):
+        assert main(["run", str(path), *flags]) == 0
+        [(_, config)] = specs.pop().configs
+        assert (config.trials, config.seed) == (trials, seed), flags
+
+
+#: Values no input should crash on: wrong types, edge and out-of-range numbers,
+#: non-finite floats, and strings valid for another key.  Each is valid for its
+#: key or refused up front; none that is valid runs long.
+_HOSTILE = (
+    True, False, None, "", " ", "qssm", "ssm", "psk", "physical", "min_sep", "per_block",
+    "paper_eq21", "4", "a/b", "../escaped", "n" * 101, "\ud800", [], [4], [True], ["10"],
+    [float("nan")], {}, {"start": 0, "stop": 4, "step": 2}, {"start": 0}, -1, 0, 1, 2, 3,
+    1.5, 4.0, -0.0, 1e-300, 4096, 4097, 2**63, 2**64, 10**400, float("nan"), float("inf"),
+    float("-inf"), 1e308,
+)
+#: ``--snr`` texts beyond the catalogue: grids too wide to count and malformed lists
+_HOSTILE_SNR_TEXT = ("0:1e12:1e-3", "0:inf:1", "nan:1:1", "4000", "3001", "1,", ",", "::",
+                     "0:1", "0,0.0004", "10,0")
+
+
+def test_hostile_inputs_exit_0_or_2(tmp_path, capsys, monkeypatch):
+    """Every key of an experiment file, in ideal and physical mode, and every
+    `sweep` config flag, set to each catalogue value: the run exits 0 or 2, a
+    refusal prints one `error:` line, and nothing is written outside --out-dir.
+    The removed keys exit 2 whatever their value."""
+    monkeypatch.chdir(tmp_path)
+    out_dir = tmp_path / "nested" / "out"
+    out = ["--out-dir", str(out_dir)]
+    out_dir.mkdir(parents=True)
+    case = tmp_path / "case.json"
+    case.write_text("{}")
+
+    def outside():
+        return sorted(p for p in tmp_path.rglob("*") if out_dir not in (p, *p.parents))
+
+    listing = outside()
+
+    def check(argv, label, allowed=(0, 2)):
+        try:
+            code = main([*argv, *out])
+        except SystemExit as exc:  # argparse refuses a flag value
+            code = exc.code
+        err = capsys.readouterr().err
+        assert code in allowed, (label, code, err)
+        if code == 2:
+            assert err.count("error:") == 1 and "Traceback" not in err, (label, err)
+        assert outside() == listing, label
+
+    ideal = {"scheme": "qssm", "L": 2, "M": 4, "snr_db": [10.0], "trials": 4}
+    physical = {**ideal, "channel_mode": "physical"}
+    removed = ("redraw", "redraw_block", "convention")
+    start = time.perf_counter()
+    for mode, base in (("ideal", ideal), ("physical", physical)):
+        for key in sorted(cli._CONFIG_KEYS) + list(removed):
+            for value in _HOSTILE:
+                config = {**base, key: value}
+                if key == "snr":
+                    del config["snr_db"]
+                case.write_text(json.dumps({"configs": [config]}))
+                check(["run", str(case)], (mode, key, value), (2,) if key in removed else (0, 2))
+    ideal_flags = {"--L": "2", "--M": "4", "--snr": "10", "--trials": "4"}
+    for base in (ideal_flags, {**ideal_flags, "--channel-mode": "physical"}):
+        for key in ("scheme", "L", "M", "kind", "channel_mode", "angle_mode", "snr", "trials",
+                    "seed", "name"):
+            flag = "--" + key.replace("_", "-")
+            texts = [v if isinstance(v, str) else json.dumps(v) for v in _HOSTILE]
+            if key == "snr":
+                texts += _HOSTILE_SNR_TEXT
+            for text in texts:
+                argv = [item for pair in {**base, flag: text}.items() for item in pair]
+                check(["sweep", *argv], (flag, text))
+    assert time.perf_counter() - start < 60.0
+
+
+def _readme_input_items() -> dict[str, list[str]]:
+    """The input rules of README's CLI section, one item per field: the item's
+    lines under its first backticked field name."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    section = readme.split("\n## CLI\n")[1].split("\n## ")[0]
+    items, field = {}, None
+    for line in section.splitlines():
+        if line.startswith("- `"):
+            field = line.split("`")[1]
+            items[field] = [line]
+        elif field and line.startswith("  "):
+            items[field].append(line.strip())
+        else:
+            field = None
+    return items
+
+
+def _power_of_two(value) -> str:
+    exponent = int(value).bit_length() - 1
+    assert value == 2**exponent, value
+    return f"2^{exponent}"
+
+
+def test_readme_states_each_input_bound():
+    """Each input bound appears, with the constant that holds it, on its field's
+    item of README's input rules, so the prose cannot drift from the code."""
+    items = _readme_input_items()
+    for key in cli._CONFIG_KEYS | {"comparisons", "levels"}:  # each named on an item's first line
+        assert any(f"`{key}`" in lines[0] for lines in items.values()), key
+    expected = {
+        "n_t": ["`montecarlo._MAX_ELEMENTS`", f"at most {montecarlo._MAX_ELEMENTS} elements"],
+        "spacing": ["`montecarlo._MAX_SPACING`",
+                    f"in (0, {_power_of_two(montecarlo._MAX_SPACING)}] wavelengths"],
+        "snr_db": ["`montecarlo._MAX_SNR_DB`", f"at or below {montecarlo._MAX_SNR_DB:g} dB",
+                   "`cli._SNR_GRID_POINTS`", f"spans at most {cli._SNR_GRID_POINTS} points"],
+        "trials": ["`montecarlo._MAX_TRIALS`", f"in [1, {_power_of_two(montecarlo._MAX_TRIALS)}]"],
+        "seed": ["in [0, 2^64)"],
+        "name": ["`cli._MAX_NAME_BYTES`", f"at most {cli._MAX_NAME_BYTES} bytes"],
+    }
+    for field, phrases in expected.items():
+        for phrase in phrases:
+            assert phrase in " ".join(items[field]), (field, phrase)
+    # the seed range is a literal of _check_seed: probe both of its ends
+    montecarlo._check_seed(0)
+    montecarlo._check_seed(2**64 - 1)
+    for seed in (-1, 2**64):
+        with pytest.raises(ValueError, match=r"seed must be in \[0, 2\^64\)"):
+            montecarlo._check_seed(seed)
