@@ -17,7 +17,6 @@ import json
 import numbers
 import operator
 import os
-from collections import deque
 from dataclasses import dataclass, fields
 from functools import lru_cache
 from math import isinf
@@ -619,6 +618,105 @@ def _close_pool() -> None:
 atexit.register(_close_pool)  # no worker outlives the interpreter
 
 
+def _estimate(config: SimConfig, snr_db: float, errors: int, trials: int) -> BerEstimate:
+    bits = config.bits_per_trial
+    ci_low, ci_high = binomial_ci(errors, trials * bits)
+    return BerEstimate(
+        snr_db=float(snr_db),
+        trials=trials,
+        bit_errors=errors,
+        bits_per_trial=bits,
+        abep=errors / (trials * bits),
+        ci_low=ci_low,
+        ci_high=ci_high,
+    )
+
+
+class _PointRun:
+    """One SNR point of a pooled run: its blocks not yet submitted, its blocks
+    in flight, and the fold of its results in block order."""
+
+    def __init__(self, snr_db: float, trials: int) -> None:
+        self.snr_db = snr_db
+        self._layout = _block_layout(trials)
+        self.upcoming = next(self._layout, None)  # (index, trials) of the next block
+        self.running = 0  # its blocks in flight, discarded ones included
+        self.stopped = False  # stopped early, or every block folded
+        self._finished: dict = {}  # block index -> (future, trials), waiting for a lower block
+        self._folded = 0
+        self.errors = self.trials = 0
+
+    def take(self) -> tuple[int, int]:
+        block, self.upcoming = self.upcoming, next(self._layout, None)
+        self.running += 1
+        return block
+
+    def finish(self, block: int, future, count: int, max_errors: int | None) -> None:
+        """Fold a finished block and every later one waiting for it, as the serial
+        loop would: a block's error is raised here, and the point stops where
+        the serial loop stops.  A stopped point discards what finishes later."""
+        self.running -= 1
+        if self.stopped:
+            return
+        self._finished[block] = (future, count)
+        while self._folded in self._finished:
+            future, count = self._finished.pop(self._folded)
+            self.errors += future.result()
+            self.trials += count
+            self._folded += 1
+            if max_errors is not None and self.errors >= max_errors:
+                self.stopped = True
+                return
+        self.stopped = self.upcoming is None and self.running == 0
+
+
+def _next_point(points: list[_PointRun], max_errors: int | None) -> _PointRun | None:
+    """The point whose next block a free pool slot takes: the lowest point that
+    needs one (none of its blocks in flight; with no ``max_errors``, every
+    open point), else the lowest open point, whose block may turn out unneeded."""
+    open_points = [p for p in points if not p.stopped and p.upcoming is not None]
+    for point in open_points:
+        if max_errors is None or point.running == 0:
+            return point
+    return open_points[0] if open_points else None
+
+
+def _run_pooled(
+    config: SimConfig, snrs, size: int, max_errors: int | None
+) -> list[BerEstimate]:
+    """Estimates at ``snrs`` from one block queue on the kept pool of ``size``
+    workers, with at most ``size`` blocks in flight over all the points.
+
+    Each block is a pure function of (config, SNR, block), and each point
+    folds its blocks in block order (_PointRun.finish), so the estimates
+    equal the serial loop's whatever the order in which blocks run.  A pool
+    that breaks during the call raises ``BrokenProcessPool`` and is dropped.
+    The call returns once every point has stopped: blocks still queued then
+    are cancelled, and those still running finish in the pool unread.
+    """
+    from concurrent.futures import FIRST_COMPLETED, wait
+
+    pool = _process_pool(size)
+    points = [_PointRun(snr_db, config.trials) for snr_db in snrs]
+    in_flight: dict = {}  # future -> (point, block index, trials)
+    try:
+        while not all(p.stopped for p in points):
+            while len(in_flight) < size and (point := _next_point(points, max_errors)) is not None:
+                b, count = point.take()
+                future = pool.submit(_block_bit_errors, config, point.snr_db, b, count)
+                in_flight[future] = (point, b, count)
+            done, _ = wait(in_flight, return_when=FIRST_COMPLETED)
+            for future in done:
+                point, b, count = in_flight.pop(future)
+                point.finish(b, future, count, max_errors)
+    finally:
+        for future in in_flight:
+            future.cancel()
+        if pool._broken:  # it raised BrokenProcessPool above
+            _close_pool()
+    return [_estimate(config, p.snr_db, p.errors, p.trials) for p in points]
+
+
 def run_point(
     config: SimConfig,
     snr_db: float,
@@ -630,49 +728,24 @@ def run_point(
     Results are identical for any ``workers`` value (>= 1).  ``max_errors``
     optionally stops after the block in which the cumulative bit-error
     count crosses the threshold (no bias correction; not used by the
-    acceptance runs).  With ``workers > 1`` the blocks run on the process
-    pool this process keeps for all its calls, of ``workers`` processes but
-    no more than the CPUs it may use, with one block per process in flight.
-    A pool that breaks during the call raises ``BrokenProcessPool`` and is
-    dropped; blocks still queued when the call ends are cancelled.
+    acceptance runs).  With ``workers > 1`` the point is the one-point case
+    of ``sweep``'s block queue: its blocks run on the process pool this
+    process keeps for all its calls, of ``workers`` processes but no more
+    than the CPUs it may use, with one block per process in flight.  A pool
+    that breaks during the call raises ``BrokenProcessPool`` and is dropped;
+    blocks still queued when the call ends are cancelled.
     """
     _check_workers(workers)
-    bits = config.bits_per_trial
-    errors = trials_done = 0
     size = _pool_size(workers)
-    pool = _process_pool(size) if size > 1 else None
-    in_flight: deque = deque()
-    queued = _block_layout(config.trials)  # the pool's submissions, ``size`` ahead
-    try:
-        for b, count in _block_layout(config.trials):
-            if pool is None:
-                block_errors = _block_bit_errors(config, snr_db, b, count)
-            else:
-                for nb, ncount in queued:
-                    in_flight.append(pool.submit(_block_bit_errors, config, snr_db, nb, ncount))
-                    if len(in_flight) >= size:
-                        break
-                block_errors = in_flight.popleft().result()
-            errors += block_errors
-            trials_done += count
-            if max_errors is not None and errors >= max_errors:
-                break
-    finally:
-        for future in in_flight:
-            future.cancel()
-        if pool is not None and pool._broken:  # it raised BrokenProcessPool above
-            _close_pool()
-    abep = errors / (trials_done * bits)
-    ci_low, ci_high = binomial_ci(errors, trials_done * bits)
-    return BerEstimate(
-        snr_db=float(snr_db),
-        trials=trials_done,
-        bit_errors=errors,
-        bits_per_trial=bits,
-        abep=abep,
-        ci_low=ci_low,
-        ci_high=ci_high,
-    )
+    if size > 1:
+        return _run_pooled(config, (snr_db,), size, max_errors)[0]
+    errors = trials_done = 0
+    for b, count in _block_layout(config.trials):
+        errors += _block_bit_errors(config, snr_db, b, count)
+        trials_done += count
+        if max_errors is not None and errors >= max_errors:
+            break
+    return _estimate(config, snr_db, errors, trials_done)
 
 
 def sweep(
@@ -680,16 +753,29 @@ def sweep(
 ) -> AbepCurve:
     """Run every grid point and attach the analytical and asymptotic bounds.
 
-    With ``workers > 1`` every point runs on the process pool that
-    ``run_point`` keeps for the whole process; it stays open after the
-    curve is returned and is shut down at interpreter exit.
+    With one worker (or one usable CPU) each point runs through
+    ``run_point`` in turn.  With more, every block of every point goes
+    through one queue on the process pool that this process keeps: at most
+    one block per pool process is in flight over the whole sweep.  A freed
+    slot takes the next block of the lowest point that needs one, that is,
+    has no block in flight and has not stopped (with no ``max_errors``,
+    every block is needed); only when no point needs one does it take the
+    next block of the lowest unfinished point, which a stop may discard.
+    Each point folds its blocks in block order and stops as ``run_point``
+    does, so the curve does not depend on ``workers``.  The pool stays open
+    after the curve is returned and is shut down at interpreter exit.
     """
+    _check_workers(workers)
     constellation, book, *_ = _scheme_tables(
         config.scheme, config.kind, config.M, config.L
     )
+    size = _pool_size(workers)
+    if size > 1:
+        estimates = _run_pooled(config, config.snr_db, size, max_errors)
+    else:
+        estimates = [run_point(config, s, max_errors=max_errors) for s in config.snr_db]
     points = []
-    for snr_db in config.snr_db:
-        estimate = run_point(config, snr_db, workers=workers, max_errors=max_errors)
+    for snr_db, estimate in zip(config.snr_db, estimates):
         if config.scheme == QSSM:
             bound = analysis.abep_point(book, snr_db)
         else:

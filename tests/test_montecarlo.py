@@ -322,6 +322,24 @@ def test_run_point_worker_count_invariance():
     first, second = (p.estimate for p in serial.points)
     assert first.trials == 2 * TRIALS_PER_BLOCK and first.bit_errors >= 40_000
     assert second.trials == cfg.trials and second.bit_errors < 40_000
+    # one queue for five points: 0 dB stops in block 0, 6 and 10 dB in block 1,
+    # 14 dB in its last block, and 20 dB runs to the cap without crossing
+    cfg = SimConfig(
+        scheme="qssm", L=2, M=4, snr_db=(0.0, 6.0, 10.0, 14.0, 20.0),
+        trials=4 * TRIALS_PER_BLOCK, seed=5,
+    )
+    serial = sweep(cfg, workers=1, max_errors=20_000)
+    assert sweep(cfg, workers=2, max_errors=20_000) == serial
+    assert [p.estimate.trials // TRIALS_PER_BLOCK for p in serial.points] == [1, 2, 2, 4, 4]
+    assert serial.points[-1].estimate.bit_errors < 20_000
+    # shaped like the physical_sweep benchmark: 10 dB stops in block 0, 25 dB runs to the cap
+    cfg = SimConfig(
+        scheme="qssm", L=4, M=4, channel_mode=PHYSICAL, angle_mode=MIN_SEP,
+        snr_db=(10.0, 25.0), trials=2 * TRIALS_PER_BLOCK, seed=1,
+    )
+    serial = sweep(cfg, workers=1, max_errors=2000)
+    assert sweep(cfg, workers=2, max_errors=2000) == serial
+    assert [p.estimate.trials // TRIALS_PER_BLOCK for p in serial.points] == [1, 2]
 
 
 # ---------------------------------------------------------------------------
@@ -378,7 +396,10 @@ class _InlineExecutor:
 
     def submit(self, fn, *args):
         future = Future()
-        future.set_result(fn(*args))
+        try:
+            future.set_result(fn(*args))
+        except Exception as exc:  # a pool hands a block's error to its future
+            future.set_exception(exc)
         return future
 
     def shutdown(self, wait=True, *, cancel_futures=False) -> None:
@@ -427,14 +448,118 @@ def test_pool_broken_while_idle_is_replaced():
     assert len(_worker_pids()) == 2 and not set(_worker_pids()) & set(pids)
 
 
+class _RecordingExecutor(_InlineExecutor):
+    """_InlineExecutor that logs the (SNR, block index) of each submitted block.
+    A block listed in ``stalled`` never runs: its future stays pending."""
+
+    def __init__(self, max_workers: int, log: list, stalled=()) -> None:
+        super().__init__(max_workers, [])
+        self.log, self.stalled, self.pending = log, stalled, []
+
+    def submit(self, fn, config, snr_db, block, trials):
+        self.log.append((snr_db, block))
+        if (snr_db, block) in self.stalled:
+            self.pending.append(Future())
+            return self.pending[-1]
+        return super().submit(fn, config, snr_db, block, trials)
+
+
+def _recording_pool(monkeypatch, stalled=()):
+    """Install a _RecordingExecutor as the pool of 2 that workers=2 gets, with no
+    second CPU needed.  Returns the submission log, the number of futures
+    each wait of the block queue was given, and the executors made."""
+    log, waits, executors = [], [], []
+    real_wait = concurrent.futures.wait
+
+    def recording_wait(fs, **kwargs):
+        waits.append(len(fs))
+        return real_wait(fs, **kwargs)
+
+    def make(max_workers):
+        executors.append(_RecordingExecutor(max_workers, log, stalled))
+        return executors[-1]
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", make)
+    monkeypatch.setattr(concurrent.futures, "wait", recording_wait)
+    monkeypatch.setattr(montecarlo, "_pool", None)  # a kept real pool comes back untouched
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    return log, waits, executors
+
+
+def test_sweep_queues_needed_blocks_before_speculative_ones(monkeypatch):
+    """One block queue per sweep on a stand-in pool of 2 that runs each block
+    as it is submitted, so every block in flight finishes by the next wait."""
+    log, waits, _ = _recording_pool(monkeypatch)
+    # shaped like physical_sweep: 10 dB stops in block 0 through max_errors,
+    # 25 dB runs to its 2-block cap; a queue per point would submit 4 blocks
+    cfg = SimConfig(
+        scheme="qssm", L=4, M=4, channel_mode=PHYSICAL, snr_db=(10.0, 25.0),
+        trials=2 * TRIALS_PER_BLOCK, seed=1,
+    )
+    assert sweep(cfg, workers=2, max_errors=2000) == sweep(cfg, max_errors=2000)
+    assert log == [(10.0, 0), (25.0, 0), (25.0, 1)]
+    # every point stops in block 0: one block per point
+    log.clear()
+    cfg = SimConfig(
+        scheme="qssm", L=4, M=4, snr_db=tuple(range(0, 20, 2)),
+        trials=4 * TRIALS_PER_BLOCK, seed=5,
+    )
+    assert sweep(cfg, workers=2, max_errors=1000) == sweep(cfg, max_errors=1000)
+    assert log == [(snr_db, 0) for snr_db in cfg.snr_db]
+    # with no max_errors every block is needed: each once, in (point, block) order
+    log.clear()
+    cfg = SimConfig(
+        scheme="qssm", L=2, M=4, snr_db=(0.0, 10.0, 20.0),
+        trials=2 * TRIALS_PER_BLOCK + 100, seed=5,
+    )
+    assert sweep(cfg, workers=2) == sweep(cfg)
+    assert log == [(snr_db, b) for snr_db in cfg.snr_db for b in range(3)]
+    assert max(waits) == 2  # the pool is kept full, never over-full
+
+
+def _fail_at_10_db(config, snr_db, block, trials):
+    """Stands in for a block: the blocks of the 10 dB point raise."""
+    if snr_db == 10.0:
+        raise ValueError(f"block {block} at {snr_db:g} dB failed")
+    return _block_bit_errors(config, snr_db, block, trials)
+
+
+def test_block_error_cancels_queued_blocks(monkeypatch):
+    log, _, executors = _recording_pool(monkeypatch, stalled={(10.0, 1)})
+    monkeypatch.setattr(montecarlo, "_block_bit_errors", _fail_at_10_db)
+    with pytest.raises(ValueError, match="block 0 at 10 dB failed"):
+        sweep(_POOL_CFG, workers=2)
+    assert log == [(0.0, 0), (0.0, 1), (10.0, 0), (10.0, 1)]
+    (stalled,) = executors[0].pending
+    assert stalled.cancelled()
+
+
+@two_cpus
+def test_block_error_at_a_later_point_propagates_and_keeps_the_pool(monkeypatch):
+    monkeypatch.setattr(montecarlo, "_block_bit_errors", _fail_at_10_db)
+    with pytest.raises(ValueError) as serial:
+        sweep(_POOL_CFG, workers=1)
+    with pytest.raises(ValueError) as pooled:
+        sweep(_POOL_CFG, workers=2)
+    assert str(pooled.value) == str(serial.value) == "block 0 at 10 dB failed"
+    kept = montecarlo._pool
+    monkeypatch.undo()
+    assert sweep(_POOL_CFG, workers=2) == sweep(_POOL_CFG, workers=1)
+    assert montecarlo._pool is kept
+
+
 @two_cpus
 def test_pool_broken_during_a_call_raises_and_is_dropped(monkeypatch):
     monkeypatch.setattr(montecarlo, "_block_bit_errors", _kill_worker)
     with pytest.raises(BrokenProcessPool):
         run_point(_POOL_CFG, 0.0, workers=2)
     assert montecarlo._pool is None
+    with pytest.raises(BrokenProcessPool):
+        sweep(_POOL_CFG, workers=2)
+    assert montecarlo._pool is None
     monkeypatch.undo()
     assert run_point(_POOL_CFG, 0.0, workers=2) == run_point(_POOL_CFG, 0.0)
+    assert sweep(_POOL_CFG, workers=2) == sweep(_POOL_CFG, workers=1)
 
 
 _POOL_AT_EXIT = """
