@@ -26,7 +26,9 @@ from __future__ import annotations
 import enum
 import itertools
 from dataclasses import dataclass
+from functools import lru_cache
 from math import log2, prod
+from typing import NamedTuple
 
 import numpy as np
 
@@ -197,24 +199,35 @@ def _popcount_matrix(size: int) -> np.ndarray:
     return np.bitwise_count(values[:, None] ^ values[None, :]).astype(float)
 
 
-def _union_bound(L: int, beams: tuple, rho: float) -> tuple:
-    """(closed form, asymptotic) union bounds over the L^B * M symbols
-    (k_1, ..., k_B, s), B = len(beams), in one pass over the index classes.
+class _ClassTable(NamedTuple):
+    """The SNR-free part of a union bound: each index-coincidence class's
+    M x M weights and eta_bar, flattened and concatenated in class order."""
+
+    weight: np.ndarray
+    eta: np.ndarray
+    size: int  # M * M, the length of one class's slice
+    scale: float  # symbols * bits
+
+
+@lru_cache(maxsize=16)  # books; the largest table, M = 64, takes 256 KiB
+def _class_table(L: int, n_beams: int, dtype: str, data: bytes) -> _ClassTable:
+    """Read-only class table over the L^B * M symbols (k_1, ..., k_B, s),
+    B = n_beams, built once per book.  ``data`` holds the beams' values back
+    to back: a Constellation holds an array and is not hashable.
 
     Beam b carries ``beams[b][s]`` from scatterer k_b.  eta_bar adds one term
     per beam that depends only on whether its indices coincide and on (s, t),
     and the Hamming distance splits into index bits plus signal bits, so each
-    index-coincidence class is one M x M sum weighted n*ham_M + mass: equal
+    index-coincidence class is one M x M table weighted n*ham_M + mass: equal
     indices give n = L pairs and mass 0, distinct ones n = L(L-1) and mass
     L^2*log2(L)/2.  The true symbol gets weight 0 on the all-equal diagonal.
-    The asymptotic value is meaningful only for rho > 0, which
-    :func:`_abep_point` checks.
     """
-    order = len(beams[0])
+    beams = np.frombuffer(data, dtype=dtype).reshape(n_beams, -1)
+    order = beams.shape[1]
     ham = _popcount_matrix(order)
     same, diff = (L, 0.0), (L * (L - 1), L * L * log2(L) / 2.0)
-    closed = asymptotic = 0.0
-    for classes in itertools.product((same, diff), repeat=len(beams)):
+    weights, etas = [], []
+    for classes in itertools.product((same, diff), repeat=n_beams):
         n = prod(count for count, _ in classes)
         if n == 0:
             continue
@@ -222,11 +235,33 @@ def _union_bound(L: int, beams: tuple, rho: float) -> tuple:
             _beam_eta(c[:, None], c[None, :], cls is same) for c, cls in zip(beams, classes)
         )
         mass = sum(index_mass * (n // count) for count, index_mass in classes)
-        weight = n * ham + mass
-        closed += float(np.sum(weight * pep_closed_form(rho, eta)))
-        asymptotic += float(np.sum(weight * _clamped_asymptotic(rho, eta)))
-    scale = L ** len(beams) * order * (len(beams) * log2(L) + log2(order))  # symbols * bits
-    return closed / scale, asymptotic / scale
+        weights.append((n * ham + mass).ravel())
+        etas.append(eta.ravel())
+    weight, eta = np.concatenate(weights), np.concatenate(etas)
+    weight.flags.writeable = eta.flags.writeable = False
+    scale = L**n_beams * order * (n_beams * log2(L) + log2(order))  # symbols * bits
+    return _ClassTable(weight, eta, order * order, scale)
+
+
+def _union_bound(L: int, beams: tuple, rho: float) -> tuple:
+    """(closed form, asymptotic) union bounds at rho over the L^B * M symbols
+    whose B = len(beams) beams carry ``beams[b][s]``, in one vectorized pass
+    over the book's cached :func:`_class_table`.
+
+    Each class's M x M slice is summed on its own, pairwise as np.sum does,
+    and the class sums are added in class order, so the values equal those
+    of a per-call loop over the classes bit for bit.  The asymptotic value
+    is meaningful only for rho > 0, which :func:`_abep_point` checks.
+    """
+    data = b"".join(beam.tobytes() for beam in beams)
+    table = _class_table(L, len(beams), beams[0].dtype.str, data)
+    closed_terms = table.weight * pep_closed_form(rho, table.eta)
+    asymptotic_terms = table.weight * _clamped_asymptotic(rho, table.eta)
+    closed = asymptotic = 0.0
+    for start in range(0, len(table.eta), table.size):  # np.sum's kernel, per slice
+        closed += float(np.add.reduce(closed_terms[start : start + table.size]))
+        asymptotic += float(np.add.reduce(asymptotic_terms[start : start + table.size]))
+    return closed / table.scale, asymptotic / table.scale
 
 
 def _abep_point(L: int, beams: tuple, snr_db: float) -> AbepPoint:
@@ -237,7 +272,11 @@ def _abep_point(L: int, beams: tuple, snr_db: float) -> AbepPoint:
 
 
 def abep_union_bound(book: SymbolBook, rho: float) -> float:
-    """Hamming-weighted PEP sum over ordered pairs, / (L^2*M * log2(L^2*M)), in O(M^2)."""
+    """Hamming-weighted PEP sum over ordered pairs, / (L^2*M * log2(L^2*M)), in O(M^2).
+
+    The book's class table is built on its first call and kept, so each
+    further rho costs one vectorized pass over it.
+    """
     x = book.constellation.points
     return _union_bound(book.L, (x.real, x.imag), rho)[0]
 

@@ -4,8 +4,9 @@ Subcommands: ``run`` (JSON experiment file), ``sweep`` (one config from
 flags, built as a file's config is), ``table`` (symbol-book dump),
 ``validate`` (analysis self-checks and the union bound checked against a
 simulated curve), ``compare`` (gain report between two result CSVs).  Exit
-codes: 0 success, 2 configuration error, 3 numerical error, 4 I/O error, 5
-internal error (a fault in the program, not in its input).
+codes: 0 success, 1 ``validate`` verdict fail, 2 configuration error, 3
+numerical error, 4 I/O error, 5 internal error (a fault in the program, not
+in its input).
 """
 
 from __future__ import annotations
@@ -627,11 +628,9 @@ def _cmd_table(args) -> int:
 
 def _cmd_validate(args) -> int:
     _from_input(montecarlo._check_workers, args.workers)
-    _emit(
-        validate_analysis(trials=args.trials, seed=args.seed, workers=args.workers),
-        args.out,
-    )
-    return 0
+    report = validate_analysis(trials=args.trials, seed=args.seed, workers=args.workers)
+    _emit(report, args.out)
+    return 0 if report.splitlines()[-1] == "verdict: pass" else 1
 
 
 def _cmd_compare(args) -> int:

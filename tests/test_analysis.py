@@ -6,7 +6,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
-from math import log2
+from math import log2, prod
 from pathlib import Path
 
 import numpy as np
@@ -31,7 +31,14 @@ from qssm.analysis import (
     q_function,
     snr_db_to_rho,
 )
-from qssm.modem import PSK, QAM, SymbolBook, build_constellation, build_symbol_book
+from qssm.modem import (
+    _SUPPORTED_ORDERS,
+    PSK,
+    QAM,
+    SymbolBook,
+    build_constellation,
+    build_symbol_book,
+)
 
 INV_SQRT2 = 1.0 / np.sqrt(2.0)
 
@@ -414,7 +421,7 @@ def test_abep_point_fields():
 
 
 def test_abep_point_runs_one_class_loop(monkeypatch):
-    """One SNR point builds the Hamming table once for both kernels."""
+    """A book builds its class table once, whatever its SNR points and kernels."""
     calls = []
 
     def counted(size):
@@ -422,11 +429,93 @@ def test_abep_point_runs_one_class_loop(monkeypatch):
         return _popcount_matrix(size)
 
     monkeypatch.setattr(analysis, "_popcount_matrix", counted)
+    analysis._class_table.cache_clear()
     constellation = build_constellation(QAM, 4)
-    abep_point(build_symbol_book(4, constellation), 20.0)
+    book = build_symbol_book(4, constellation)
+    for snr_db in (0.0, 10.0, 20.0):
+        abep_point(book, snr_db)
+    abep_union_bound(book, snr_db_to_rho(30.0))
     assert calls == [4]
     abep_point_ssm(4, constellation, 20.0)
     assert calls == [4, 4]
+
+
+def _per_call_union_bound(L, beams, rho):
+    """Both union bounds from a loop that builds every class's M x M tables
+    on each call: the bit-identity oracle for the cached class table."""
+    order = len(beams[0])
+    ham = _popcount_matrix(order)
+    same, diff = (L, 0.0), (L * (L - 1), L * L * log2(L) / 2.0)
+    closed = asymptotic = 0.0
+    for classes in itertools.product((same, diff), repeat=len(beams)):
+        n = prod(count for count, _ in classes)
+        if n == 0:
+            continue
+        eta = sum(
+            analysis._beam_eta(c[:, None], c[None, :], cls is same)
+            for c, cls in zip(beams, classes)
+        )
+        mass = sum(index_mass * (n // count) for count, index_mass in classes)
+        weight = n * ham + mass
+        closed += float(np.sum(weight * pep_closed_form(rho, eta)))
+        asymptotic += float(np.sum(weight * analysis._clamped_asymptotic(rho, eta)))
+    scale = L ** len(beams) * order * (len(beams) * log2(L) + log2(order))  # symbols * bits
+    return closed / scale, asymptotic / scale
+
+
+def _buildable_constellations():
+    for kind, order in itertools.product((PSK, QAM), _SUPPORTED_ORDERS):
+        try:
+            yield build_constellation(kind, order)
+        except ValueError:  # 2QAM
+            continue
+
+
+@pytest.mark.parametrize(
+    "constellation", list(_buildable_constellations()), ids=lambda c: f"{c.kind}{c.order}"
+)
+def test_class_table_bounds_equal_per_call_loop(constellation):
+    """The cached table gives both bounds bit for bit as the per-call loop
+    did, from a cold cache and from a warm one."""
+    x = constellation.points
+    for L in (1, 2, 4, 8, 16):
+        book = build_symbol_book(L, constellation)
+        for beams in ((x.real, x.imag), (x,)):
+            for rho in (0.0, *np.logspace(-3, 9, 13)):
+                expected = _per_call_union_bound(L, beams, rho)
+                analysis._class_table.cache_clear()
+                for _ in ("cold", "warm"):
+                    got = _union_bound(L, beams, rho)
+                    if rho == 0.0:  # the asymptotic form needs rho > 0
+                        assert got[0] == expected[0]
+                    else:
+                        assert got == expected
+                    if len(beams) == 2:
+                        assert abep_union_bound(book, rho) == expected[0]
+                    else:
+                        assert abep_union_bound_ssm(L, constellation, rho) == expected[0]
+
+
+def test_class_table_cache_is_safe():
+    analysis._class_table.cache_clear()
+    tables = []
+    for kind in (QAM, PSK):  # same M, different points
+        x = build_constellation(kind, 4).points
+        abep_union_bound(build_symbol_book(2, build_constellation(kind, 4)), 1.0)
+        table = analysis._class_table(2, 2, "<f8", np.stack((x.real, x.imag)).tobytes())
+        for array in (table.weight, table.eta):
+            with pytest.raises(ValueError):
+                array[0] = 1.0
+        tables.append(table)
+    info = analysis._class_table.cache_info()
+    assert (info.hits, info.misses) == (2, 2)  # the key the bound used
+    assert not np.array_equal(tables[0].eta, tables[1].eta)
+    # the cache is bounded: more books than it holds evict the oldest
+    maxsize = info.maxsize
+    assert maxsize is not None and maxsize > 0
+    for L in 2 ** np.arange(maxsize + 2):
+        abep_union_bound_ssm(int(L), build_constellation(QAM, 4), 1.0)
+    assert analysis._class_table.cache_info().currsize == maxsize
 
 
 def _dense_union_bound(eta, hamming, bits, rho, kernel):

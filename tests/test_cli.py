@@ -471,11 +471,15 @@ def test_main_table_and_validate(tmp_path, capsys):
     assert out.startswith("label,k1,k2,x_re,x_im")
     assert len(out.strip().splitlines()) == 17
 
+    # the verdict sets the exit code: at 20000 trials seed 1 reads fail, at
+    # 400000 (see test_validate_verdict_stable_across_seeds) pass
     report_path = tmp_path / "validation.txt"
-    assert main(["validate", "--trials", "20000", "--seed", "1", "--out", str(report_path)]) == 0
+    assert main(["validate", "--trials", "20000", "--seed", "1", "--out", str(report_path)]) == 1
     report = report_path.read_text()
     assert "max relative error" in report
-    assert "verdict" in report
+    assert report.splitlines()[-1] == "verdict: fail"
+    assert main(["validate", "--trials", "400000", "--seed", "1", "--out", str(report_path)]) == 0
+    assert report_path.read_text().splitlines()[-1] == "verdict: pass"
 
 
 def test_validate_verdict_stable_across_seeds():
