@@ -20,6 +20,7 @@ MIN_SEP = "min_sep"
 _ANGLE_MODES = (DFT_GRID, MIN_SEP)
 _MAX_REJECTION_ROUNDS = 100_000
 _GRID_DRAW_TILE = 1 << 20  # uniforms per argsort of DFT-grid picks
+_SEPARATION_TILE = 1 << 16  # sines per min_sep separation check
 
 
 class SamplingError(ValueError):
@@ -69,22 +70,58 @@ def _steering(sines: np.ndarray, n_elements: int, spacing: float) -> np.ndarray:
     return np.exp(phase) / np.sqrt(n_elements)
 
 
+# 0-d operands: NumPy converts a Python scalar operand on every call, which
+# costs a batch of one trial more than its arithmetic does
+_PI = np.array(np.pi)
+_SUBNORMAL = np.array(np.finfo(float).smallest_subnormal)  # 2**-1074
+
+
+@lru_cache(maxsize=16)
+def _kernel_operands(n_elements: int, spacing: float) -> tuple:
+    """0-d spacing and N of _dirichlet_gram, and the bits of N after its leading one."""
+    return np.array(spacing), np.array(float(n_elements)), bin(n_elements)[3:]
+
+
 def _dirichlet_gram(
     sines_l: np.ndarray, sines_m: np.ndarray, n_elements: int, spacing: float
 ) -> np.ndarray:
     """a^H(s_l) a(s_m) of unit-norm steering vectors, broadcast over the two sine arrays.
 
-    With x = d*(s_m - s_l) reduced to f = x - rint(x), the entry is the
-    Dirichlet kernel exp(j*pi*(N-1)*f) * sin(pi*N*f) / (N*sin(pi*f)), taken
-    as exactly 1 where f = 0: a beam with itself, or an alias of it.
+    With x = d*(s_m - s_l) reduced to f = x - rint(x) and theta = pi*f, the
+    entry is the Dirichlet kernel exp(j*(N-1)*theta) * sin(N*theta) / (N*sin(theta)).
+    It takes one cos and one sin: w = exp(j*theta), p = w**N by binary
+    powering, and the entry is p * conj(w) * Im(p) / (N*Im(w)).
+
+    Numerator and denominator of that quotient both get the smallest
+    subnormal float 2**-1074.  Where f = 0 (a beam with itself, or an alias
+    of it) p = w = 1, so the quotient reads 2**-1074 / 2**-1074 and the
+    entry is exactly 1.  A nonzero f gives |theta| >= 3 * 2**-1074, so the
+    denominator never reaches 0.  The shift leaves every part of magnitude
+    2**-1020 or more as it is; below that the true entry is 1 to double
+    precision, and both parts are N*theta to a few ulps (the powers of
+    w = (1, theta) only add), so the quotient stays 1 to a few ulps.
     """
-    angle = spacing * (sines_m - sines_l)
+    d, n, bits = _kernel_operands(n_elements, spacing)
+    angle = sines_m - sines_l
+    angle *= d
     angle -= np.rint(angle)
-    angle *= np.pi
-    den = n_elements * np.sin(angle)
-    zero = den == 0
-    ratio = np.sin(n_elements * angle) / np.where(zero, 1.0, den)
-    return np.where(zero, 1.0, ratio) * np.exp((1j * (n_elements - 1)) * angle)
+    angle *= _PI
+    w = np.empty(angle.shape, dtype=complex)
+    w.real = np.cos(angle)
+    den = np.sin(angle)
+    w.imag = den
+    p = w.copy()
+    for bit in bits:  # from the leading bit of N down: square, and multiply by w at a 1
+        p *= p
+        if bit == "1":
+            p *= w
+    den *= n
+    den += _SUBNORMAL
+    ratio = p.imag + _SUBNORMAL
+    ratio /= den
+    p *= w.conj()
+    p *= ratio
+    return p
 
 
 def array_response(geometry: ArrayGeometry, theta: float) -> np.ndarray:
@@ -126,12 +163,30 @@ def _complex_normals(rng: np.random.Generator, shape) -> np.ndarray:
 
 
 def _sines_separated(sines: np.ndarray, n_elements: int, spacing: float) -> np.ndarray:
-    """Per row of (..., L) sines: every gap on the alias circle is >= period/N."""
+    """Per row of (rows, L) sines: every gap on the alias circle is >= period/N.
+
+    Each row is folded onto [0, period) and sorted, then copied by columns
+    into an (L + 1, rows) circle whose last row is the first plus one
+    period.  The L gaps and their least are then whole-row operations, not
+    reductions over rows of L values; a row's verdict does not depend on the
+    others, so batches of more than _SEPARATION_TILE sines run in row tiles
+    that keep the circle cache-sized.
+    """
+    step = max(1, _SEPARATION_TILE // sines.shape[1])
+    if len(sines) > step:
+        return np.concatenate([
+            _sines_separated(sines[a : a + step], n_elements, spacing)
+            for a in range(0, len(sines), step)
+        ])
     period = 1.0 / spacing
-    folded = np.fmod(sines, period)  # exact: adding the period below 0 gives np.mod's values
-    folded = np.sort(np.where(folded < 0, folded + period, folded), axis=-1)
-    gaps = np.diff(folded, axis=-1, append=folded[..., :1] + period)
-    return gaps.min(axis=-1) >= period / n_elements
+    folded = np.fmod(sines, period)
+    folded += (folded < 0) * period  # np.mod's values: fmod is exact, then one period below 0
+    folded.sort(axis=-1)
+    circle = np.empty((sines.shape[1] + 1, len(sines)))
+    circle[:-1] = folded.T
+    np.add(circle[0], period, out=circle[-1])
+    gaps = circle[1:] - circle[:-1]
+    return np.minimum.reduce(gaps, axis=0) >= period / n_elements
 
 
 def sine_separation_ok(sines: np.ndarray, geometry: ArrayGeometry) -> bool:

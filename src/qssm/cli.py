@@ -338,15 +338,6 @@ def _curve_point(cols: list[str], config: SimConfig) -> CurvePoint:
     )
 
 
-def _crossing(curve: AbepCurve, level: float, label: str) -> float:
-    """Where the simulated curve crosses ``level``; a level it never reaches is
-    a configuration error of the comparison."""
-    try:
-        return montecarlo.crossing_snr_db(curve.snr_db, curve.values("sim"), level)
-    except ValueError as exc:
-        raise ConfigError(f"{label}: {exc}") from exc
-
-
 def _try_crossing(curve: AbepCurve, level: float, which: str) -> float | None:
     try:
         return montecarlo.crossing_snr_db(curve.snr_db, curve.values(which), level)
@@ -361,15 +352,19 @@ def compare_report(
     label_a: str = "a",
     label_b: str = "b",
 ) -> str:
-    """Per-level SNR gains of curve a over curve b, with CI-derived ranges."""
+    """Per-level SNR gains of curve a over curve b, with CI-derived ranges.
+
+    A level that a curve's simulated column never crosses within its SNR
+    grid reads ``n/a`` in that curve's snr column and in the gain, as an
+    interval column that never crosses reads ``[n/a]`` in the range.
+    """
     lines = [
         f"gain of {label_a} over {label_b} (positive = {label_a} needs less SNR)",
         f"{'abep level':>12s} {'snr_a':>9s} {'snr_b':>9s} {'gain_db':>9s} {'gain_range_db':>18s}",
     ]
     for level in levels:
-        cross_a = _crossing(curve_a, level, label_a)
-        cross_b = _crossing(curve_b, level, label_b)
-        gain = cross_b - cross_a
+        cross_a = _try_crossing(curve_a, level, "sim")
+        cross_b = _try_crossing(curve_b, level, "sim")
         a_lo = _try_crossing(curve_a, level, "ci_low")
         a_hi = _try_crossing(curve_a, level, "ci_high")
         b_lo = _try_crossing(curve_b, level, "ci_low")
@@ -378,9 +373,10 @@ def compare_report(
             spread = f"[{b_lo - a_hi:+.2f}, {b_hi - a_lo:+.2f}]"
         else:
             spread = "[n/a]"
-        lines.append(
-            f"{level:>12.3e} {cross_a:>9.3f} {cross_b:>9.3f} {gain:>+9.3f} {spread:>18s}"
-        )
+        snr_a = "n/a" if cross_a is None else f"{cross_a:.3f}"
+        snr_b = "n/a" if cross_b is None else f"{cross_b:.3f}"
+        gain = "n/a" if None in (cross_a, cross_b) else f"{cross_b - cross_a:+.3f}"
+        lines.append(f"{level:>12.3e} {snr_a:>9s} {snr_b:>9s} {gain:>9s} {spread:>18s}")
     return "\n".join(lines) + "\n"
 
 

@@ -1,11 +1,12 @@
 """Array response, channel sampling, and diagnostic tests."""
 
+import itertools
 import time
 
 import numpy as np
 import pytest
 
-from qssm import channel
+from qssm import channel, montecarlo
 from qssm.channel import (
     DFT_GRID,
     MIN_SEP,
@@ -158,7 +159,7 @@ def _full_recheck_sines(rng, n_rows, L, n_elements, spacing):
 
 
 def _masked_dirichlet(sines_l, sines_m, n_elements, spacing):
-    """The Dirichlet kernel with a masked divide, kept as the reference."""
+    """The Dirichlet kernel with a masked divide, kept as a reference."""
     angle = spacing * (sines_m - sines_l)
     angle -= np.rint(angle)
     angle *= np.pi
@@ -167,31 +168,49 @@ def _masked_dirichlet(sines_l, sines_m, n_elements, spacing):
     return ratio * np.exp((1j * (n_elements - 1)) * angle)
 
 
+def _long_double_dirichlet(sines_l, sines_m, n_elements, spacing):
+    """The closed form exp(j(N-1)theta) sin(N theta) / (N sin theta) in long double."""
+    diff = np.asarray(sines_m, np.longdouble) - np.asarray(sines_l, np.longdouble)
+    x = np.longdouble(spacing) * diff
+    theta = (x - np.rint(x)) * (4 * np.arctan(np.longdouble(1)))
+    den = n_elements * np.sin(theta)
+    ratio = np.divide(
+        np.sin(n_elements * theta), den, out=np.ones(theta.shape, np.longdouble), where=den != 0
+    )
+    return ratio * (np.cos((n_elements - 1) * theta) + 1j * np.sin((n_elements - 1) * theta))
+
+
 @pytest.mark.parametrize("spacing", [0.25, 0.5, 1.0])
 @pytest.mark.parametrize("n_elements", [4, 32, 4096])
 def test_dirichlet_gram_equals_masked_divide(spacing, n_elements):
-    """The unmasked divide gives the masked one's bytes, f = 0 (a beam with itself,
-    and at spacing 1 sines one alias period apart) included, for arrays and 0-d."""
+    """The kernel is within 4*N*2^-52 of the long-double closed form, and of the
+    masked divide, for arrays and 0-d; it is exactly 1 where f = 0 (a beam with
+    itself, and at spacing 1 sines one alias period apart)."""
+    bound = 4 * n_elements * 2.0**-52
     grid = dft_grid_sines(min(n_elements, 256))
     sines = np.concatenate([grid, np.sin(np.random.default_rng(n_elements).uniform(0, 7, 256))])
     pairs = (sines[:, None], sines[None, :])
     gram = _dirichlet_gram(*pairs, n_elements, spacing)
-    assert gram.tobytes() == _masked_dirichlet(*pairs, n_elements, spacing).tobytes()
+    exact = _long_double_dirichlet(*pairs, n_elements, spacing)
+    assert np.abs(gram - exact).max() <= bound
+    assert np.abs(gram - _masked_dirichlet(*pairs, n_elements, spacing)).max() <= bound
     assert (gram == 1.0).sum() >= len(sines)  # the diagonal, and aliases
     for s_l, s_m in ((0.3, 0.3), (-0.5, 0.5), (-1.0, 1.0), (0.1, 0.7)):
         one = _dirichlet_gram(np.array(s_l), np.array(s_m), n_elements, spacing)
         assert one.shape == ()
-        assert one.tobytes() == _masked_dirichlet(
-            np.array(s_l), np.array(s_m), n_elements, spacing
-        ).tobytes()
+        for reference in (_long_double_dirichlet, _masked_dirichlet):
+            assert abs(one - reference(np.array(s_l), np.array(s_m), n_elements, spacing)) <= bound
+        if s_l == s_m:
+            assert one == 1.0
     if spacing == 1.0:
         assert _dirichlet_gram(np.array(-0.5), np.array(0.5), n_elements, spacing) == 1.0
 
 
 @pytest.mark.parametrize("spacing", [0.25, 0.5, 1.0, 2.0])
 def test_sines_separated_equals_mod_folding(spacing):
-    """Folding with fmod gives np.mod's gaps, so every row gets np.mod's verdict,
-    rows of one sine (one gap of a full period) and exact multiples included."""
+    """Folding with fmod and taking the gaps over whole rows of the sorted circle
+    give np.mod's gaps, so every row gets np.mod's verdict, rows of one sine (one
+    gap of a full period), exact multiples and row tiles included."""
 
     def with_mod(sines, n_elements):
         period = 1.0 / spacing
@@ -201,7 +220,7 @@ def test_sines_separated_equals_mod_folding(spacing):
 
     rng = np.random.default_rng(int(8 * spacing))
     edges = np.array([-1.0, -0.5, -0.0, 0.0, 0.5, 1.0, -1.0 / spacing, 1e-17, -1e-17])
-    for L in (1, 2, 4):
+    for L in (1, 2, 4, 8, 32):  # 32 runs in row tiles of _SEPARATION_TILE sines
         rows = np.concatenate([np.sin(rng.uniform(0, 2 * np.pi, (4096, L))),
                                rng.choice(edges, (512, L))])
         for n_elements in (4, 32):
@@ -209,6 +228,41 @@ def test_sines_separated_equals_mod_folding(spacing):
             np.testing.assert_array_equal(verdict, with_mod(rows, n_elements))
             if L == 1:
                 assert verdict.all()
+
+
+def test_kernel_rewrite_keeps_block_counts(monkeypatch):
+    """Physical blocks count the same bit errors with the masked-divide kernel in
+    place of _dirichlet_gram (grid tables rebuilt from it), for every config
+    SimConfig accepts over both angle modes, spacings 0.25, 0.5 and 1.0 (aliased),
+    N in {8, 32, 128}, L in {1, 4, 8} and three SNRs."""
+    configs = []
+    for mode, spacing, n, L in itertools.product(
+        (DFT_GRID, MIN_SEP), (0.25, 0.5, 1.0), (8, 32, 128), (1, 4, 8)
+    ):
+        try:
+            configs.append(SimConfig(
+                scheme="qssm", L=L, M=4, channel_mode="physical", n_t=n, n_r=n,
+                spacing=spacing, angle_mode=mode, trials=2048, seed=7,
+            ))
+        except ValueError:
+            assert mode == MIN_SEP and L == n  # the only rejected combination
+    assert len(configs) == 51
+
+    def counts():
+        montecarlo._grid_gram.cache_clear()
+        return [
+            montecarlo._block_bit_errors(cfg, snr_db, 0, cfg.trials)
+            for cfg in configs
+            for snr_db in (0.0, 10.0, 20.0)
+        ]
+
+    try:
+        expected = counts()
+        monkeypatch.setattr(montecarlo, "_dirichlet_gram", _masked_dirichlet)
+        assert counts() == expected
+    finally:
+        monkeypatch.undo()
+        montecarlo._grid_gram.cache_clear()
 
 
 def test_min_sep_sampler_matches_full_recheck(monkeypatch):

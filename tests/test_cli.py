@@ -448,8 +448,32 @@ def test_compare_report_structure():
     assert "left" in report and "right" in report
     line = report.strip().splitlines()[-1]
     assert "+0.000" in line
-    with pytest.raises(ValueError, match="does not cross"):
-        compare_report(curve, curve, [1e-12])
+    # a level neither curve reaches reads n/a in its snr, gain and range columns
+    unreached = compare_report(curve, curve, [0.05, 1e-12]).splitlines()
+    assert unreached[2] == line
+    assert unreached[3] == f"{1e-12:>12.3e} {'n/a':>9s} {'n/a':>9s} {'n/a':>9s} {'[n/a]':>18s}"
+
+
+def test_run_reports_an_unreached_level(tmp_path, capsys):
+    """A comparison level a curve never reaches reads n/a in the report; the run
+    writes every file and exits 0."""
+    experiment = tmp_path / "levels.json"
+    experiment.write_text(json.dumps({
+        "configs": [
+            {"name": "a", "scheme": "qssm", "L": 2, "M": 4, "snr_db": [0, 10], "trials": 20000},
+            {"name": "b", "scheme": "ssm", "L": 4, "M": 4, "snr_db": [0, 10], "trials": 20000},
+        ],
+        "comparisons": [{"a": "a", "b": "b"}],
+        "levels": [1e-9],
+    }))
+    out = tmp_path / "out"
+    assert main(["run", str(experiment), "--out-dir", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    assert sorted(f.name for f in out.iterdir()) == [
+        "a.csv", "a.manifest.json", "b.csv", "b.manifest.json", "compare_a_vs_b.txt"
+    ]
+    row = (out / "compare_a_vs_b.txt").read_text().splitlines()[2]
+    assert row.split() == ["1.000e-09", "n/a", "n/a", "n/a", "[n/a]"]
 
 
 def test_env_var_output_dir(tmp_path, monkeypatch):
