@@ -17,9 +17,9 @@ import json
 import numbers
 import operator
 import os
-from dataclasses import dataclass, fields
-from functools import lru_cache
-from math import isinf
+from dataclasses import dataclass, fields, replace
+from functools import lru_cache, partial
+from math import inf, isfinite, isinf
 
 import numpy as np
 
@@ -90,6 +90,10 @@ _MAX_ELEMENTS = 1 << 12
 #: rho * |beta|^2 * x^2 and the union bounds overflow from about 3060 dB
 _MAX_SNR_DB = 3000.0
 
+#: Lowest SNR grid point (dB), rho = 1e-300: rho rounds to 0 from about
+#: -3237 dB, where the asymptotic bound is undefined
+_MIN_SNR_DB = -3000.0
+
 #: Most trials per SNR point: 2^26 blocks, about 2.5 days on one core at the
 #: fastest config (QSSM L=1 BPSK, 3.2 ms per 16384-trial block, x86-64)
 _MAX_TRIALS = 1 << 40
@@ -156,15 +160,10 @@ class SimConfig:
         object.__setattr__(self, "snr_db", tuple(float(s) for s in self.snr_db))
         if len(self.snr_db) == 0:
             raise ValueError("snr_db grid must not be empty")
-        if not all(np.isfinite(s) for s in self.snr_db):
-            raise ValueError("snr_db grid values must be finite")
+        for snr_db in self.snr_db:
+            _check_snr_db(snr_db)
         if any(b <= a for a, b in zip(self.snr_db, self.snr_db[1:])):
             raise ValueError("snr_db grid must be strictly increasing")
-        if self.snr_db[-1] > _MAX_SNR_DB:  # the grid increases: its last point is its top
-            raise ValueError(
-                f"snr_db {self.snr_db[-1]:g} is above the {_MAX_SNR_DB:g} dB ceiling "
-                "(rho = 1e300), past which the detector's metrics and the bounds overflow"
-            )
         _check_snr_tokens(self.snr_db)
         if not 1 <= self.trials <= _MAX_TRIALS:
             raise ValueError(f"trials must be in [1, 2^40], got {self.trials}")
@@ -257,6 +256,23 @@ def binomial_ci(errors: int, n: int) -> tuple[float, float]:
 # substreams
 # ---------------------------------------------------------------------------
 
+def _check_snr_db(snr_db: float) -> None:
+    """Raise unless ``snr_db`` is a finite point in [-3000, 3000] dB, rho in
+    [1e-300, 1e300]: the rule of every grid point and of every point run."""
+    if not isfinite(snr_db):
+        raise ValueError(f"snr_db values must be finite, got {snr_db}")
+    if snr_db > _MAX_SNR_DB:
+        raise ValueError(
+            f"snr_db {snr_db:g} is above the {_MAX_SNR_DB:g} dB ceiling "
+            "(rho = 1e300), past which the detector's metrics and the bounds overflow"
+        )
+    if snr_db < _MIN_SNR_DB:
+        raise ValueError(
+            f"snr_db {snr_db:g} is below the {_MIN_SNR_DB:g} dB floor "
+            "(rho = 1e-300); from about -3237 dB rho rounds to 0"
+        )
+
+
 def _snr_token(snr_db: float) -> int:
     """The SNR point's key in its substreams: the SNR in milli-dB, rounded."""
     if isinf(snr_db):
@@ -344,15 +360,20 @@ def _check_table_size(scheme: str, L: int, M: int) -> None:
 
 
 @lru_cache(maxsize=8)
-def _scheme_tables(scheme: str, kind: str, M: int, L: int):
+def _scheme_tables(scheme: str, kind: str, M: int, L: int, data: bytes | None = None):
     """(constellation, book, table, label popcounts, W, column labels), built once.
 
-    The table is the label-indexed (k1, k2, x_re, x_im) of every hypothesis:
-    the symbol book's arrays for QSSM (book None for SSM) and its k1 = k2
-    rows for SSM.  W and its column labels come from _metric_coefficients.
-    Every block shares them, so their arrays are read-only.
+    The constellation is build_constellation's (kind, M), or, given ``data``,
+    the one whose complex points are its bytes: a given book's own points,
+    keyed on their bytes as analysis._class_table keys them.  The table is
+    the label-indexed (k1, k2, x_re, x_im) of every hypothesis: the symbol
+    book's arrays for QSSM (book None for SSM) and its k1 = k2 rows for SSM.
+    W and its column labels come from _metric_coefficients.  Every block
+    shares them, so their arrays are read-only.
     """
     constellation = build_constellation(kind, M)
+    if data is not None:
+        constellation = replace(constellation, points=np.frombuffer(data, dtype=complex))
     if scheme == QSSM:
         book = build_symbol_book(L, constellation)
         table = (book.k1_idx, book.k2_idx, book.x_re, book.x_im)
@@ -584,14 +605,45 @@ def _pool_size(workers: int) -> int:
 _pool = None
 
 
+def _bundled_openblas():
+    """The scipy-openblas library a NumPy wheel bundles (in numpy.libs, or
+    numpy/.dylibs on macOS) as a ctypes library, or None for another BLAS."""
+    import ctypes
+    import glob
+
+    root = np.__path__[0]
+    for path in glob.glob(f"{root}.libs/*scipy_openblas*") + glob.glob(
+        f"{root}/.dylibs/*scipy_openblas*"
+    ):
+        try:
+            library = ctypes.CDLL(path)  # the loaded copy: dlopen matches the file
+        except OSError:
+            continue
+        if hasattr(library, "scipy_openblas_set_num_threads64_"):
+            return library
+    return None
+
+
+def _one_blas_thread() -> None:
+    """Pool worker initializer: NumPy's OpenBLAS runs one thread.  A forked
+    worker would otherwise keep its default of one per core, and the workers
+    would oversubscribe the cores: on two cores, two workers with the default
+    ran ideal L=8 16QAM in 6.2-17.0 s, against 1.8-2.0 s with one thread
+    each.  Another BLAS keeps its own setting."""
+    library = _bundled_openblas()
+    if library is not None:
+        library.scipy_openblas_set_num_threads64_(1)
+
+
 def _process_pool(size: int):
     """The process pool of ``size`` workers that every call of this process shares.
 
     Created on first need and kept: under fork every worker starts at the
     first submit, so a pool per call would pay that start and a join each
-    time.  The key holds the pid, so a forked child never uses its parent's
-    pool.  A pool of another size, or one that broke while idle (a worker
-    was killed), is shut down and replaced.  Nothing guards the pool against
+    time.  Each worker starts with one BLAS thread (_one_blas_thread).  The
+    key holds the pid, so a forked child never uses its parent's pool.  A
+    pool of another size, or one that broke while idle (a worker was
+    killed), is shut down and replaced.  Nothing guards the pool against
     callers in several threads at once.
     """
     global _pool
@@ -602,7 +654,7 @@ def _process_pool(size: int):
         _close_pool()
     from concurrent.futures import ProcessPoolExecutor
 
-    _pool = (key, ProcessPoolExecutor(max_workers=size))
+    _pool = (key, ProcessPoolExecutor(max_workers=size, initializer=_one_blas_thread))
     return _pool[1]
 
 
@@ -633,16 +685,16 @@ def _estimate(config: SimConfig, snr_db: float, errors: int, trials: int) -> Ber
 
 
 class _PointRun:
-    """One SNR point of a pooled run: its blocks not yet submitted, its blocks
-    in flight, and the fold of its results in block order."""
+    """One SNR point of a run: its blocks not yet taken, its blocks running,
+    and the fold of its results in block order."""
 
     def __init__(self, snr_db: float, trials: int) -> None:
         self.snr_db = snr_db
         self._layout = _block_layout(trials)
         self.upcoming = next(self._layout, None)  # (index, trials) of the next block
-        self.running = 0  # its blocks in flight, discarded ones included
+        self.running = 0  # its blocks taken and not finished, discarded ones included
         self.stopped = False  # stopped early, or every block folded
-        self._finished: dict = {}  # block index -> (future, trials), waiting for a lower block
+        self._finished: dict = {}  # block index -> (result, trials), waiting for a lower block
         self._folded = 0
         self.errors = self.trials = 0
 
@@ -651,17 +703,19 @@ class _PointRun:
         self.running += 1
         return block
 
-    def finish(self, block: int, future, count: int, max_errors: int | None) -> None:
-        """Fold a finished block and every later one waiting for it, as the serial
-        loop would: a block's error is raised here, and the point stops where
-        the serial loop stops.  A stopped point discards what finishes later."""
+    def finish(self, block: int, result, count: int, max_errors: int | None) -> None:
+        """Fold a finished block, whose zero-argument ``result`` gives its bit
+        errors, and every later one waiting for it, in block order: a block's
+        error is raised here, and the point stops after the block in which its
+        error count reaches ``max_errors``.  A stopped point discards what
+        finishes later."""
         self.running -= 1
         if self.stopped:
             return
-        self._finished[block] = (future, count)
+        self._finished[block] = (result, count)
         while self._folded in self._finished:
-            future, count = self._finished.pop(self._folded)
-            self.errors += future.result()
+            result, count = self._finished.pop(self._folded)
+            self.errors += result()
             self.trials += count
             self._folded += 1
             if max_errors is not None and self.errors >= max_errors:
@@ -681,39 +735,61 @@ def _next_point(points: list[_PointRun], max_errors: int | None) -> _PointRun | 
     return open_points[0] if open_points else None
 
 
-def _run_pooled(
-    config: SimConfig, snrs, size: int, max_errors: int | None
+def _run_blocks(
+    config: SimConfig, snrs, workers: int, max_errors: int | None
 ) -> list[BerEstimate]:
-    """Estimates at ``snrs`` from one block queue on the kept pool of ``size``
-    workers, with at most ``size`` blocks in flight over all the points.
+    """Estimates at ``snrs``: finite points in [-3000, 3000] dB, or -inf (rho = 0).
 
     Each block is a pure function of (config, SNR, block), and each point
-    folds its blocks in block order (_PointRun.finish), so the estimates
-    equal the serial loop's whatever the order in which blocks run.  A pool
-    that breaks during the call raises ``BrokenProcessPool`` and is dropped.
-    The call returns once every point has stopped: blocks still queued then
-    are cancelled, and those still running finish in the pool unread.
+    folds its blocks in block order through its _PointRun, which alone adds
+    a block's errors and stops the point after the block in which its error
+    count reaches ``max_errors``.  The schedule therefore cannot change the
+    estimates.  With one usable worker the blocks run here, point by point
+    and in block order.  With more, every block of every point goes through
+    one queue on the pool this process keeps (_process_pool), of ``workers``
+    processes but no more than the CPUs it may use, with at most one block
+    per process in flight.  A freed slot takes the next block of the lowest
+    point that needs one, that is, has no block in flight and has not
+    stopped (with no ``max_errors``, every block is needed); only when no
+    point needs one does it take the next block of the lowest unfinished
+    point, which a stop may discard.  A block's error is raised when its
+    point folds it.  The call returns once every point has stopped: blocks
+    still queued then are cancelled, and those still running finish in the
+    pool unread.  A pool that breaks during the call raises
+    ``BrokenProcessPool`` and is dropped.
     """
-    from concurrent.futures import FIRST_COMPLETED, wait
-
-    pool = _process_pool(size)
+    _check_workers(workers)
+    for snr_db in snrs:
+        if snr_db != -inf:
+            _check_snr_db(snr_db)
+    size = _pool_size(workers)
     points = [_PointRun(snr_db, config.trials) for snr_db in snrs]
-    in_flight: dict = {}  # future -> (point, block index, trials)
-    try:
-        while not all(p.stopped for p in points):
-            while len(in_flight) < size and (point := _next_point(points, max_errors)) is not None:
+    if size == 1:
+        for point in points:
+            while not point.stopped:
                 b, count = point.take()
-                future = pool.submit(_block_bit_errors, config, point.snr_db, b, count)
-                in_flight[future] = (point, b, count)
-            done, _ = wait(in_flight, return_when=FIRST_COMPLETED)
-            for future in done:
-                point, b, count = in_flight.pop(future)
-                point.finish(b, future, count, max_errors)
-    finally:
-        for future in in_flight:
-            future.cancel()
-        if pool._broken:  # it raised BrokenProcessPool above
-            _close_pool()
+                block = partial(_block_bit_errors, config, point.snr_db, b, count)
+                point.finish(b, block, count, max_errors)
+    else:
+        from concurrent.futures import FIRST_COMPLETED, wait
+
+        pool = _process_pool(size)
+        in_flight: dict = {}  # future -> (point, block index, trials)
+        try:
+            while not all(p.stopped for p in points):
+                while len(in_flight) < size and (point := _next_point(points, max_errors)):
+                    b, count = point.take()
+                    future = pool.submit(_block_bit_errors, config, point.snr_db, b, count)
+                    in_flight[future] = (point, b, count)
+                done, _ = wait(in_flight, return_when=FIRST_COMPLETED)
+                for future in done:
+                    point, b, count = in_flight.pop(future)
+                    point.finish(b, future.result, count, max_errors)
+        finally:
+            for future in in_flight:
+                future.cancel()
+            if pool._broken:  # it raised BrokenProcessPool above
+                _close_pool()
     return [_estimate(config, p.snr_db, p.errors, p.trials) for p in points]
 
 
@@ -723,29 +799,15 @@ def run_point(
     workers: int = 1,
     max_errors: int | None = None,
 ) -> BerEstimate:
-    """Estimate the ABEP at one SNR point.
+    """Estimate the ABEP at one SNR point, on the config's grid or not.
 
-    Results are identical for any ``workers`` value (>= 1).  ``max_errors``
-    optionally stops after the block in which the cumulative bit-error
-    count crosses the threshold (no bias correction; not used by the
-    acceptance runs).  With ``workers > 1`` the point is the one-point case
-    of ``sweep``'s block queue: its blocks run on the process pool this
-    process keeps for all its calls, of ``workers`` processes but no more
-    than the CPUs it may use, with one block per process in flight.  A pool
-    that breaks during the call raises ``BrokenProcessPool`` and is dropped;
-    blocks still queued when the call ends are cancelled.
+    ``snr_db`` is a finite point in [-3000, 3000] dB, or -inf (rho = 0).
+    ``max_errors`` optionally stops after the block in which the cumulative
+    bit-error count reaches it (no bias correction; not used by the
+    acceptance runs).  The estimate does not depend on ``workers`` (>= 1),
+    the most worker processes that run its blocks (_run_blocks).
     """
-    _check_workers(workers)
-    size = _pool_size(workers)
-    if size > 1:
-        return _run_pooled(config, (snr_db,), size, max_errors)[0]
-    errors = trials_done = 0
-    for b, count in _block_layout(config.trials):
-        errors += _block_bit_errors(config, snr_db, b, count)
-        trials_done += count
-        if max_errors is not None and errors >= max_errors:
-            break
-    return _estimate(config, snr_db, errors, trials_done)
+    return _run_blocks(config, (snr_db,), workers, max_errors)[0]
 
 
 def sweep(
@@ -753,27 +815,15 @@ def sweep(
 ) -> AbepCurve:
     """Run every grid point and attach the analytical and asymptotic bounds.
 
-    With one worker (or one usable CPU) each point runs through
-    ``run_point`` in turn.  With more, every block of every point goes
-    through one queue on the process pool that this process keeps: at most
-    one block per pool process is in flight over the whole sweep.  A freed
-    slot takes the next block of the lowest point that needs one, that is,
-    has no block in flight and has not stopped (with no ``max_errors``,
-    every block is needed); only when no point needs one does it take the
-    next block of the lowest unfinished point, which a stop may discard.
-    Each point folds its blocks in block order and stops as ``run_point``
-    does, so the curve does not depend on ``workers``.  The pool stays open
-    after the curve is returned and is shut down at interpreter exit.
+    Each point stops as ``run_point`` does, and the curve does not depend on
+    ``workers`` (>= 1), the most worker processes that run the blocks of all
+    the points (_run_blocks).  A pool stays open after the curve is returned
+    and is shut down at interpreter exit.
     """
-    _check_workers(workers)
     constellation, book, *_ = _scheme_tables(
         config.scheme, config.kind, config.M, config.L
     )
-    size = _pool_size(workers)
-    if size > 1:
-        estimates = _run_pooled(config, config.snr_db, size, max_errors)
-    else:
-        estimates = [run_point(config, s, max_errors=max_errors) for s in config.snr_db]
+    estimates = _run_blocks(config, config.snr_db, workers, max_errors)
     points = []
     for snr_db, estimate in zip(config.snr_db, estimates):
         if config.scheme == QSSM:

@@ -92,12 +92,15 @@ def _detect_one(scheme: str, constellation: Constellation, L: int, y, gains, rho
     """(label, hypothesis row, metric |y - h|^2) of the first-argmin decision on one
     row y: a scalar y (1, 1) takes h from the observation kernel, so a noiseless
     winner scores 0.0 exactly, and beam outputs (1, L) the orthogonal-beam model.
-    The row is the winner's (k1, k2, x_re, x_im), indices 0-based."""
+    The hypotheses are built on ``constellation``'s own points, whatever its
+    (kind, order) would build.  The row is the winner's (k1, k2, x_re, x_im),
+    indices 0-based."""
     _check_rho(rho)
     if len(gains) != L:
         raise ValueError(f"{len(gains)} gains for L={L} scatterers")
+    points = np.asarray(constellation.points, dtype=complex)  # the book's own points
     _, _, table, _, W, column_labels = mc._scheme_tables(
-        scheme, constellation.kind, constellation.order, L
+        scheme, constellation.kind, constellation.order, L, points.tobytes()
     )
     gains = np.asarray(gains)
     root_rho = np.sqrt(rho)

@@ -506,6 +506,20 @@ def test_main_table_and_validate(tmp_path, capsys):
     assert report_path.read_text().splitlines()[-1] == "verdict: pass"
 
 
+def test_validate_verdict_covers_the_quadrature_table(tmp_path, monkeypatch):
+    # a closed form 0.1% off the quadrature oracle fails the verdict, even where
+    # the bound checks pass (400000 trials on seed 1)
+    quadrature = cli.analysis.pep_quadrature
+    monkeypatch.setattr(
+        cli.analysis, "pep_quadrature", lambda rho, eta_bar: 1.001 * quadrature(rho, eta_bar)
+    )
+    report_path = tmp_path / "validation.txt"
+    assert main(["validate", "--trials", "400000", "--seed", "1", "--out", str(report_path)]) == 1
+    report = report_path.read_text().splitlines()
+    assert report[-1] == "verdict: fail"
+    assert report[-2].endswith("exact_model=True")  # the bound still tracks
+
+
 def test_validate_verdict_stable_across_seeds():
     # trial count large enough that the conclusion is noise-proof
     verdicts = set()
@@ -877,8 +891,8 @@ _HOSTILE = (
     float("-inf"), 1e308,
 )
 #: ``--snr`` texts beyond the catalogue: grids too wide to count and malformed lists
-_HOSTILE_SNR_TEXT = ("0:1e12:1e-3", "0:inf:1", "nan:1:1", "4000", "3001", "1,", ",", "::",
-                     "0:1", "0,0.0004", "10,0")
+_HOSTILE_SNR_TEXT = ("0:1e12:1e-3", "0:inf:1", "nan:1:1", "4000", "3001", "-3300", "-1e308",
+                     "1,", ",", "::", "0:1", "0,0.0004", "10,0")
 
 
 def test_hostile_inputs_exit_0_or_2(tmp_path, capsys, monkeypatch):
@@ -969,6 +983,7 @@ def test_readme_states_each_input_bound():
         "spacing": ["`montecarlo._MAX_SPACING`",
                     f"in (0, {_power_of_two(montecarlo._MAX_SPACING)}] wavelengths"],
         "snr_db": ["`montecarlo._MAX_SNR_DB`", f"at or below {montecarlo._MAX_SNR_DB:g} dB",
+                   "`montecarlo._MIN_SNR_DB`", f"at or above {montecarlo._MIN_SNR_DB:g} dB",
                    "`cli._SNR_GRID_POINTS`", f"spans at most {cli._SNR_GRID_POINTS} points"],
         "trials": ["`montecarlo._MAX_TRIALS`", f"in [1, {_power_of_two(montecarlo._MAX_TRIALS)}]"],
         "seed": ["in [0, 2^64)"],

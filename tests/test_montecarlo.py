@@ -385,6 +385,17 @@ def test_another_pool_size_gives_a_new_pool():
     assert other.submit(int, "7").result() == 7
 
 
+def _blas_threads() -> int:
+    """Run in a pool worker: the thread count of NumPy's OpenBLAS there."""
+    return montecarlo._bundled_openblas().scipy_openblas_get_num_threads64_()
+
+
+def test_pool_workers_run_one_blas_thread():
+    if montecarlo._bundled_openblas() is None:
+        pytest.skip("NumPy links a BLAS other than the wheel's scipy-openblas")
+    assert montecarlo._process_pool(2).submit(_blas_threads).result() == 1
+
+
 class _InlineExecutor:
     """Stands in for ProcessPoolExecutor: records its size, starts no process
     and runs each block at submit."""
@@ -410,7 +421,7 @@ def test_pool_size_is_capped_at_usable_cpus(monkeypatch):
     sizes: list = []
     monkeypatch.setattr(
         concurrent.futures, "ProcessPoolExecutor",
-        lambda max_workers: _InlineExecutor(max_workers, sizes),
+        lambda max_workers, initializer: _InlineExecutor(max_workers, sizes),
     )
     monkeypatch.setattr(montecarlo, "_pool", None)  # a kept real pool comes back untouched
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
@@ -475,7 +486,7 @@ def _recording_pool(monkeypatch, stalled=()):
         waits.append(len(fs))
         return real_wait(fs, **kwargs)
 
-    def make(max_workers):
+    def make(max_workers, initializer):
         executors.append(_RecordingExecutor(max_workers, log, stalled))
         return executors[-1]
 
@@ -623,6 +634,24 @@ def test_run_point_off_grid_snr_allowed():
     est = run_point(cfg, 7.5)
     assert est.snr_db == 7.5
     assert est.trials == 5_000
+
+
+def test_run_point_takes_points_of_the_snr_rule():
+    """A point run is a finite point in [-3000, 3000] dB, as a grid point is, or
+    -inf (rho = 0): inf ran on NaN metrics, 3001 dB and 1e308 dB overflowed,
+    and NaN failed in the substream key."""
+    cfg = SimConfig(scheme="qssm", L=2, M=4, snr_db=(0.0,), trials=64, seed=1)
+    for snr_db, match in (
+        (float("inf"), "must be finite"),
+        (float("nan"), "must be finite"),
+        (3001.0, "above the 3000 dB ceiling"),
+        (1e308, "above the 3000 dB ceiling"),
+        (-3001.0, "below the -3000 dB floor"),
+    ):
+        for workers in (1, 2):
+            with pytest.raises(ValueError, match=match):
+                run_point(cfg, snr_db, workers=workers)
+    assert run_point(cfg, -3000.0).trials == run_point(cfg, 3000.0).trials == 64
 
 
 def test_max_errors_early_stop():

@@ -4,7 +4,14 @@ import numpy as np
 import pytest
 
 from qssm.channel import ArrayGeometry, ChannelRealization, sample_channel
-from qssm.modem import PSK, QAM, build_constellation, build_symbol_book, ssm_hypotheses
+from qssm.modem import (
+    PSK,
+    QAM,
+    Constellation,
+    build_constellation,
+    build_symbol_book,
+    ssm_hypotheses,
+)
 from qssm.transceiver import (
     IdealObservation,
     PhysicalObservation,
@@ -199,6 +206,28 @@ def test_physical_noiseless_roundtrip_full_book():
         det = ml_detect_physical(obs, real, BOOK44, 10.0)
         assert det.label_hat == symbol.label
         assert det.metric < 1e-18
+
+
+def test_detectors_decide_among_the_book_they_are_given():
+    """A book whose points are not the ones its (kind, order) builds: every symbol
+    decodes to itself without noise.  Tables built from (kind, order) alone
+    decided 12 of 16 symbols of the pi/4-rotated L=2 4QAM book wrongly."""
+    qam = build_constellation(QAM, 4)
+    rotated = Constellation(QAM, 4, qam.points * np.exp(0.3j), qam.labels)
+    book = build_symbol_book(2, rotated)
+    gains = GAINS4[:2]
+    real = _grid_realization(L=2, seed=3)
+    for symbol in book.symbols:
+        obs = qssm_observe_ideal(symbol, gains, 100.0, None)
+        assert ml_detect_ideal(obs, gains, book, 100.0).label_hat == symbol.label
+        obs = qssm_observe_physical(symbol, real, 100.0, None)
+        assert ml_detect_physical(obs, real, book, 100.0).label_hat == symbol.label
+    for L in (1, 2, 4):
+        k_idx, _, x_re, x_im = ssm_hypotheses(L, rotated)
+        for v, (k, x) in enumerate(zip(k_idx, x_re + 1j * x_im)):
+            obs = ssm_observe_ideal(int(k) + 1, x, GAINS4[:L], 100.0, None)
+            det = ssm_detect_ideal(obs, GAINS4[:L], rotated, L, 100.0)
+            assert int(det.label_hat, 2) == v
 
 
 def test_physical_detector_total_on_duplicate_angle():
