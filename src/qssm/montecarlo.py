@@ -57,8 +57,10 @@ TRIALS_PER_BLOCK = 1 << 14
 #: Version of the sample stream, recorded in every manifest.  A change that
 #: moves seeded error counts bumps it.  Version 2: physical mode draws its
 #: projected noise as CN(0, G_r) from L normals per trial, not from N_r
-#: element normals; ideal QSSM and SSM draw as in version 1.
-STREAM_VERSION = 2
+#: element normals; ideal QSSM and SSM draw as in version 1.  Version 3:
+#: DFT-grid picks come from L uniform ranks per trial where L*L <= 4*N
+#: (channel._draws_ranks), not from an argsort of N uniforms.
+STREAM_VERSION = 3
 
 _PURPOSE_CHANNEL = 0
 _PURPOSE_LABELS = 1
@@ -82,8 +84,13 @@ DEFAULT_SNR_GRID_DB = tuple(float(s) for s in range(0, 41, 2))
 #: SimConfig fields that hold counts, sizes or seeds: integers, never bool
 _INTEGER_FIELDS = ("L", "M", "n_t", "n_r", "trials", "seed")
 
-#: Most elements per array side: a DFT-grid block argsorts N uniforms per
-#: trial, about 3.3 s per 16384-trial L=4 block at N = 4096
+#: Most elements per array side.  The limit keeps the Gram kernel's
+#: resolution, stated at _MAX_SPACING: 2^19 steps across the narrowest main
+#: lobe, 1/N wide, at N = 4096.  It does not bound the draw: a DFT-grid
+#: trial draws L ranks wherever L*L <= 4*N (channel._draws_ranks), so an
+#: argsort of N uniforms runs only below N = 256 at L = 32, the largest L
+#: the detector tables admit.  One 16384-trial L=4 DFT-grid block at
+#: N = 4096 takes 0.03-0.06 s (x86-64, one core).
 _MAX_ELEMENTS = 1 << 12
 
 #: Highest SNR grid point (dB), rho = 1e300: the detector's features
@@ -398,9 +405,10 @@ def _block_channel(config: SimConfig, snr_db: float, block_index: int, n_trials:
 
 
 def _draw_beams(rng, n_rows: int, config: SimConfig, n_elements: int) -> np.ndarray:
-    """(n_rows, L) beams of one array side: integer grid picks on the DFT grid when
-    the side's (N, N) Gram table holds at most _COMPLEX_BUDGET // 32 complex
-    values (N <= 362), else sines."""
+    """(n_rows, L) beams of one array side.  On the DFT grid they are the picks of
+    channel._draw_grid_picks: the integer picks when the side's (N, N) Gram
+    table holds at most _COMPLEX_BUDGET // 32 complex values (N <= 362), else
+    their grid sines, so the table rule moves no draw.  min_sep beams are sines."""
     if config.angle_mode == DFT_GRID and n_elements * n_elements <= _COMPLEX_BUDGET // 32:
         return _draw_grid_picks(rng, n_rows, config.L, n_elements)
     return _draw_sines(rng, n_rows, config.L, n_elements, config.angle_mode, config.spacing)

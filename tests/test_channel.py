@@ -265,6 +265,31 @@ def test_kernel_rewrite_keeps_block_counts(monkeypatch):
         montecarlo._grid_gram.cache_clear()
 
 
+def test_draw_rule_keeps_half_wavelength_grid_counts(monkeypatch):
+    """Physical DFT-grid blocks at spacing 0.5 count the same bit errors when
+    every pick comes from the argsort of N uniforms: on the grid both Grams are
+    the identity to about 1e-16, so z does not depend on which grid points were
+    drawn.  N = 512 takes grid sines through the kernel instead of the table."""
+    configs = [
+        SimConfig(scheme="qssm", L=L, M=4, channel_mode="physical", n_t=n, n_r=n,
+                  trials=2048, seed=7)
+        for n in (8, 32, 128, 512)
+        for L in (1, 4, 8)
+    ]
+    assert sum(channel._draws_ranks(cfg.L, cfg.n_t) for cfg in configs) == 11
+
+    def counts():
+        return [
+            montecarlo._block_bit_errors(cfg, snr_db, 0, cfg.trials)
+            for cfg in configs
+            for snr_db in (0.0, 10.0, 20.0)
+        ]
+
+    expected = counts()
+    monkeypatch.setattr(channel, "_draws_ranks", lambda L, n_elements: False)
+    assert counts() == expected
+
+
 def test_min_sep_sampler_matches_full_recheck(monkeypatch):
     # re-checking only the redrawn rows consumes the same draws: same sines, and
     # the generator is left in the same state for the gains drawn after them
@@ -286,17 +311,103 @@ def test_min_sep_sampler_matches_full_recheck(monkeypatch):
     assert str(raised.value) == str(expected.value)
 
 
+def _ranked_picks(rng, n_rows, L, n_elements):
+    """The rank draw by its definition: pick i is the free index of rank
+    floor(u_i * (N - i)), popped from a list of the indices still free."""
+    picks = []
+    for row in rng.random((n_rows, L)).tolist():
+        free = list(range(n_elements))
+        picks.append([free.pop(int(u * (n_elements - i))) for i, u in enumerate(row)])
+    return np.array(picks)
+
+
 def test_dft_grid_sampler_tiles_draw_the_same_picks():
-    # row tiles bound the (rows, N) uniforms and their argsort; they draw the same
-    # uniforms in the same order, so the picks and the generator state are those
-    # of one argsort over every row
-    for n_rows, n_elements in ((16384, 256), (5000, 1000), (3, 4096)):
+    # where L*L <= 4N a row takes L uniforms and decodes them as ranks; elsewhere row
+    # tiles bound the (rows, N) uniforms and their argsort, and draw the same uniforms
+    # in the same order.  Either way the picks and the generator state are those of
+    # the rule's definition over every row at once
+    cases = [
+        (16384, 256, 4), (5000, 1000, 4), (3, 4096, 4), (1, 4096, 128), (2, 4096, 128),
+        (16384, 256, 64), (5000, 1000, 64), (3, 4096, 256), (1, 32, 16),
+    ]
+    assert [channel._draws_ranks(L, n) for _, n, L in cases] == [True] * 5 + [False] * 4
+    for n_rows, n_elements, L in cases:
         rng, ref_rng = np.random.default_rng(n_rows), np.random.default_rng(n_rows)
-        sines = _draw_sines(rng, n_rows, 4, n_elements, DFT_GRID)
-        picks = np.argsort(ref_rng.random((n_rows, n_elements)), axis=1)[:, :4]
+        sines = _draw_sines(rng, n_rows, L, n_elements, DFT_GRID)
+        if channel._draws_ranks(L, n_elements):
+            picks = _ranked_picks(ref_rng, n_rows, L, n_elements)
+        else:
+            picks = np.argsort(ref_rng.random((n_rows, n_elements)), axis=1)[:, :L]
         assert sines.tobytes() == dft_grid_sines(n_elements)[picks].tobytes()
         assert rng.bit_generator.state == ref_rng.bit_generator.state
-    assert 256 * 16384 > channel._GRID_DRAW_TILE  # the first case runs in several tiles
+    assert 256 * 16384 > channel._GRID_DRAW_TILE  # the argsort at N = 256 runs in several tiles
+
+
+@pytest.mark.parametrize("L, n_elements", [(2, 4), (3, 5), (4, 4), (5, 5), (5, 6)])
+def test_grid_picks_are_uniform_over_ordered_tuples(L, n_elements):
+    """Over 2^20 rows no row repeats an index, and each of the K = N!/(N-L)!
+    ordered tuples is counted within 6 binomial standard deviations
+    sqrt(n*p*(1-p)) of n*p, p = 1/K: a fair draw fails one of the K counts
+    with probability below K * 2e-9.  The first three cases take the rank
+    draw, the last two the argsort."""
+    n = 1 << 20
+    assert channel._draws_ranks(L, n_elements) == (L * L <= 4 * n_elements)
+    picks = channel._draw_grid_picks(np.random.default_rng(10 * L + n_elements), n, L, n_elements)
+    assert picks.shape == (n, L) and picks.min() >= 0 and picks.max() < n_elements
+    assert (np.diff(np.sort(picks, axis=1), axis=1) > 0).all()
+    counts = np.bincount(picks @ n_elements ** np.arange(L), minlength=n_elements**L)
+    tuples = [
+        sum(p * n_elements**i for i, p in enumerate(t))
+        for t in itertools.permutations(range(n_elements), L)
+    ]
+    p = 1.0 / len(tuples)
+    assert counts[tuples].sum() == n
+    assert np.abs(counts[tuples] - n * p).max() <= 6.0 * np.sqrt(n * p * (1.0 - p))
+
+
+def test_largest_uniform_ranks_below_every_bound():
+    """rng.random's largest value 1 - 2^-53 times N - i floors to N - i - 1 for
+    every N - i <= 4096, in NumPy and in Python floats, so no rank reaches the
+    count of free indices; drawn throughout, it picks the grid from the top."""
+    top = np.nextafter(1.0, 0.0)
+    assert top == 1.0 - 2.0**-53
+    bounds = np.arange(1, montecarlo._MAX_ELEMENTS + 1, dtype=float)
+    assert (np.floor(top * bounds) == bounds - 1).all()
+    assert all(int(top * b) == b - 1 for b in bounds.tolist())
+
+    class TopGenerator:
+        def random(self, shape):
+            return np.full(shape, top)
+
+    for L, n_elements in ((1, 1), (4, 4), (4, 32), (128, 4096)):
+        for n_rows in (1, 3):
+            picks = channel._draw_grid_picks(TopGenerator(), n_rows, L, n_elements)
+            assert (picks == np.arange(n_elements - 1, n_elements - 1 - L, -1)).all()
+
+
+@pytest.mark.parametrize("n_rows", [1, 7, 16384])
+def test_rank_draw_takes_L_uniforms_per_row(n_rows):
+    # the generator ends where L uniforms per row leave it, at every N: the draw
+    # is O(L) per row, not O(N)
+    for L, n_elements in ((1, 1), (2, 4), (4, 32), (4, 4096), (32, 256), (128, 4096)):
+        assert channel._draws_ranks(L, n_elements)
+        rng, ref_rng = np.random.default_rng(L), np.random.default_rng(L)
+        channel._draw_grid_picks(rng, n_rows, L, n_elements)
+        ref_rng.random((n_rows, L))
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def test_one_row_rank_decode_equals_the_vector_decode():
+    # one row decodes in Python ints; it gives row 0 of the whole-row decode
+    # from the same generator state
+    for L, n_elements in itertools.product((1, 2, 3, 4, 8, 16, 32), (1, 2, 4, 5, 8, 33, 256, 4096)):
+        if L > n_elements or not channel._draws_ranks(L, n_elements):
+            continue
+        for seed in range(20):
+            one = channel._draw_grid_picks(np.random.default_rng(seed), 1, L, n_elements)
+            rows = channel._draw_grid_picks(np.random.default_rng(seed), 3, L, n_elements)
+            assert one.shape == (1, L) and one.dtype == rows.dtype
+            np.testing.assert_array_equal(one, rows[:1])
 
 
 def test_min_separation_infeasible():

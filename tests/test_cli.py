@@ -234,7 +234,7 @@ def test_run_experiment_artifacts(tmp_path):
     assert manifest["config"]["L"] == 2
     assert manifest["config_hash"]
     assert manifest["seed"] == 1
-    assert manifest["stream_version"] == montecarlo.STREAM_VERSION == 2
+    assert manifest["stream_version"] == montecarlo.STREAM_VERSION == 3
     report = written["compare_qssm_small_vs_ssm_small.txt"].read_text()
     assert "gain of qssm_small over ssm_small" in report
 
