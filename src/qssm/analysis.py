@@ -201,11 +201,11 @@ def _popcount_matrix(size: int) -> np.ndarray:
 
 class _ClassTable(NamedTuple):
     """The SNR-free part of a union bound: each index-coincidence class's
-    M x M weights and eta_bar, flattened and concatenated in class order."""
+    M x M weights and eta_bar, flattened into one row of a (classes, M^2)
+    array, rows in class order."""
 
     weight: np.ndarray
     eta: np.ndarray
-    size: int  # M * M, the length of one class's slice
     scale: float  # symbols * bits
 
 
@@ -237,10 +237,10 @@ def _class_table(L: int, n_beams: int, dtype: str, data: bytes) -> _ClassTable:
         mass = sum(index_mass * (n // count) for count, index_mass in classes)
         weights.append((n * ham + mass).ravel())
         etas.append(eta.ravel())
-    weight, eta = np.concatenate(weights), np.concatenate(etas)
+    weight, eta = np.stack(weights), np.stack(etas)
     weight.flags.writeable = eta.flags.writeable = False
     scale = L**n_beams * order * (n_beams * log2(L) + log2(order))  # symbols * bits
-    return _ClassTable(weight, eta, order * order, scale)
+    return _ClassTable(weight, eta, scale)
 
 
 def _union_bound(L: int, beams: tuple, rho: float) -> tuple:
@@ -248,20 +248,20 @@ def _union_bound(L: int, beams: tuple, rho: float) -> tuple:
     whose B = len(beams) beams carry ``beams[b][s]``, in one vectorized pass
     over the book's cached :func:`_class_table`.
 
-    Each class's M x M slice is summed on its own, pairwise as np.sum does,
-    and the class sums are added in class order, so the values equal those
-    of a per-call loop over the classes bit for bit.  The asymptotic value
-    is meaningful only for rho > 0, which :func:`_abep_point` checks.
+    Each class's row is summed on its own, pairwise as np.sum sums a
+    contiguous array, and the class sums are added in class order
+    (np.add.accumulate; np.add.reduce would pair them differently), so the
+    values equal those of a per-call loop over the classes bit for bit.  The
+    asymptotic value is meaningful only for rho > 0, which
+    :func:`_abep_point` checks.
     """
     data = b"".join(beam.tobytes() for beam in beams)
     table = _class_table(L, len(beams), beams[0].dtype.str, data)
-    closed_terms = table.weight * pep_closed_form(rho, table.eta)
-    asymptotic_terms = table.weight * _clamped_asymptotic(rho, table.eta)
-    closed = asymptotic = 0.0
-    for start in range(0, len(table.eta), table.size):  # np.sum's kernel, per slice
-        closed += float(np.add.reduce(closed_terms[start : start + table.size]))
-        asymptotic += float(np.add.reduce(asymptotic_terms[start : start + table.size]))
-    return closed / table.scale, asymptotic / table.scale
+    return tuple(
+        float(np.add.accumulate(np.add.reduce(table.weight * pep(rho, table.eta), axis=1))[-1])
+        / table.scale
+        for pep in (pep_closed_form, _clamped_asymptotic)
+    )
 
 
 def _abep_point(L: int, beams: tuple, snr_db: float) -> AbepPoint:

@@ -9,6 +9,7 @@ which only approximates that orthogonality.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -21,6 +22,12 @@ _ANGLE_MODES = (DFT_GRID, MIN_SEP)
 _MAX_REJECTION_ROUNDS = 100_000
 _GRID_DRAW_TILE = 1 << 20  # uniforms per argsort of DFT-grid picks (L*L > 4*N)
 _SEPARATION_TILE = 1 << 16  # sines per min_sep separation check
+
+#: Widest element spacing (wavelengths).  The Gram kernel keeps only the
+#: fraction of d * (s_m - s_l), |s_m - s_l| <= 2: up to 2^20 wavelengths it has
+#: at least 31 bits, 2^19 steps across the narrowest main lobe (1/N at
+#: N = 4096); from 2^51 the widest pairs keep none, and 1e308 overflows to NaN.
+_MAX_SPACING = float(1 << 20)
 
 
 class SamplingError(ValueError):
@@ -36,12 +43,15 @@ class ArrayGeometry:
     spacing_over_lambda: float = 0.5
 
     def __post_init__(self) -> None:
-        if self.n_elements < 1:
-            raise ValueError(f"n_elements must be >= 1, got {self.n_elements}")
-        if not self.spacing_over_lambda > 0:
+        spacing, n = self.spacing_over_lambda, self.n_elements
+        if isinstance(spacing, bool) or not isinstance(spacing, numbers.Real) or not (
+            0 < spacing <= _MAX_SPACING  # NaN and inf fail too
+        ):
             raise ValueError(
-                f"spacing_over_lambda must be > 0, got {self.spacing_over_lambda}"
+                f"spacing must be a real number in (0, 2^20] wavelengths, got {spacing!r}"
             )
+        if isinstance(n, bool) or not hasattr(type(n), "__index__") or n < 1:
+            raise ValueError(f"n_elements must be an integer >= 1, got {n!r}")
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,6 @@ from __future__ import annotations
 import atexit
 import hashlib
 import json
-import numbers
 import operator
 import os
 from dataclasses import dataclass, fields, replace
@@ -27,6 +26,7 @@ from . import analysis
 from .analysis import snr_db_to_rho
 from .channel import (
     DFT_GRID,
+    _MAX_SPACING,  # SimConfig's spacing bound, checked by ArrayGeometry
     ArrayGeometry,
     _check_angle_sampling,
     _complex_normals,
@@ -85,12 +85,12 @@ DEFAULT_SNR_GRID_DB = tuple(float(s) for s in range(0, 41, 2))
 _INTEGER_FIELDS = ("L", "M", "n_t", "n_r", "trials", "seed")
 
 #: Most elements per array side.  The limit keeps the Gram kernel's
-#: resolution, stated at _MAX_SPACING: 2^19 steps across the narrowest main
-#: lobe, 1/N wide, at N = 4096.  It does not bound the draw: a DFT-grid
-#: trial draws L ranks wherever L*L <= 4*N (channel._draws_ranks), so an
-#: argsort of N uniforms runs only below N = 256 at L = 32, the largest L
-#: the detector tables admit.  One 16384-trial L=4 DFT-grid block at
-#: N = 4096 takes 0.03-0.06 s (x86-64, one core).
+#: resolution, stated at channel._MAX_SPACING: 2^19 steps across the
+#: narrowest main lobe, 1/N wide, at N = 4096.  It does not bound the draw:
+#: a DFT-grid trial draws L ranks wherever L*L <= 4*N (channel._draws_ranks),
+#: so an argsort of N uniforms runs only below N = 256 at L = 32, the
+#: largest L the detector tables admit.  One 16384-trial L=4 DFT-grid block
+#: at N = 4096 takes 0.03-0.06 s (x86-64, one core).
 _MAX_ELEMENTS = 1 << 12
 
 #: Highest SNR grid point (dB), rho = 1e300: the detector's features
@@ -104,12 +104,6 @@ _MIN_SNR_DB = -3000.0
 #: Most trials per SNR point: 2^26 blocks, about 2.5 days on one core at the
 #: fastest config (QSSM L=1 BPSK, 3.2 ms per 16384-trial block, x86-64)
 _MAX_TRIALS = 1 << 40
-
-#: Widest element spacing (wavelengths).  The Gram kernel keeps only the
-#: fraction of d * (s_m - s_l), |s_m - s_l| <= 2: up to 2^20 wavelengths it has
-#: at least 31 bits, 2^19 steps across the narrowest main lobe (1/N at
-#: N = 4096); from 2^51 the widest pairs keep none, and 1e308 overflows to NaN.
-_MAX_SPACING = float(1 << 20)
 
 
 @dataclass(frozen=True)
@@ -150,14 +144,7 @@ class SimConfig:
             raise ValueError(
                 f"n_t and n_r must be <= {_MAX_ELEMENTS}, got {self.n_t} and {self.n_r}"
             )
-        spacing = self.spacing
-        if isinstance(spacing, bool) or not isinstance(spacing, numbers.Real) or not (
-            0 < spacing <= _MAX_SPACING  # NaN and inf fail too
-        ):
-            raise ValueError(
-                f"spacing must be a real number in (0, 2^20] wavelengths, got {spacing!r}"
-            )
-        sides = [ArrayGeometry(n, spacing) for n in (self.n_t, self.n_r)]
+        sides = [ArrayGeometry(n, self.spacing) for n in (self.n_t, self.n_r)]
         if self.channel_mode == IDEAL:
             sides = []  # ideal mode draws no angles: only angle_mode is checked
         _check_angle_sampling(self.L, self.angle_mode, *sides)
@@ -368,7 +355,9 @@ def _check_table_size(scheme: str, L: int, M: int) -> None:
 
 @lru_cache(maxsize=8)
 def _scheme_tables(scheme: str, kind: str, M: int, L: int, data: bytes | None = None):
-    """(constellation, book, table, label popcounts, W, column labels), built once.
+    """(constellation, book, table, label popcounts, W, column labels), built once,
+    for a (scheme, L, M) within _TABLE_BUDGET (checked first: the per-symbol
+    detectors reach this without a SimConfig).
 
     The constellation is build_constellation's (kind, M), or, given ``data``,
     the one whose complex points are its bytes: a given book's own points,
@@ -378,6 +367,7 @@ def _scheme_tables(scheme: str, kind: str, M: int, L: int, data: bytes | None = 
     W and its column labels come from _metric_coefficients.  Every block
     shares them, so their arrays are read-only.
     """
+    _check_table_size(scheme, L, M)
     constellation = build_constellation(kind, M)
     if data is not None:
         constellation = replace(constellation, points=np.frombuffer(data, dtype=complex))

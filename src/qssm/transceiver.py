@@ -67,10 +67,15 @@ class SsmDetectionResult:
     label_hat: str
 
 
+#: Highest linear SNR of a chain or detector: the Monte Carlo ceiling, 1e300
+_MAX_RHO = 10 ** (mc._MAX_SNR_DB / 10)
+
+
 def _check_rho(rho: float) -> None:
-    """Every chain and detector needs a linear SNR rho >= 0 (NaN fails too)."""
-    if not rho >= 0:
-        raise ValueError(f"rho must be >= 0, got {rho}")
+    """Every chain and detector needs a linear SNR rho in [0, 1e300]: from
+    about 1e306 the detector's features overflow, and inf and NaN fail."""
+    if not 0 <= rho <= _MAX_RHO:
+        raise ValueError(f"rho must be >= 0 and at most {_MAX_RHO:g}, got {rho}")
 
 
 def _symbol_row(rho: float, L: int, k1: int, k2: int, x_re: float, x_im: float) -> tuple:

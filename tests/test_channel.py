@@ -32,10 +32,17 @@ GEOM32 = ArrayGeometry(32)
 
 
 def test_geometry_validation():
-    with pytest.raises(ValueError):
-        ArrayGeometry(0)
-    with pytest.raises(ValueError):
-        ArrayGeometry(4, spacing_over_lambda=0.0)
+    # SimConfig's spacing rule, stated once here: a real number in (0, 2^20]
+    # wavelengths, bools refused; beyond it every beam output of a DFT-grid
+    # realization comes out equal (2^21) or NaN (inf)
+    for spacing in (0.0, -0.5, 2.0**21, np.inf, np.nan, True, "0.5", 1 + 0j):
+        with pytest.raises(ValueError, match="spacing must be a real number"):
+            ArrayGeometry(4, spacing_over_lambda=spacing)
+    for n in (0, -1, True, 4.0, "4"):
+        with pytest.raises(ValueError, match="n_elements must be an integer >= 1"):
+            ArrayGeometry(n)
+    assert ArrayGeometry(4, montecarlo._MAX_SPACING).spacing_over_lambda == 2.0**20
+    assert ArrayGeometry(np.int64(4), np.float32(0.25)).n_elements == 4
 
 
 def test_array_response_zero_angle():

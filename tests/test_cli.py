@@ -500,8 +500,15 @@ def test_main_table_and_validate(tmp_path, capsys):
     report_path = tmp_path / "validation.txt"
     assert main(["validate", "--trials", "20000", "--seed", "1", "--out", str(report_path)]) == 1
     report = report_path.read_text()
-    assert "max relative error" in report
-    assert report.splitlines()[-1] == "verdict: fail"
+    # one quadrature column over each decade and its double, and no ratio table
+    lines = report.splitlines()
+    assert lines[1].split() == ["rho*etabar", "rel_error"]
+    products = [float(line.split()[0]) for line in lines[2:18]]
+    assert products == pytest.approx([f * 10.0**e for e in range(-3, 5) for f in (1, 2)])
+    assert all(len(line.split()) == 2 for line in lines[2:18])
+    assert lines[18].startswith("max relative error: ")
+    assert "ratio" not in report and "13/12" not in report
+    assert lines[-1] == "verdict: fail"
     assert main(["validate", "--trials", "400000", "--seed", "1", "--out", str(report_path)]) == 0
     assert report_path.read_text().splitlines()[-1] == "verdict: pass"
 
@@ -512,6 +519,22 @@ def test_validate_verdict_covers_the_quadrature_table(tmp_path, monkeypatch):
     quadrature = cli.analysis.pep_quadrature
     monkeypatch.setattr(
         cli.analysis, "pep_quadrature", lambda rho, eta_bar: 1.001 * quadrature(rho, eta_bar)
+    )
+    report_path = tmp_path / "validation.txt"
+    assert main(["validate", "--trials", "400000", "--seed", "1", "--out", str(report_path)]) == 1
+    report = report_path.read_text().splitlines()
+    assert report[-1] == "verdict: fail"
+    assert report[-2].endswith("exact_model=True")  # the bound still tracks
+
+
+def test_validate_verdict_covers_the_doubled_products(tmp_path, monkeypatch):
+    # the quadrature column holds each decade's double, where the paper's eq. 21
+    # evaluates the closed form: an oracle 0.1% off at rho*eta_bar = 2e4 alone
+    # fails the verdict
+    quadrature = cli.analysis.pep_quadrature
+    monkeypatch.setattr(
+        cli.analysis, "pep_quadrature",
+        lambda rho, eta_bar: quadrature(rho, eta_bar) * (1.001 if rho * eta_bar == 2e4 else 1.0),
     )
     report_path = tmp_path / "validation.txt"
     assert main(["validate", "--trials", "400000", "--seed", "1", "--out", str(report_path)]) == 1

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from qssm import montecarlo as mc
 from qssm.channel import ArrayGeometry, ChannelRealization, sample_channel
 from qssm.modem import (
     PSK,
@@ -246,9 +247,10 @@ def test_physical_detector_total_on_duplicate_angle():
     assert det.label_hat in {s.label for s in book.symbols}
 
 
-@pytest.mark.parametrize("rho", [-1.0, float("nan")])
+@pytest.mark.parametrize("rho", [-1.0, float("nan"), float("inf"), 1e301])
 def test_per_symbol_chains_reject_a_bad_rho(rho):
-    """Every observer and detector rejects rho < 0 and NaN before it computes."""
+    """Every observer and detector rejects rho outside [0, 1e300], the Monte
+    Carlo ceiling, and NaN before it computes."""
     real = _grid_realization(seed=14)
     symbol = BOOK44.symbols[5]
     constellation = BOOK44.constellation
@@ -263,6 +265,18 @@ def test_per_symbol_chains_reject_a_bad_rho(rho):
     for call in calls:
         with pytest.raises(ValueError, match="rho must be >= 0"):
             call()
+
+
+def test_per_symbol_detection_keeps_the_table_budget():
+    """Detection refuses the books SimConfig refuses, before it builds a table:
+    an L=32 16QAM book's W alone takes 74 MiB."""
+    book = build_symbol_book(32, build_constellation(QAM, 16))
+    with pytest.raises(ValueError, match="budget"):
+        mc.SimConfig(mc.QSSM, 32, 16)
+    mc._scheme_tables.cache_clear()
+    with pytest.raises(ValueError, match="budget"):
+        ml_detect_ideal(IdealObservation(0.3 + 0.1j, 1.0), np.ones(32, complex), book, 1.0)
+    assert mc._scheme_tables.cache_info().currsize == 0
 
 
 def test_detector_dimension_mismatch():
