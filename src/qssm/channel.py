@@ -400,12 +400,13 @@ def realization_to_json(realization: ChannelRealization) -> dict:
 
 
 def realization_from_json(record: dict) -> ChannelRealization:
-    """Rebuild a realization previously serialised by :func:`realization_to_json`."""
+    """Rebuild a realization previously serialised by :func:`realization_to_json`.
+    Non-finite gains or angles raise: the chains would turn them into NaN
+    outputs without an error."""
     gains = np.array([complex(re, im) for re, im in record["gains"]])
-    return ChannelRealization(
-        gains=gains,
-        aod=np.asarray(record["aod"], dtype=float),
-        aoa=np.asarray(record["aoa"], dtype=float),
-        tx_geometry=ArrayGeometry(**record["tx_geometry"]),
-        rx_geometry=ArrayGeometry(**record["rx_geometry"]),
-    )
+    aod, aoa = (np.asarray(record[side], dtype=float) for side in ("aod", "aoa"))
+    for name, values in (("gains", gains), ("aod", aod), ("aoa", aoa)):
+        if not np.isfinite(values).all():
+            raise ValueError(f"{name} must be finite, got {values.tolist()}")
+    geometries = (ArrayGeometry(**record[side]) for side in ("tx_geometry", "rx_geometry"))
+    return ChannelRealization(gains, aod, aoa, *geometries)

@@ -33,7 +33,6 @@ from .channel import (
     _dirichlet_gram,
     _draw_grid_picks,
     _draw_sines,
-    dft_grid_sines,
 )
 from .modem import (
     QAM,
@@ -68,11 +67,6 @@ _PURPOSE_NOISE = 2
 
 _WILSON_Z = 1.959963984540054  # two-sided 95%
 
-#: Complex values that bound a physical block: a side's DFT-grid Gram table
-#: holds at most 1/32 of them, and a whole block peaks below
-#: 16 * _COMPLEX_BUDGET bytes, the size of one complex array of the budget
-#: (the tests pin it at N = 32 and N = 256).
-_COMPLEX_BUDGET = 1 << 22
 #: Float64 values of one tile (512 KiB, cache-sized): a detection tile's
 #: metrics, and a physical tile's (tile, L, L) complex Gram or factor.
 _METRIC_TILE = 1 << 16
@@ -89,8 +83,9 @@ _INTEGER_FIELDS = ("L", "M", "n_t", "n_r", "trials", "seed")
 #: narrowest main lobe, 1/N wide, at N = 4096.  It does not bound the draw:
 #: a DFT-grid trial draws L ranks wherever L*L <= 4*N (channel._draws_ranks),
 #: so an argsort of N uniforms runs only below N = 256 at L = 32, the
-#: largest L the detector tables admit.  One 16384-trial L=4 DFT-grid block
-#: at N = 4096 takes 0.03-0.06 s (x86-64, one core).
+#: largest L the detector tables admit, and its Gram entries come from a
+#: table of 2N - 1 steps (_grid_gram).  One 16384-trial L=4 DFT-grid block
+#: at N = 4096 takes 15-16 ms, as at N = 32 (x86-64, one core).
 _MAX_ELEMENTS = 1 << 12
 
 #: Highest SNR grid point (dB), rho = 1e300: the detector's features
@@ -395,11 +390,10 @@ def _block_channel(config: SimConfig, snr_db: float, block_index: int, n_trials:
 
 
 def _draw_beams(rng, n_rows: int, config: SimConfig, n_elements: int) -> np.ndarray:
-    """(n_rows, L) beams of one array side.  On the DFT grid they are the picks of
-    channel._draw_grid_picks: the integer picks when the side's (N, N) Gram
-    table holds at most _COMPLEX_BUDGET // 32 complex values (N <= 362), else
-    their grid sines, so the table rule moves no draw.  min_sep beams are sines."""
-    if config.angle_mode == DFT_GRID and n_elements * n_elements <= _COMPLEX_BUDGET // 32:
+    """(n_rows, L) beams of one array side: on the DFT grid the integer picks of
+    channel._draw_grid_picks, whose Gram entries come from _grid_gram; min_sep
+    beams are sines."""
+    if config.angle_mode == DFT_GRID:
         return _draw_grid_picks(rng, n_rows, config.L, n_elements)
     return _draw_sines(rng, n_rows, config.L, n_elements, config.angle_mode, config.spacing)
 
@@ -454,20 +448,23 @@ def _observe_physical(tx, rx, aod, aoa, gains, symbols, root_rho, white):
 
 @lru_cache(maxsize=8)
 def _grid_gram(n_elements: int, spacing: float) -> np.ndarray:
-    """Read-only (N, N) Gram a^H(s_i) a(s_j) of the N DFT-grid sines, built once."""
-    grid = dft_grid_sines(n_elements)
-    table = _dirichlet_gram(grid[:, None], grid[None, :], n_elements, spacing)
+    """Read-only (2N - 1) Gram steps of the DFT grid, built once: the Gram of
+    grid picks l and m depends only on m - l, so entry m - l + N - 1 holds
+    a^H(s_l) a(s_m), the kernel at the sine step 2(m - l)/N."""
+    steps = 2.0 * np.arange(1 - n_elements, n_elements) / n_elements
+    table = _dirichlet_gram(np.zeros(()), steps, n_elements, spacing)
     table.flags.writeable = False
     return table
 
 
 def _pair_gram(beams_l, beams_m, n_elements: int, spacing: float) -> np.ndarray:
     """a^H(s_l) a(s_m), broadcast over two arrays of one side's beams: the Dirichlet
-    kernel of sines, or the entries of _grid_gram at integer grid picks.  The
-    table holds the kernel's own values, so both give the same bytes."""
+    kernel of sines, or the entries of _grid_gram at integer grid picks.  At
+    power-of-two N the grid sines and their steps are exact, so both give the
+    same bytes; elsewhere the table rounds each step once, not two sines."""
     if beams_l.dtype.kind == "f":
         return _dirichlet_gram(beams_l, beams_m, n_elements, spacing)
-    return _grid_gram(n_elements, spacing)[beams_l, beams_m]
+    return _grid_gram(n_elements, spacing)[beams_m - beams_l + (n_elements - 1)]
 
 
 #: (lo, hi) arrays of the pairs l < m, per L; the cross rows of W follow this order
@@ -481,8 +478,8 @@ def _receive_gram(beams: np.ndarray, n_elements: int, spacing: float) -> np.ndar
 
     Only the pairs l < m go through _pair_gram; the mirror is their
     conjugate and the diagonal is exactly 1, as the kernel gives at f = 0.
-    (The lower triangle of _grid_gram holds the same values, but at spacing
-    1 its aliased entries carry zero imaginary parts of the other sign.)
+    (_grid_gram holds the same values at the negated steps, but at spacing 1
+    its aliased entries carry zero imaginary parts of the other sign.)
     """
     L = len(beams)
     lo, hi = _pairs(L, 1)

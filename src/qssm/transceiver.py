@@ -22,6 +22,7 @@ rates share one statement of every model.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 
 import numpy as np
@@ -99,15 +100,19 @@ def _detect_one(scheme: str, constellation: Constellation, L: int, y, gains, rho
     winner scores 0.0 exactly, and beam outputs (1, L) the orthogonal-beam model.
     The hypotheses are built on ``constellation``'s own points, whatever its
     (kind, order) would build.  The row is the winner's (k1, k2, x_re, x_im),
-    indices 0-based."""
+    indices 0-based.  Non-finite gains or y raise: they turn metrics NaN, and
+    np.argmin takes the first NaN, so a label would be decided without an error."""
     _check_rho(rho)
     if len(gains) != L:
         raise ValueError(f"{len(gains)} gains for L={L} scatterers")
+    gains = np.asarray(gains)
+    # cmath on Python lists: a quarter of np.isfinite's cost on a symbol's arrays
+    if not all(map(cmath.isfinite, gains.tolist() + y.ravel().tolist())):
+        raise ValueError("gains and the observation must be finite")
     points = np.asarray(constellation.points, dtype=complex)  # the book's own points
     _, _, table, _, W, column_labels = mc._scheme_tables(
         scheme, constellation.kind, constellation.order, L, points.tobytes()
     )
-    gains = np.asarray(gains)
     root_rho = np.sqrt(rho)
     v = int(mc._decide(y, gains[None], root_rho, W, column_labels)[0])
     winner = [array[v] for array in table]

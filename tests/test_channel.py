@@ -276,7 +276,7 @@ def test_draw_rule_keeps_half_wavelength_grid_counts(monkeypatch):
     """Physical DFT-grid blocks at spacing 0.5 count the same bit errors when
     every pick comes from the argsort of N uniforms: on the grid both Grams are
     the identity to about 1e-16, so z does not depend on which grid points were
-    drawn.  N = 512 takes grid sines through the kernel instead of the table."""
+    drawn."""
     configs = [
         SimConfig(scheme="qssm", L=L, M=4, channel_mode="physical", n_t=n, n_r=n,
                   trials=2048, seed=7)
@@ -553,3 +553,22 @@ def test_json_roundtrip():
     assert np.allclose(r.aoa, r2.aoa)
     assert r2.tx_geometry == r.tx_geometry
     assert r2.rx_geometry == r.rx_geometry
+
+
+@pytest.mark.parametrize(
+    "field,value",
+    [
+        ("aod", [0.1, float("nan"), 0.3]),
+        ("aoa", [0.1, 0.2, float("inf")]),
+        ("gains", [[1.0, 0.0], [float("nan"), 0.0], [0.0, 1.0]]),
+        ("gains", [[1.0, 0.0], [0.0, 1.0], [0.0, float("-inf")]]),
+    ],
+)
+def test_json_rejects_non_finite_values(field, value):
+    """A record with a NaN or infinite gain or angle raises; it would load and
+    run through the chains as NaN outputs."""
+    record = realization_to_json(sample_channel(3, ArrayGeometry(16), ArrayGeometry(8),
+                                                np.random.default_rng(23)))
+    record[field] = value
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        realization_from_json(record)

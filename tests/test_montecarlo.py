@@ -50,7 +50,6 @@ from qssm.montecarlo import (
     _PURPOSE_CHANNEL,
     _PURPOSE_LABELS,
     _PURPOSE_NOISE,
-    _COMPLEX_BUDGET,
     _block_channel,
     _gram_factor,
     _observe_physical,
@@ -906,8 +905,8 @@ def test_detector_builds_features_per_tile():
 
 
 def test_detector_block_memory_within_budget():
-    # one full L=8 16QAM block: the metric tiles stay below a single complex
-    # temporary of the chunk budget (the B x S complex search needed several)
+    # one full L=8 16QAM block: the metric tiles stay below 64 MiB (the B x S
+    # complex search needed several complex temporaries of that size)
     cfg = SimConfig(scheme="qssm", L=8, M=16, trials=TRIALS_PER_BLOCK, seed=2)
     _scheme_tables(cfg.scheme, cfg.kind, cfg.M, cfg.L)
     tracemalloc.start()
@@ -916,7 +915,7 @@ def test_detector_block_memory_within_budget():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 16 * _COMPLEX_BUDGET
+    assert peak < 64 << 20
 
 
 @pytest.mark.parametrize(
@@ -933,7 +932,7 @@ def test_detector_block_memory_within_budget():
 )
 def test_physical_block_memory_within_budget(L, mode, n):
     # one full physical block: the Gram, factor and detector tiles, plus the
-    # block's own arrays, stay below a single complex temporary of the budget
+    # block's own arrays, stay below 64 MiB
     cfg = SimConfig(
         scheme="qssm", L=L, M=4, channel_mode="physical", angle_mode=mode,
         n_t=n, n_r=n, trials=TRIALS_PER_BLOCK, seed=2,
@@ -945,7 +944,7 @@ def test_physical_block_memory_within_budget(L, mode, n):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 16 * _COMPLEX_BUDGET
+    assert peak < 64 << 20
 
 
 def _dense_factor(gram):
@@ -1000,6 +999,18 @@ def _physical_draws(rng, n, L, mode, spacing, n_t, n_r, beams):
     return gains, *sines, (pick_aod, pick_aoa)
 
 
+def _assert_table_matches(from_table, from_kernel, sides, scale):
+    """Grid picks read _grid_gram, grid sines the kernel.  At power-of-two N the
+    sines and their steps are exact, so both give the same bytes; elsewhere the
+    table rounds each step 2k/N once, the kernel path a difference of two
+    rounded sines, and they agree within 4*N*2^-52 of ``scale``, the kernel's
+    own bound (test_dirichlet_gram_equals_masked_divide)."""
+    if all(_is_pow2(n) for n in sides):
+        assert from_table.tobytes() == from_kernel.tobytes()
+    else:
+        assert np.abs(from_table - from_kernel).max() <= 4 * max(sides) * 2.0**-52 * scale
+
+
 def _beam_cases(*rows):
     """Params (L, mode, spacing, n_t, n_r, beams): a "sines" case is named by its
     first five values, a "picks" case by all six."""
@@ -1016,7 +1027,7 @@ def _beam_cases(*rows):
         (4, "min_sep", 0.5, 32, 32, "sines"),
         (1, "dft_grid", 0.5, 32, 32, "sines"),
         (8, "dft_grid", 0.5, 8, 8, "sines"),  # L = N: every grid beam is used
-        # grid picks: the Gram entries come from the cached (N, N) tables
+        # grid picks: the Gram entries come from the cached step tables
         (4, "dft_grid", 0.5, 32, 32, "picks"),
         (4, "dft_grid", 0.25, 16, 12, "picks"),
         (4, "dft_grid", 1.0, 32, 32, "picks"),
@@ -1027,7 +1038,7 @@ def _beam_cases(*rows):
 )
 def test_observe_physical_matches_dense_steering(L, mode, spacing, n_t, n_r, beams):
     """The closed-form chain equals the dense steering chain to 1e-12 of the signal
-    scale; on grid picks, its table path gives the kernel's z byte for byte."""
+    scale; on grid picks, its table path gives the kernel's z (_assert_table_matches)."""
     tx, rx = ArrayGeometry(n_t, spacing), ArrayGeometry(n_r, spacing)
     root_rho = 10.0
     for n in (1, TRIALS_PER_BLOCK):
@@ -1044,7 +1055,7 @@ def test_observe_physical_matches_dense_steering(L, mode, spacing, n_t, n_r, bea
             assert np.abs(z - _dense_observe_physical(*args)).max() <= 1e-12 * scale
             if picks is not None:
                 table_args = (tx, rx, *picks, gains, symbols, root_rho, white)
-                assert _observe_physical(*table_args).tobytes() == z.tobytes()
+                _assert_table_matches(_observe_physical(*table_args), z, (n_t, n_r), scale)
     if spacing == 1.0:  # an aliased pair: its closed-form Gram entry is 1 exactly
         assert _dirichlet_gram(np.array(-0.5), np.array(0.5), n_r, spacing) == 1.0
         assert (np.abs(sin_aoa[:, :, None] - sin_aoa[:, None, :]) == 1.0).any()
@@ -1059,7 +1070,7 @@ def test_observe_physical_matches_dense_steering(L, mode, spacing, n_t, n_r, bea
         (4, "dft_grid", 1.0, 32, 32, "sines"),  # aliased pairs: entries of exactly 1 off the diagonal
         (1, "dft_grid", 0.5, 32, 32, "sines"),
         (32, "dft_grid", 0.5, 32, 32, "sines"),
-        # grid picks: the pairs l < m come from the cached (N, N) table
+        # grid picks: the pairs l < m come from the cached step table
         (4, "dft_grid", 0.5, 32, 32, "picks"),
         (4, "dft_grid", 0.25, 16, 12, "picks"),
         (4, "dft_grid", 1.0, 32, 32, "picks"),
@@ -1071,8 +1082,8 @@ def test_observe_physical_matches_dense_steering(L, mode, spacing, n_t, n_r, bea
 def test_receive_gram_upper_triangle_equals_full_evaluation(
     monkeypatch, L, mode, spacing, n_t, n_r, beams
 ):
-    """Mirroring the pairs l < m changes no entry of g_r and no byte of z, and
-    neither does reading the pairs of grid picks from the table."""
+    """Mirroring the pairs l < m changes no entry of g_r and no byte of z; reading
+    the pairs of grid picks from the table gives the kernel's (_assert_table_matches)."""
 
     def full_gram(sines, n_elements, spacing):  # (L, T) sines -> (L, L, T) columns
         return _dirichlet_gram(sines[None], sines[:, None], n_elements, spacing)
@@ -1094,9 +1105,10 @@ def test_receive_gram_upper_triangle_equals_full_evaluation(
     z = _observe_physical(*args)
     if picks is not None:
         table_gram = _receive_gram(picks[1].T, n_r, spacing)
-        assert table_gram.tobytes() == _receive_gram(sin_aoa.T, n_r, spacing).tobytes()
+        _assert_table_matches(table_gram, _receive_gram(sin_aoa.T, n_r, spacing), (n_r,), 1.0)
         table_args = (tx, rx, *picks, gains, symbols, 10.0, white)
-        assert _observe_physical(*table_args).tobytes() == z.tobytes()
+        scale = 10.0 * 3.0 * np.abs(gains).max()
+        _assert_table_matches(_observe_physical(*table_args), z, (n_t, n_r), scale)
     monkeypatch.setattr(montecarlo, "_receive_gram", full_gram)
     assert z.tobytes() == _observe_physical(*args).tobytes()
 
@@ -1142,15 +1154,15 @@ def test_observe_physical_rows_do_not_depend_on_tiles(L, mode, spacing, n_t, n_r
 @pytest.mark.parametrize(
     "n_t,n_r,tables",
     [
-        (32, 16, [(32, 32), (16, 16)]),
-        # 363^2 complex values exceed a tile's Gram budget: the receive side
-        # evaluates the kernel per trial, the transmit side still reads its table
-        (362, 363, [(362, 362)]),
+        (32, 16, [32, 16]),
+        # either side of the N = 362 cut-over of the former (N, N) tables
+        (362, 363, [362, 363]),
+        (4096, 4096, [4096]),  # both sides share one table
     ],
 )
 def test_grid_blocks_evaluate_the_kernel_only_to_build_tables(monkeypatch, n_t, n_r, tables):
-    """A DFT-grid block calls _dirichlet_gram once per (N, spacing) table, built on
-    first use and cached read-only, unless N^2 exceeds _COMPLEX_BUDGET // 32."""
+    """A DFT-grid block calls _dirichlet_gram once per (N, spacing) step table of
+    2N - 1 entries, built on first use and cached read-only, and never per trial."""
     shapes = []
 
     def counted(sines_l, sines_m, n_elements, spacing):
@@ -1163,12 +1175,52 @@ def test_grid_blocks_evaluate_the_kernel_only_to_build_tables(monkeypatch, n_t, 
     cfg = SimConfig(
         scheme="qssm", L=4, M=4, channel_mode="physical", n_t=n_t, n_r=n_r, trials=n, seed=3
     )
-    _block_bit_errors(cfg, 20.0, 0, n)
-    table_shapes = [shape for shape in shapes if shape in ((n_t, n_t), (n_r, n_r))]
-    assert table_shapes == tables
-    kernel_calls = len(shapes) - len(tables)
-    assert (kernel_calls > 0) == (n_r * n_r > _COMPLEX_BUDGET // 32)
+    for block in range(2):
+        _block_bit_errors(cfg, 20.0, block, n)
+    assert shapes == [(2 * n_elements - 1,) for n_elements in tables]
     assert not montecarlo._grid_gram(n_t, 0.5).flags.writeable
+
+
+@pytest.mark.parametrize("n_elements", [1, 4, 12, 363, 4096])
+def test_grid_gram_holds_one_entry_per_step(n_elements):
+    """The table holds the 2N - 1 steps m - l of two picks, read-only, with the
+    unit diagonal at step 0."""
+    table = montecarlo._grid_gram(n_elements, 0.5)
+    assert table.shape == (2 * n_elements - 1,)
+    assert not table.flags.writeable
+    assert table[n_elements - 1] == 1.0
+
+
+@pytest.mark.parametrize("spacing", [0.25, 0.5, 1.0])
+@pytest.mark.parametrize("n_elements", [4, 32, 512])
+def test_grid_gram_equals_the_full_kernel_table(n_elements, spacing):
+    """At power-of-two N the grid sines and their steps are exact, so the step
+    table gathered at m - l + N - 1 is the (N, N) kernel table byte for byte."""
+    grid = dft_grid_sines(n_elements)
+    full = _dirichlet_gram(grid[:, None], grid[None, :], n_elements, spacing)
+    picks = np.arange(n_elements)
+    steps = picks[None, :] - picks[:, None] + n_elements - 1
+    assert montecarlo._grid_gram(n_elements, spacing)[steps].tobytes() == full.tobytes()
+
+
+def test_grid_block_counts_off_power_of_two_arrays():
+    """Bit errors of seeded DFT-grid blocks where the grid sines are not exact.
+    The counts are those of the retired (N, N) tables, which took the kernel at
+    differences of two rounded sines, and of the per-trial kernel at N = 363:
+    the step table moves entries by at most 0.5*N*2^-52 and no count."""
+    counts = [
+        [
+            _block_bit_errors(
+                SimConfig(scheme="qssm", L=4, M=4, channel_mode="physical", n_t=n, n_r=n,
+                          spacing=spacing, trials=1, seed=9),
+                10.0, 1, TRIALS_PER_BLOCK,
+            )
+            for spacing in (0.25, 0.5, 1.0)
+        ]
+        for n in (12, 100, 363)
+    ]
+    # at 0.5, and at 1.0 on odd N, both Grams are the identity to about 1e-16
+    assert counts == [[18327, 10321, 17345], [11331, 10321, 11115], [10671, 10321, 10321]]
 
 
 @pytest.mark.parametrize(

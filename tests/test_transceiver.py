@@ -267,6 +267,40 @@ def test_per_symbol_chains_reject_a_bad_rho(rho):
             call()
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_per_symbol_detectors_refuse_non_finite_inputs():
+    """A NaN or infinite gain or observation raises before detection: its metrics
+    would be NaN, and np.argmin would decide the first label.  A NaN angle
+    reaches the detector as NaN beam outputs."""
+    real = _grid_realization(seed=14)
+    constellation = BOOK44.constellation
+    y_ok = IdealObservation(0.3 + 0.1j, 1.0)
+    z_ok = PhysicalObservation(np.ones(4, complex))
+    cases = []
+    for bad in (np.nan, np.inf):
+        gains = np.array([1.0, 1.0, bad, 1.0], dtype=complex)
+        bad_gains = ChannelRealization(gains, real.aod, real.aoa, GEOM32, GEOM32)
+        y_bad = IdealObservation(complex(bad, 0.0), 1.0)
+        z_bad = PhysicalObservation(np.array([1.0, bad, 1.0, 1.0], dtype=complex))
+        cases += [
+            (ml_detect_ideal, y_ok, gains, BOOK44),
+            (ssm_detect_ideal, y_ok, gains, constellation, 4),
+            (ml_detect_physical, z_ok, bad_gains, BOOK44),
+            (ml_detect_ideal, y_bad, GAINS4, BOOK44),
+            (ssm_detect_ideal, y_bad, GAINS4, constellation, 4),
+            (ml_detect_physical, z_bad, real, BOOK44),
+        ]
+    nan_angle = ChannelRealization(
+        real.gains, real.aod, np.array([np.nan, *real.aoa[1:]]), GEOM32, GEOM32
+    )
+    observation = qssm_observe_physical(BOOK44.symbols[5], nan_angle, 10.0, None)
+    assert np.isnan(observation.z).all()
+    cases.append((ml_detect_physical, observation, nan_angle, BOOK44))
+    for detect, *args in cases:
+        with pytest.raises(ValueError, match="must be finite"):
+            detect(*args, 10.0)
+
+
 def test_per_symbol_detection_keeps_the_table_budget():
     """Detection refuses the books SimConfig refuses, before it builds a table:
     an L=32 16QAM book's W alone takes 74 MiB."""
