@@ -27,7 +27,7 @@ import enum
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from math import log2, prod
+from math import inf, log2, prod
 from typing import NamedTuple
 
 import numpy as np
@@ -41,6 +41,14 @@ class NumericalError(RuntimeError):
 
 #: Relative accuracy that pep_quadrature asks of the adaptive quadrature.
 _QUADRATURE_REL_TOL = 1e-10
+
+#: Highest SNR (dB) of the bounds, the simulator and the per-symbol chains,
+#: rho = 1e300: the detector's features rho * |beta|^2 * x^2 and the union
+#: bounds overflow from about 3060 dB
+_MAX_SNR_DB = 3000.0
+
+#: Highest linear SNR, 10^(_MAX_SNR_DB / 10) = 1e300 exactly
+_MAX_RHO = 10.0 ** (_MAX_SNR_DB / 10.0)
 
 
 class EtaCase(enum.Enum):
@@ -110,20 +118,46 @@ def pep_conditional(rho: float, eta: float) -> float:
     return float(q_function(np.sqrt(rho * eta / 2.0)))
 
 
+def _checked_rho(rho) -> float:
+    """rho as a float in [0, 1e300], -0.0 read as 0.0 (4/-0.0 is -inf): the
+    rule of every bound, chain and detector."""
+    rho = float(rho)
+    if not 0.0 <= rho <= _MAX_RHO:  # NaN fails too
+        raise ValueError(f"rho must be >= 0 and at most {_MAX_RHO:g}, got {rho}")
+    return rho + 0.0
+
+
+def _closed_form_pass(product: np.ndarray) -> np.ndarray:
+    """0.5*(1 - sqrt(1/(1 + 4/product))) in place over product = rho*eta_bar >= +0,
+    as 0.5*(-expm1(-0.5*log1p(4/product))) so that the small-PEP regime keeps
+    full relative precision; product 0 gives 0.5.  The caller's np.errstate
+    ignores divide and overflow."""
+    np.divide(4.0, product, out=product)
+    np.log1p(product, out=product)
+    np.multiply(-0.5, product, out=product)
+    np.expm1(product, out=product)
+    np.negative(product, out=product)
+    return np.multiply(0.5, product, out=product)
+
+
 def pep_closed_form(rho, eta_bar_value):
     """Fading-averaged PEP, 0.5*(1 - sqrt(1/(1 + 4/(rho*eta_bar)))).
 
-    Accepts scalars or arrays; evaluated through log1p/expm1 so that the
-    small-PEP regime keeps full relative precision.  rho*eta_bar = 0 gives
-    0.5.
+    Accepts scalars or arrays; rho*eta_bar = 0 gives 0.5, and -0.0 reads as
+    0.  Raises ValueError unless every rho lies in [0, 1e300] and every
+    rho*eta_bar is >= 0 (NaN fails).
     """
-    product = np.asarray(rho, dtype=float) * np.asarray(eta_bar_value, dtype=float)
-    if not np.all(product >= 0):  # NaN fails too
+    scalar = np.isscalar(rho) and np.isscalar(eta_bar_value)
+    rho = np.asarray(rho, dtype=float)
+    if not np.all((rho >= 0.0) & (rho <= _MAX_RHO)):  # NaN fails too
+        raise ValueError(f"rho must be >= 0 and at most {_MAX_RHO:g}, got {rho}")
+    product = np.asarray(rho * np.asarray(eta_bar_value, dtype=float))
+    if not np.all(product >= 0):
         raise ValueError("rho and eta_bar must be >= 0")
-    with np.errstate(divide="ignore"):
-        eps = 4.0 / product
-    result = 0.5 * (-np.expm1(-0.5 * np.log1p(eps)))
-    return float(result) if np.isscalar(rho) and np.isscalar(eta_bar_value) else result
+    product += 0.0  # -0.0 -> 0.0
+    with np.errstate(divide="ignore", over="ignore"):
+        _closed_form_pass(product)
+    return float(product) if scalar else product[()]
 
 
 def pep_quadrature(rho: float, eta_bar_value: float) -> float:
@@ -170,10 +204,18 @@ def _check_asymptotic_rho(rho: float) -> None:
         raise ValueError(f"asymptotic PEP needs rho > 0, got {rho}")
 
 
+def _asymptotic_pass(scaled: np.ndarray) -> np.ndarray:
+    """min(0.5, 13/scaled) in place over scaled = (24*rho)*eta_bar: the high-SNR
+    PEP capped at 0.5, so that eta_bar = 0 gives 0.5.  The caller's
+    np.errstate ignores divide and overflow."""
+    np.divide(13.0, scaled, out=scaled)
+    return np.minimum(0.5, scaled, out=scaled)
+
+
 def _clamped_asymptotic(rho: float, eta_bar_value):
     """13/(24*rho*eta_bar) capped at 0.5, so that eta_bar = 0 gives 0.5."""
-    with np.errstate(divide="ignore"):
-        return np.minimum(0.5, 13.0 / (24.0 * rho * eta_bar_value))
+    with np.errstate(divide="ignore", over="ignore"):
+        return _asymptotic_pass(np.array(24.0 * rho * eta_bar_value, dtype=float))
 
 
 def pep_asymptotic(rho: float, eta_bar_value: float) -> float:
@@ -182,6 +224,7 @@ def pep_asymptotic(rho: float, eta_bar_value: float) -> float:
     This is the paper's asymptote: 13/12 of :func:`pep_closed_form` at
     2*rho, hence 13/24 of it at rho once rho*eta_bar is large.
     """
+    rho = _checked_rho(rho)
     _check_asymptotic_rho(rho)
     if eta_bar_value <= 0:
         raise ValueError(
@@ -202,14 +245,17 @@ def _popcount_matrix(size: int) -> np.ndarray:
 class _ClassTable(NamedTuple):
     """The SNR-free part of a union bound: each index-coincidence class's
     M x M weights and eta_bar, flattened into one row of a (classes, M^2)
-    array, rows in class order."""
+    array, rows in class order; the sorted distinct eta_bar values, and the
+    index of every eta entry into them, in eta's shape."""
 
     weight: np.ndarray
     eta: np.ndarray
+    distinct: np.ndarray
+    index: np.ndarray
     scale: float  # symbols * bits
 
 
-@lru_cache(maxsize=16)  # books; the largest table, M = 64, takes 256 KiB
+@lru_cache(maxsize=16)  # books; the largest table, M = 64, takes 385 KiB
 def _class_table(L: int, n_beams: int, dtype: str, data: bytes) -> _ClassTable:
     """Read-only class table over the L^B * M symbols (k_1, ..., k_B, s),
     B = n_beams, built once per book.  ``data`` holds the beams' values back
@@ -221,6 +267,12 @@ def _class_table(L: int, n_beams: int, dtype: str, data: bytes) -> _ClassTable:
     index-coincidence class is one M x M table weighted n*ham_M + mass: equal
     indices give n = L pairs and mass 0, distinct ones n = L(L-1) and mass
     L^2*log2(L)/2.  The true symbol gets weight 0 on the all-equal diagonal.
+
+    A book holds few distinct eta_bar values (149 of 16384 entries for
+    64QAM, 5 of 64 for 4QAM), so ``distinct`` and ``index`` let a bound
+    evaluate each PEP once per value and gather it back into the table's
+    layout.  The index is reshaped here: the shape np.unique's inverse takes
+    has changed across NumPy releases.
     """
     beams = np.frombuffer(data, dtype=dtype).reshape(n_beams, -1)
     order = beams.shape[1]
@@ -238,30 +290,40 @@ def _class_table(L: int, n_beams: int, dtype: str, data: bytes) -> _ClassTable:
         weights.append((n * ham + mass).ravel())
         etas.append(eta.ravel())
     weight, eta = np.stack(weights), np.stack(etas)
-    weight.flags.writeable = eta.flags.writeable = False
+    distinct, index = np.unique(eta, return_inverse=True)
+    index = index.reshape(eta.shape)
+    for array in (weight, eta, distinct, index):
+        array.flags.writeable = False
     scale = L**n_beams * order * (n_beams * log2(L) + log2(order))  # symbols * bits
-    return _ClassTable(weight, eta, scale)
+    return _ClassTable(weight, eta, distinct, index, scale)
 
 
 def _union_bound(L: int, beams: tuple, rho: float) -> tuple:
     """(closed form, asymptotic) union bounds at rho over the L^B * M symbols
-    whose B = len(beams) beams carry ``beams[b][s]``, in one vectorized pass
-    over the book's cached :func:`_class_table`.
+    whose B = len(beams) beams carry ``beams[b][s]``, from the book's cached
+    :func:`_class_table`.
 
-    Each class's row is summed on its own, pairwise as np.sum sums a
-    contiguous array, and the class sums are added in class order
-    (np.add.accumulate; np.add.reduce would pair them differently), so the
-    values equal those of a per-call loop over the classes bit for bit.  The
-    asymptotic value is meaningful only for rho > 0, which
-    :func:`_abep_point` checks.
+    Both PEPs are evaluated once per distinct eta_bar, in place, and gathered
+    back into the table's layout, so each entry holds the value a pass over
+    the whole table gives it.  Each class's row is then summed on its own,
+    pairwise as np.sum sums a contiguous array, and the class sums are added
+    in class order (np.add.accumulate; np.add.reduce would pair them
+    differently), so the values equal those of a per-call loop over the
+    classes bit for bit.  Weights are not pooled per distinct value: that
+    would reorder the sums.  rho must lie in [0, 1e300]; the asymptotic value
+    is meaningful only for rho > 0, which :func:`_abep_point` checks.
     """
+    rho = _checked_rho(rho)
     data = b"".join(beam.tobytes() for beam in beams)
     table = _class_table(L, len(beams), beams[0].dtype.str, data)
-    return tuple(
-        float(np.add.accumulate(np.add.reduce(table.weight * pep(rho, table.eta), axis=1))[-1])
-        / table.scale
-        for pep in (pep_closed_form, _clamped_asymptotic)
-    )
+    pep = np.multiply.outer((rho, 24.0 * rho), table.distinct)  # rho*eta, (24*rho)*eta
+    with np.errstate(divide="ignore", over="ignore"):
+        _closed_form_pass(pep[0])
+        _asymptotic_pass(pep[1])
+    terms = pep.take(table.index, axis=1)  # (2, classes, M^2)
+    np.multiply(terms, table.weight, out=terms)
+    sums = np.add.accumulate(np.add.reduce(terms, axis=2), axis=1)[:, -1]
+    return float(sums[0]) / table.scale, float(sums[1]) / table.scale
 
 
 def _abep_point(L: int, beams: tuple, snr_db: float) -> AbepPoint:
@@ -287,9 +349,14 @@ def abep_union_bound_ssm(n_scatterers: int, constellation: Constellation, rho: f
 
 
 def snr_db_to_rho(snr_db: float) -> float:
-    """dB to linear SNR; -inf maps to 0."""
-    if np.isneginf(snr_db):
+    """dB to linear SNR; -inf maps to 0.  Raises ValueError above 3000 dB
+    (rho = 1e300, the bounds' ceiling) and for NaN."""
+    if snr_db == -inf:
         return 0.0
+    if not snr_db <= _MAX_SNR_DB:  # NaN fails too
+        raise ValueError(
+            f"snr_db must be at most {_MAX_SNR_DB:g} dB (rho = {_MAX_RHO:g}), got {snr_db}"
+        )
     return float(10.0 ** (snr_db / 10.0))
 
 

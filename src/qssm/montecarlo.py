@@ -23,7 +23,7 @@ from math import inf, isfinite, isinf
 import numpy as np
 
 from . import analysis
-from .analysis import snr_db_to_rho
+from .analysis import _MAX_SNR_DB, snr_db_to_rho  # the highest grid point, rho = 1e300
 from .channel import (
     DFT_GRID,
     _MAX_SPACING,  # SimConfig's spacing bound, checked by ArrayGeometry
@@ -87,10 +87,6 @@ _INTEGER_FIELDS = ("L", "M", "n_t", "n_r", "trials", "seed")
 #: table of 2N - 1 steps (_grid_gram).  One 16384-trial L=4 DFT-grid block
 #: at N = 4096 takes 15-16 ms, as at N = 32 (x86-64, one core).
 _MAX_ELEMENTS = 1 << 12
-
-#: Highest SNR grid point (dB), rho = 1e300: the detector's features
-#: rho * |beta|^2 * x^2 and the union bounds overflow from about 3060 dB
-_MAX_SNR_DB = 3000.0
 
 #: Lowest SNR grid point (dB), rho = 1e-300: rho rounds to 0 from about
 #: -3237 dB, where the asymptotic bound is undefined

@@ -28,6 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import montecarlo as mc
+from .analysis import _checked_rho
 from .channel import ChannelRealization, _complex_normals
 from .modem import Constellation, QssmSymbol, SymbolBook, ssm_spectral_efficiency
 
@@ -68,20 +69,18 @@ class SsmDetectionResult:
     label_hat: str
 
 
-#: Highest linear SNR of a chain or detector: the Monte Carlo ceiling, 1e300
-_MAX_RHO = 10 ** (mc._MAX_SNR_DB / 10)
-
-
-def _check_rho(rho: float) -> None:
-    """Every chain and detector needs a linear SNR rho in [0, 1e300]: from
-    about 1e306 the detector's features overflow, and inf and NaN fail."""
-    if not 0 <= rho <= _MAX_RHO:
-        raise ValueError(f"rho must be >= 0 and at most {_MAX_RHO:g}, got {rho}")
+def _check_finite(values: list, names: str) -> None:
+    """Raise unless every value is finite: a NaN or inf gain, angle, point or
+    observation turns a chain's output or a detector's metrics NaN without an
+    error.  cmath on Python lists: a quarter of np.isfinite's cost on a
+    symbol's arrays."""
+    if not all(map(cmath.isfinite, values)):
+        raise ValueError(f"{names} must be finite")
 
 
 def _symbol_row(rho: float, L: int, k1: int, k2: int, x_re: float, x_im: float) -> tuple:
     """Validated (k1, k2, x_re, x_im) row of one symbol, with 0-based scatterer indices."""
-    _check_rho(rho)
+    _checked_rho(rho)
     if not (1 <= k1 <= L and 1 <= k2 <= L):
         raise ValueError(f"scatterer indices out of range 1..{L}")
     return k1 - 1, k2 - 1, x_re, x_im
@@ -102,13 +101,11 @@ def _detect_one(scheme: str, constellation: Constellation, L: int, y, gains, rho
     (kind, order) would build.  The row is the winner's (k1, k2, x_re, x_im),
     indices 0-based.  Non-finite gains or y raise: they turn metrics NaN, and
     np.argmin takes the first NaN, so a label would be decided without an error."""
-    _check_rho(rho)
+    _checked_rho(rho)
     if len(gains) != L:
         raise ValueError(f"{len(gains)} gains for L={L} scatterers")
     gains = np.asarray(gains)
-    # cmath on Python lists: a quarter of np.isfinite's cost on a symbol's arrays
-    if not all(map(cmath.isfinite, gains.tolist() + y.ravel().tolist())):
-        raise ValueError("gains and the observation must be finite")
+    _check_finite(gains.tolist() + y.ravel().tolist(), "gains and the observation")
     points = np.asarray(constellation.points, dtype=complex)  # the book's own points
     _, _, table, _, W, column_labels = mc._scheme_tables(
         scheme, constellation.kind, constellation.order, L, points.tobytes()
@@ -140,6 +137,7 @@ def qssm_observe_ideal(
 ) -> IdealObservation:
     """Scalar observation y = sqrt(rho)*(beta_k1*x_re + j*beta_k2*x_im) + n."""
     row = _symbol_row(rho, len(gains), symbol.k1, symbol.k2, symbol.x_re, symbol.x_im)
+    _check_finite(np.asarray(gains).tolist() + [symbol.x_re, symbol.x_im], "gains and the symbol")
     y = _scalar_trial(gains, row, rho, rng)
     return IdealObservation(y_r=complex(y), snr=float(rho))
 
@@ -153,6 +151,11 @@ def qssm_observe_physical(
     """Full array chain: superposed beams through H, combining, and projected
     noise drawn as CN(0, G_r), the distribution per-element noise gives."""
     row = _symbol_row(rho, realization.n_paths, symbol.k1, symbol.k2, symbol.x_re, symbol.x_im)
+    _check_finite(
+        [*realization.gains.tolist(), *realization.aod.tolist(), *realization.aoa.tolist(),
+         symbol.x_re, symbol.x_im],
+        "gains, angles and the symbol",
+    )
     row = tuple(np.array([f]) for f in row)
     shape = (1, realization.n_paths)
     white = np.zeros(shape) if rng is None else _complex_normals(rng, shape)
@@ -200,7 +203,9 @@ def ssm_observe_ideal(
 ) -> IdealObservation:
     """Single-beam scalar observation y = sqrt(rho) * beta_k * x + n, the QSSM
     observation of row (k, k, Re x, Im x)."""
-    y = _scalar_trial(gains, _symbol_row(rho, len(gains), k, k, x.real, x.imag), rho, rng)
+    row = _symbol_row(rho, len(gains), k, k, x.real, x.imag)
+    _check_finite(np.asarray(gains).tolist() + [x], "gains and the point")
+    y = _scalar_trial(gains, row, rho, rng)
     return IdealObservation(y_r=complex(y), snr=float(rho))
 
 

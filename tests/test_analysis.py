@@ -235,6 +235,7 @@ def test_pep_quadrature_edges():
 def test_pep_asymptotic():
     assert pep_asymptotic(100.0, 1.0) == pytest.approx(13.0 / 2400.0, rel=1e-12)
     assert pep_asymptotic(1e-3, 1.0) == 0.5  # clamped
+    assert pep_asymptotic(1e-300, 1e-30) == 0.5  # 24*rho*eta_bar underflows to 0
     with pytest.raises(ValueError):
         pep_asymptotic(1.0, 0.0)
     with pytest.raises(ValueError):
@@ -516,6 +517,88 @@ def test_class_table_cache_is_safe():
     for L in 2 ** np.arange(maxsize + 2):
         abep_union_bound_ssm(int(L), build_constellation(QAM, 4), 1.0)
     assert analysis._class_table.cache_info().currsize == maxsize
+
+
+def _book_table(L, constellation, beams):
+    x = constellation.points
+    values = (x.real, x.imag) if beams == 2 else (x,)
+    return analysis._class_table(L, beams, "<f8", b"".join(v.tobytes() for v in values))
+
+
+@pytest.mark.parametrize(
+    "constellation", list(_buildable_constellations()), ids=lambda c: f"{c.kind}{c.order}"
+)
+def test_class_table_distinct_eta_bar(constellation):
+    """The table's sorted distinct eta_bar values and the index of every entry
+    into them rebuild eta bit for bit, in eta's shape, read-only."""
+    for L, beams in ((1, 1), (4, 1), (1, 2), (4, 2)):
+        table = _book_table(L, constellation, beams)
+        assert np.all(np.diff(table.distinct) > 0)
+        assert table.index.shape == table.eta.shape
+        rebuilt = table.distinct[table.index]
+        assert rebuilt.tobytes() == table.eta.tobytes()
+        for array, value in ((table.distinct, 1.0), (table.index, 0)):
+            with pytest.raises(ValueError):
+                array[0] = value
+
+
+def test_abep_point_evaluates_each_distinct_eta_bar_once(monkeypatch):
+    """One abep_point runs each PEP kernel once, on the book's distinct eta_bar
+    values: 149 of 16384 table entries for QSSM L=8 64QAM, 5 of 64 for L=4 4QAM."""
+    sizes = []
+    for name in ("_closed_form_pass", "_asymptotic_pass"):
+        kernel = getattr(analysis, name)
+
+        def counted(values, kernel=kernel, name=name):
+            sizes.append((name, values.size))
+            return kernel(values)
+
+        monkeypatch.setattr(analysis, name, counted)
+    for L, order, n_distinct in ((8, 64, 149), (4, 4, 5)):
+        constellation = build_constellation(QAM, order)
+        book = build_symbol_book(L, constellation)
+        table = _book_table(L, constellation, 2)
+        assert (len(table.distinct), table.eta.size) == (n_distinct, 4 * order * order)
+        sizes.clear()
+        abep_point(book, 20.0)
+        assert sizes == [("_closed_form_pass", n_distinct), ("_asymptotic_pass", n_distinct)]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_bounds_take_rho_from_zero_to_the_ceiling():
+    """rho -0.0 reads as 0, and rho outside [0, 1e300], NaN or an SNR above
+    3000 dB raises ValueError naming the range, with no RuntimeWarning first."""
+    constellation = build_constellation(QAM, 4)
+    book = build_symbol_book(4, constellation)
+    assert pep_closed_form(-0.0, 1.0) == pep_closed_form(1.0, -0.0) == 0.5
+    assert pep_closed_form(-0.0, np.ones(3)).tolist() == [0.5] * 3
+    assert abep_union_bound(book, -0.0) == abep_union_bound(book, 0.0)
+    assert abep_union_bound_ssm(4, constellation, -0.0) == abep_union_bound_ssm(4, constellation, 0.0)
+    top = analysis._MAX_RHO
+    assert top == 1e300 == snr_db_to_rho(3000.0)
+    for point in (abep_point(book, 3000.0), abep_point_ssm(4, constellation, 3000.0)):
+        assert 0 < point.abep_asymptotic < point.abep_analytical < 1e-298
+    assert 0 < pep_asymptotic(top, 1.0) < pep_closed_form(top, 1.0)
+    rho_calls = (
+        lambda rho: pep_closed_form(rho, 1.0),
+        lambda rho: pep_closed_form(rho, np.ones(3)),
+        lambda rho: pep_asymptotic(rho, 1.0),
+        lambda rho: abep_union_bound(book, rho),
+        lambda rho: abep_union_bound_ssm(4, constellation, rho),
+    )
+    for rho in (np.nextafter(top, np.inf), 1e308, np.inf, -1e-300, np.nan):
+        for call in rho_calls:
+            with pytest.raises(ValueError, match=r"rho must be >= 0 and at most 1e\+300"):
+                call(rho)
+    snr_calls = (
+        snr_db_to_rho,
+        lambda snr_db: abep_point(book, snr_db),
+        lambda snr_db: abep_point_ssm(4, constellation, snr_db),
+    )
+    for snr_db in (3000.001, 1e5, np.inf, np.nan):
+        for call in snr_calls:
+            with pytest.raises(ValueError, match="snr_db must be at most 3000 dB"):
+                call(snr_db)
 
 
 def _dense_union_bound(eta, hamming, bits, rho, kernel):

@@ -1,5 +1,7 @@
 """Observation models, detectors, and the baseline chain."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -271,7 +273,7 @@ def test_per_symbol_chains_reject_a_bad_rho(rho):
 def test_per_symbol_detectors_refuse_non_finite_inputs():
     """A NaN or infinite gain or observation raises before detection: its metrics
     would be NaN, and np.argmin would decide the first label.  A NaN angle
-    reaches the detector as NaN beam outputs."""
+    would reach the detector as NaN beam outputs, had the observer not refused it."""
     real = _grid_realization(seed=14)
     constellation = BOOK44.constellation
     y_ok = IdealObservation(0.3 + 0.1j, 1.0)
@@ -293,12 +295,40 @@ def test_per_symbol_detectors_refuse_non_finite_inputs():
     nan_angle = ChannelRealization(
         real.gains, real.aod, np.array([np.nan, *real.aoa[1:]]), GEOM32, GEOM32
     )
-    observation = qssm_observe_physical(BOOK44.symbols[5], nan_angle, 10.0, None)
-    assert np.isnan(observation.z).all()
+    observation = PhysicalObservation(np.full(4, np.nan, dtype=complex))
     cases.append((ml_detect_physical, observation, nan_angle, BOOK44))
     for detect, *args in cases:
         with pytest.raises(ValueError, match="must be finite"):
             detect(*args, 10.0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_per_symbol_observers_refuse_non_finite_inputs(bad):
+    """A NaN or infinite gain, angle or signal point raises in the observer: it
+    would turn y_r or every beam output NaN without an error."""
+    real = _grid_realization(seed=14)
+    symbol = BOOK44.symbols[5]
+    gains = np.array([1.0, 1.0, bad, 1.0], dtype=complex)
+    point = complex(BOOK44.constellation.points[0])
+    realizations = [
+        ChannelRealization(gains, real.aod, real.aoa, GEOM32, GEOM32),
+        ChannelRealization(real.gains, np.array([bad, *real.aod[1:]]), real.aoa, GEOM32, GEOM32),
+        ChannelRealization(real.gains, real.aod, np.array([*real.aoa[:3], bad]), GEOM32, GEOM32),
+    ]
+    calls = [
+        lambda: qssm_observe_ideal(symbol, gains, 10.0, None),
+        lambda: qssm_observe_ideal(dataclasses.replace(symbol, x_re=bad), GAINS4, 10.0, None),
+        lambda: ssm_observe_ideal(2, point, gains, 10.0, None),
+        lambda: ssm_observe_ideal(2, complex(bad, 0.0), GAINS4, 10.0, None),
+        *(lambda r=r: qssm_observe_physical(symbol, r, 10.0, None) for r in realizations),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="must be finite"):
+            call()
+    # the finite inputs still observe
+    assert np.isfinite(qssm_observe_ideal(symbol, GAINS4, 10.0, None).y_r)
+    assert np.isfinite(ssm_observe_ideal(2, point, GAINS4, 10.0, None).y_r)
+    assert np.isfinite(qssm_observe_physical(symbol, real, 10.0, None).z).all()
 
 
 def test_per_symbol_detection_keeps_the_table_budget():
